@@ -625,6 +625,170 @@ def iter_words(n: Nfa, max_len: int):
         yield from walk(root, length)
 
 
+class SubsetDfa:
+    """Rabin–Scott subset construction of one Nfa, built on demand.
+
+    States are ints naming sets of Nfa states; 0 is the start set.  A
+    transition is computed the first time it is stepped and then kept.
+    """
+
+    def __init__(self, nfa: Nfa):
+        self.nfa = nfa
+        start = frozenset([nfa.start]) if nfa.n_states else frozenset()
+        self._sets = [start]
+        self._ids = {start: 0}
+        self._next: dict[tuple[int, Symbol], int] = {}
+        self.accepting = [bool(start & nfa.accepting)]
+
+    def step(self, q: int, s: Symbol) -> int:
+        got = self._next.get((q, s))
+        if got is None:
+            out: set[int] = set()
+            delta = self.nfa.delta
+            for st in self._sets[q]:
+                row = delta.get(st)
+                if row:
+                    out |= row.get(s, frozenset())
+            target = frozenset(out)
+            got = self._ids.get(target)
+            if got is None:
+                got = len(self._sets)
+                self._sets.append(target)
+                self._ids[target] = got
+                self.accepting.append(bool(target & self.nfa.accepting))
+            self._next[(q, s)] = got
+        return got
+
+    def min_dist(self, q: int) -> int:
+        """Least word length from q to acceptance; _INF when none."""
+        dist = self.nfa.min_dist
+        return min((dist[t] for t in self._sets[q]), default=_INF)
+
+
+class ProductDfa:
+    """Lazy subset construction of the product of several automata.
+
+    Reads words over ``alphabet``.  Each component is an Nfa with a
+    relabelling from ``alphabet`` into its own alphabet (None keeps the
+    symbol), so one product can run base words through automata over
+    colored copies.  Component 0 is the guide: the product accepts where
+    the guide accepts and ``accept`` holds of the tuple of every
+    component's acceptance flag.  States are ints, 0 is the start; the row
+    of a state's successors, one per alphabet symbol in order, is built
+    the first time it is needed.
+    """
+
+    def __init__(self, alphabet: Alphabet, components, accept):
+        self.alphabet = alphabet
+        self._dfas = [SubsetDfa(nfa) for nfa, _ in components]
+        self._labels = [tuple(s if relabel is None else relabel(s)
+                              for s in alphabet.symbols)
+                        for _, relabel in components]
+        self._accept = accept
+        self._keys: list[tuple[int, ...]] = []
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._rows: list[list[int] | None] = []
+        self.flags: list[tuple[bool, ...]] = []
+        self.accepting: list[bool] = []
+        self._intern((0,) * len(self._dfas))
+
+    def _intern(self, key: tuple[int, ...]) -> int:
+        got = self._ids.get(key)
+        if got is None:
+            got = len(self._keys)
+            self._keys.append(key)
+            self._ids[key] = got
+            self._rows.append(None)
+            flags = tuple(d.accepting[q] for d, q in zip(self._dfas, key))
+            self.flags.append(flags)
+            self.accepting.append(flags[0] and self._accept(flags))
+        return got
+
+    def row(self, q: int) -> list[int]:
+        got = self._rows[q]
+        if got is None:
+            key = self._keys[q]
+            got = [self._intern(tuple(
+                       d.step(c, labels[k])
+                       for d, c, labels in zip(self._dfas, key, self._labels)))
+                   for k in range(len(self.alphabet))]
+            self._rows[q] = got
+        return got
+
+    def run(self, word: Word) -> int:
+        """The state the word leads to; symbols outside the alphabet raise."""
+        q = 0
+        index = self.alphabet.index
+        for s in word:
+            q = self.row(q)[index(s)]
+        return q
+
+    def _distances(self, max_len: int) -> list[int]:
+        """Per state, the least word length to acceptance within reach of
+        words of length at most max_len.
+
+        Breadth-first from the start, a state found at depth d is expanded
+        only when d < max_len and its guide can still accept within
+        max_len - d, so at most one state per live prefix of the guide is
+        built.  Distances then come from a backward breadth-first search
+        over the expanded rows; that is exact for every state a word of
+        length at most max_len can pass through with room left.
+        """
+        guide = self._dfas[0]
+        depth = {0: 0}
+        frontier = [0]
+        rev: dict[int, set[int]] = {}
+        while frontier:
+            nxt = []
+            for q in frontier:
+                d = depth[q]
+                if d >= max_len or guide.min_dist(self._keys[q][0]) > max_len - d:
+                    continue
+                for t in self.row(q):
+                    rev.setdefault(t, set()).add(q)
+                    if t not in depth:
+                        depth[t] = d + 1
+                        nxt.append(t)
+            frontier = nxt
+        dist = [_INF] * len(self._keys)
+        queue = deque(q for q in depth if self.accepting[q])
+        for q in queue:
+            dist[q] = 0
+        while queue:
+            t = queue.popleft()
+            for q in rev.get(t, ()):
+                if dist[q] == _INF:
+                    dist[q] = dist[t] + 1
+                    queue.append(q)
+        return dist
+
+    def words(self, max_len: int):
+        """Accepted words of length at most max_len, shortlex order.
+
+        Iterative deepening over the expanded rows, pruned by exact
+        distance to acceptance, so every prefix walked extends to a word
+        that is yielded.
+        """
+        dist = self._distances(max_len)
+        symbols = self.alphabet.symbols
+        prefix: list[Symbol] = []
+
+        def walk(q: int, remaining: int):
+            if remaining == 0:
+                if self.accepting[q]:
+                    yield tuple(prefix)
+                return
+            for k, t in enumerate(self._rows[q]):
+                if dist[t] < remaining:
+                    prefix.append(symbols[k])
+                    yield from walk(t, remaining - 1)
+                    prefix.pop()
+
+        for length in range(max_len + 1):
+            if dist[0] <= length:
+                yield from walk(0, length)
+
+
 def enumerate_words(n: Nfa, max_len: int) -> list[Word]:
     return list(iter_words(n, max_len))
 

@@ -16,8 +16,8 @@ from multiprocessing import Pool
 
 from .automata import accepts, compile_nfa, iter_words, parse_regex, parse_word
 from .constraints import ConstraintSet
-from .escape import (Caps, ExploreContext, PlayOutcome, Verdict, VerdictKind,
-                     explore, initial_position, run_play, scripted_from_trace,
+from .escape import (Caps, ExploreContext, PlayOutcome, VerdictKind, explore,
+                     initial_position, run_play, scripted_from_trace,
                      strategy_guided, strategy_interactive, strategy_shortest,
                      trace_from_jsonl, trace_to_jsonl)
 from .gadget import build_grid, check_counterexample, decorate, find_homomorphism
@@ -26,7 +26,7 @@ from .ogtp import (ReductionOutput, compile_reduction, instance_from_json,
                    reduction_from_json, reduction_to_json, solve_bruteforce,
                    tiling_from_json, tiling_to_json)
 from .rpq import evaluate
-from .symbols import Alphabet, WorkbenchError, format_word
+from .symbols import Alphabet, WorkbenchError
 
 
 def _read(path: str) -> str:
@@ -125,42 +125,14 @@ def cmd_play(args) -> int:
 _SEARCH_CTX: ExploreContext | None = None
 
 
-def _search_init(instance_text: str, caps: tuple[int, int, int, int]) -> None:
+def _search_init(instance_text: str, caps: Caps) -> None:
     global _SEARCH_CTX
     out = reduction_from_json(instance_text)
-    _SEARCH_CTX = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(*caps))
+    _SEARCH_CTX = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
 
 
-def _search_worker(word_text: str) -> tuple[str, str | None]:
-    ctx = _SEARCH_CTX
-    word = parse_word(word_text, ctx.q0.alphabet)
-    kind, cert = ctx.classify_word(word)
-    if kind == "win":
-        return kind, endpointed_to_json(cert.endpointed())
-    return kind, None
-
-
-def _parallel_search(text: str, out: ReductionOutput, caps: Caps,
-                     jobs: int) -> tuple[Verdict, str | None]:
-    words = [format_word(w) for w in iter_words(out.q0_nfa, caps.max_initial_len)
-             if w]
-    if not words:
-        return Verdict(VerdictKind.INCONCLUSIVE, caps), None
-    caps_tuple = (caps.max_initial_len, caps.max_witness_len, caps.max_rounds,
-                  caps.max_branches)
-    saw_undecided = False
-    chunk = max(1, min(256, len(words) // (jobs * 8) or 1))
-    with Pool(jobs, initializer=_search_init,
-              initargs=(text, caps_tuple)) as pool:
-        for kind, cert_json in pool.imap(_search_worker, words,
-                                         chunksize=chunk):
-            if kind == "win":
-                return Verdict(VerdictKind.NONDETERMINATE, caps), cert_json
-            if kind == "undecided":
-                saw_undecided = True
-    if saw_undecided:
-        return Verdict(VerdictKind.INCONCLUSIVE, caps), None
-    return Verdict(VerdictKind.ALL_PLAYS_LOSE, caps), None
+def _search_worker(word):
+    return _SEARCH_CTX.classify_word(word)
 
 
 def cmd_search(args) -> int:
@@ -169,13 +141,17 @@ def cmd_search(args) -> int:
     caps = Caps(args.max_initial_len, args.max_witness_len, args.max_rounds,
                 args.max_branches)
     if args.jobs > 1:
-        verdict, cert_json = _parallel_search(text, out, caps, args.jobs)
+        # Workers classify the surviving start words; results come back in
+        # start-word order, so the verdict and certificate match explore.
+        ctx = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
+        with Pool(args.jobs, initializer=_search_init,
+                  initargs=(text, caps)) as pool:
+            verdict = ctx.verdict(pool.imap(_search_worker, ctx.start_words()))
     else:
         verdict = explore(out.q0_nfa, out.constraint_set(), caps)
-        cert_json = (endpointed_to_json(verdict.certificate)
-                     if verdict.certificate is not None else None)
     print(verdict.kind.value)
-    if cert_json is not None:
+    if verdict.certificate is not None:
+        cert_json = endpointed_to_json(verdict.certificate)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(cert_json)

@@ -13,15 +13,18 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
-from .automata import Nfa, accepts, enumerate_words, iter_words, shortest_word
+from .automata import (Nfa, ProductDfa, accepts, enumerate_words, iter_words,
+                       shortest_word)
 from .constraints import (ConstraintSet, RegularConstraint, Request,
                           apply_add, fresh_names, recolor_nfa, requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import find_witness, holds
-from .symbols import Color, Symbol, Word, WorkbenchError, format_word
+from .symbols import (Color, FormatError, Symbol, Word, WorkbenchError, expect,
+                      expect_key, format_word)
 
 
 class ScriptExhaustedError(WorkbenchError):
@@ -89,8 +92,7 @@ class PlayTrace:
 # Positions
 
 
-def initial_position(word: Word) -> Position:
-    """Round-zero position: the green chain of the word, from a to b."""
+def _green_word(word: Word) -> Word:
     if not word:
         raise ValueError("initial word must be nonempty")
     green = []
@@ -98,7 +100,12 @@ def initial_position(word: Word) -> Position:
         if s.color is Color.RED:
             raise ValueError("initial word must be green or uncolored")
         green.append(s if s.color is Color.GREEN else s.colored(Color.GREEN))
-    return Position(chain_graph(tuple(green), "a", "b"), "a", "b", 0)
+    return tuple(green)
+
+
+def initial_position(word: Word) -> Position:
+    """Round-zero position: the green chain of the word, from a to b."""
+    return Position(chain_graph(_green_word(word), "a", "b"), "a", "b", 0)
 
 
 def initial_positions(q0: Nfa, cap: int) -> list[Position]:
@@ -344,7 +351,7 @@ class ExploreContext:
             self._candidates[rc.cid] = got
         return got
 
-    def _forces_loss_alone(self, rc: RegularConstraint) -> bool:
+    def forces_loss_alone(self, rc: RegularConstraint) -> bool:
         """True when every candidate witness is itself a red q0 word, so an
         a-to-b request for rc loses on any allowed choice."""
         got = self._forcing.get(rc.cid)
@@ -354,24 +361,67 @@ class ExploreContext:
             self._forcing[rc.cid] = got
         return got
 
+    @cached_property
+    def start_automaton(self) -> ProductDfa:
+        """q0 and the green lhs and rhs of every forcing constraint, run
+        together over base words; it accepts the q0 words that survive
+        the round-one forcing rule.
+
+        An all-green chain keeps exactly one a-to-b walk, so an a-to-b
+        request exists iff the lhs accepts the chain word and the rhs does
+        not; when every allowed witness for it is a red q0 word, every
+        play dies in round one no matter what the other requests get.
+        """
+        components = [(self.q0, None)]
+        for rc in self.cs:
+            if self.forces_loss_alone(rc):
+                components += [(rc.lhs_nfa, _green_symbol),
+                               (rc.rhs_nfa, _green_symbol)]
+        return ProductDfa(self.q0.alphabet, components,
+                          lambda flags: not _forced_to_lose(flags))
+
+    def start_words(self):
+        """Nonempty q0 words within max_initial_len that the forcing rule
+        does not kill, in the shortlex order of iter_words."""
+        for w in self.start_automaton.words(self.caps.max_initial_len):
+            if w:
+                yield w
+
     def classify_word(self, word: Word):
         """Search all bounded plays from one initial word.
 
-        Returns (kind, certificate) with kind one of win / all_lost /
-        undecided.
+        Returns (kind, position) with kind one of win / all_lost /
+        undecided; the position is the fixpoint reached on a win.
         """
-        pos = initial_position(word)
-        green_word = tuple(s.colored(Color.GREEN) for s in word)
-        # An all-green chain keeps exactly one a-to-b walk, so an a-to-b
-        # request exists iff the lhs accepts the chain word and the rhs does
-        # not; when every allowed witness for it is a red q0 word, every
-        # play dies in round one no matter what the other requests get.
-        for rc in self.cs:
-            if (self._forces_loss_alone(rc)
-                    and accepts(rc.lhs_nfa, green_word)
-                    and not accepts(rc.rhs_nfa, green_word)):
-                return _ALL_LOST, None
-        return self._dfs(pos)
+        # _green_word rejects what initial_position rejects, before the
+        # automaton reads the word's base symbols.
+        base = tuple(s.uncolored() for s in _green_word(word))
+        dfa = self.start_automaton
+        if _forced_to_lose(dfa.flags[dfa.run(base)]):
+            return _ALL_LOST, None
+        return self._dfs(initial_position(word))
+
+    def verdict(self, outcomes) -> Verdict:
+        """Fold the classify_word outcomes of start_words, in that order,
+        into the search verdict.
+
+        NONDETERMINATE carries the first fixpoint; INCONCLUSIVE when q0
+        has no nonempty word within max_initial_len or some word was
+        undecided; otherwise ALL_PLAYS_LOSE.
+        """
+        # any() skips the empty word, which is falsy.
+        if not any(iter_words(self.q0, self.caps.max_initial_len)):
+            return Verdict(VerdictKind.INCONCLUSIVE, self.caps)
+        saw_undecided = False
+        for kind, pos in outcomes:
+            if kind == _WIN:
+                return Verdict(VerdictKind.NONDETERMINATE, self.caps,
+                               pos.endpointed())
+            if kind == _UNDECIDED:
+                saw_undecided = True
+        if saw_undecided:
+            return Verdict(VerdictKind.INCONCLUSIVE, self.caps)
+        return Verdict(VerdictKind.ALL_PLAYS_LOSE, self.caps)
 
     def _dfs(self, pos: Position):
         if holds(self.red_q0, pos.graph, pos.a, pos.b):
@@ -409,28 +459,28 @@ class ExploreContext:
         return holds(self.red_q0, g, pos.a, pos.b)
 
 
+def _green_symbol(s: Symbol) -> Symbol:
+    return s.colored(Color.GREEN)
+
+
+def _forced_to_lose(flags: tuple[bool, ...]) -> bool:
+    """The round-one forcing rule on the acceptance flags of
+    ExploreContext.start_automaton: after q0 come (lhs, rhs) pairs of the forcing constraints, and
+    the chain word loses when some lhs accepts it and its rhs does not."""
+    return any(flags[i] and not flags[i + 1] for i in range(1, len(flags), 2))
+
+
 def explore(q0: Nfa, cs: ConstraintSet, caps: Caps) -> Verdict:
     """Depth-first search over initial words and witness combinations.
 
+    Only the start words that survive the round-one forcing rule are
+    searched, in shortlex order; every other q0 word loses in round one.
     NONDETERMINATE carries the first fixpoint reached without loss, in
     deterministic branch order; ALL_PLAYS_LOSE means every explored branch
     lost before the caps; anything else is INCONCLUSIVE.
     """
     ctx = ExploreContext(q0, cs, caps)
-    saw_word = False
-    saw_undecided = False
-    for w in iter_words(q0, caps.max_initial_len):
-        if not w:
-            continue
-        saw_word = True
-        kind, cert = ctx.classify_word(w)
-        if kind == _WIN:
-            return Verdict(VerdictKind.NONDETERMINATE, caps, cert.endpointed())
-        if kind == _UNDECIDED:
-            saw_undecided = True
-    if not saw_word or saw_undecided:
-        return Verdict(VerdictKind.INCONCLUSIVE, caps)
-    return Verdict(VerdictKind.ALL_PLAYS_LOSE, caps)
+    return ctx.verdict(map(ctx.classify_word, ctx.start_words()))
 
 
 # --------------------------------------------------------------------------
@@ -453,25 +503,42 @@ def trace_to_jsonl(trace: PlayTrace) -> str:
 
 
 def trace_from_jsonl(text: str) -> PlayTrace:
+    """Inverse of trace_to_jsonl; a wrong shape raises FormatError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
-    header = json.loads(lines[0])
+    header = expect(json.loads(lines[0]), dict, "trace header")
     initial = header.get("initial")
     initial_word = (None if initial is None
-                    else tuple(Symbol(tok) for tok in initial.split()))
+                    else _word_from_text(expect(initial, str, "initial word")))
     rounds = []
     for ln in lines[1:]:
-        obj = json.loads(ln)
+        obj = expect(json.loads(ln), dict, "trace round")
+
+        def entries(key: str) -> list:
+            return expect_key(obj, key, list, "trace round")
+
+        edges = [_triple(e, (str, str, str), "added edge")
+                 for e in entries("added_edges")]
         rounds.append(RoundRecord(
-            round_no=obj["round"],
-            requests=tuple((x, y, cid) for x, y, cid in obj["requests"]),
-            choices=tuple(tuple(Symbol(t) for t in c.split())
-                          for c in obj["choices"]),
-            added_edges=tuple((src, Symbol(s), dst)
-                              for src, s, dst in obj["added_edges"]),
+            round_no=expect_key(obj, "round", int, "trace round"),
+            requests=tuple(_triple(r, (str, str, int), "request")
+                           for r in entries("requests")),
+            choices=tuple(_word_from_text(expect(c, str, "choice"))
+                          for c in entries("choices")),
+            added_edges=tuple((src, Symbol(s), dst) for src, s, dst in edges),
         ))
     return PlayTrace(initial_word, tuple(rounds))
+
+
+def _word_from_text(text: str) -> Word:
+    return tuple(Symbol(tok) for tok in text.split())
+
+
+def _triple(value, kinds, what: str) -> tuple:
+    if len(expect(value, list, what)) != 3:
+        raise FormatError(f"{what} must have three entries, got {value!r}")
+    return tuple(expect(v, k, what) for v, k in zip(value, kinds))
 
 
 def scripted_from_trace(trace: PlayTrace) -> ScriptedStrategy:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .symbols import Color, Symbol, Word, WorkbenchError
+from .symbols import (Color, Symbol, Word, WorkbenchError, expect,
+                      expect_key)
 
 Edge = tuple[str, Symbol, str]
 
@@ -148,9 +149,17 @@ def graph_to_obj(g: LabeledGraph) -> dict:
     }
 
 
-def graph_from_obj(obj: dict) -> LabeledGraph:
-    vertices = obj["vertices"]
-    edges = [(e["src"], Symbol(e["label"]), e["dst"]) for e in obj["edges"]]
+def graph_from_obj(obj) -> LabeledGraph:
+    """Inverse of graph_to_obj; a wrong shape raises FormatError."""
+    expect(obj, dict, "graph")
+    vertices = [expect(v, str, "vertex name")
+                for v in expect_key(obj, "vertices", list, "graph")]
+    edges = []
+    for e in expect_key(obj, "edges", list, "graph"):
+        expect(e, dict, "edge")
+        edges.append((expect_key(e, "src", str, "edge"),
+                      Symbol(expect_key(e, "label", str, "edge")),
+                      expect_key(e, "dst", str, "edge")))
     return LabeledGraph.build(vertices, edges)
 
 
@@ -173,4 +182,5 @@ def endpointed_from_json(text: str, a: str | None = None,
                          b: str | None = None) -> EndpointedGraph:
     obj = json.loads(text)
     g = graph_from_obj(obj)
-    return EndpointedGraph(g, a or obj.get("a", "a"), b or obj.get("b", "b"))
+    return EndpointedGraph(g, a or expect(obj.get("a", "a"), str, "endpoint a"),
+                           b or expect(obj.get("b", "b"), str, "endpoint b"))

@@ -21,6 +21,28 @@ class SymbolError(WorkbenchError):
     """A token does not match the symbol grammar."""
 
 
+class FormatError(WorkbenchError):
+    """A JSON document lacks a key or holds a value of the wrong type."""
+
+
+def expect(value, kind: type, what: str):
+    """value if it is an instance of kind, else FormatError naming what."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{what} must be a JSON {_JSON_NAMES[kind]}, "
+                          f"got {value!r}")
+    return value
+
+
+def expect_key(obj: dict, key: str, kind: type, what: str):
+    """obj[key] checked by expect; a missing key is a FormatError too."""
+    if key not in obj:
+        raise FormatError(f"{what} lacks the key {key!r}")
+    return expect(obj[key], kind, f"{what} {key!r}")
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
 class Color(Enum):
     GREEN = "G"
     RED = "R"
@@ -96,6 +118,11 @@ class Symbol:
 
     def __repr__(self) -> str:
         return self.name
+
+    def __reduce__(self):
+        # Unpickling goes through Symbol(name), so a symbol sent to or from
+        # a worker process becomes the receiver's interned instance.
+        return Symbol, (self.name,)
 
 
 def sym(name: str) -> Symbol:

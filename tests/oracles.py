@@ -21,8 +21,10 @@ from rpqdet.automata import (
     Star,
     Union,
 )
+from rpqdet.automata import accepts, iter_words
+from rpqdet.escape import ExploreContext, Verdict, VerdictKind, initial_position
 from rpqdet.graphs import LabeledGraph
-from rpqdet.symbols import Symbol, Word
+from rpqdet.symbols import Color, Symbol, Word
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +237,47 @@ def is_homomorphism(d: LabeledGraph, m: LabeledGraph,
     if any(h[v] not in m.vertices for v in d.vertices):
         return False
     return all((h[x], lab, h[y]) in m.edges for x, lab, y in d.edges)
+
+
+# --------------------------------------------------------------------------
+# The bounded search word by word: every q0 word is enumerated and the
+# round-one forcing rule is tested on it with NFA membership, instead of
+# running the words through ExploreContext.start_automaton.
+
+
+def forced_per_word(ctx: ExploreContext, word: Word) -> bool:
+    """The forcing rule on one word: some forcing constraint's lhs accepts
+    its green chain word and the rhs does not."""
+    green = tuple(s.colored(Color.GREEN) for s in word)
+    return any(ctx.forces_loss_alone(rc)
+               and accepts(rc.lhs_nfa, green)
+               and not accepts(rc.rhs_nfa, green)
+               for rc in ctx.cs)
+
+
+def start_words_per_word(ctx: ExploreContext) -> list[Word]:
+    return [w for w in iter_words(ctx.q0, ctx.caps.max_initial_len)
+            if w and not forced_per_word(ctx, w)]
+
+
+def explore_per_word(q0, cs, caps) -> Verdict:
+    """explore with the per-word forcing rule and its own verdict loop."""
+    ctx = ExploreContext(q0, cs, caps)
+    saw_word = saw_undecided = False
+    for w in iter_words(q0, caps.max_initial_len):
+        if not w:
+            continue
+        saw_word = True
+        if forced_per_word(ctx, w):
+            continue
+        kind, pos = ctx._dfs(initial_position(w))
+        if kind == "win":
+            return Verdict(VerdictKind.NONDETERMINATE, caps, pos.endpointed())
+        if kind == "undecided":
+            saw_undecided = True
+    if not saw_word or saw_undecided:
+        return Verdict(VerdictKind.INCONCLUSIVE, caps)
+    return Verdict(VerdictKind.ALL_PLAYS_LOSE, caps)
 
 
 # --------------------------------------------------------------------------

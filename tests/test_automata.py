@@ -13,6 +13,7 @@ from rpqdet.automata import (
     ForeignSymbolError,
     Lit,
     Plus,
+    ProductDfa,
     RegexSyntaxError,
     Star,
     Union,
@@ -31,7 +32,7 @@ from rpqdet.automata import (
     union_all,
 )
 from rpqdet.ogtp import reduction_alphabet
-from rpqdet.symbols import Alphabet, sym
+from rpqdet.symbols import Alphabet, Color, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 BLACK = reduction_alphabet(("black",))
@@ -286,3 +287,60 @@ def test_union_all_and_concat_all_fold():
     parts = [Lit(sym("alpha")), Lit(sym("beta")), Lit(sym("omega"))]
     assert union_all(parts) == Union(Union(parts[0], parts[1]), parts[2])
     assert concat_all(parts) == Concat(Concat(parts[0], parts[1]), parts[2])
+
+
+# --------------------------------------------------------------------------
+# Product of subset constructions
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_product_difference_matches_generation_oracle(seed):
+    """Words of L1 minus L2, shortlex, against the syntax-tree generator
+    filtered by the span matcher."""
+    rng = random.Random(seed)
+    labels = list(SPECIALS.symbols)
+    r1 = random_regex(rng, labels, depth=4)
+    r2 = random_regex(rng, labels, depth=3)
+    dfa = ProductDfa(SPECIALS, [(compile_nfa(r1, SPECIALS), None),
+                                (compile_nfa(r2, SPECIALS), None)],
+                     lambda flags: not flags[1])
+    want = sorted((w for w in lang_upto(r1, 4) if not match_regex(r2, w)),
+                  key=SPECIALS.word_key)
+    assert list(dfa.words(4)) == want
+
+
+def test_product_relabels_into_a_colored_component():
+    colored = SPECIALS.colored()
+    green = compile_nfa(parse_regex("G:alpha G:beta*", colored), colored)
+    base = compile_nfa(parse_regex("(alpha + beta)(beta + omega)", SPECIALS),
+                       SPECIALS)
+    dfa = ProductDfa(SPECIALS, [(base, None),
+                                (green, lambda s: s.colored(Color.GREEN))],
+                     lambda flags: flags[1])
+    assert list(dfa.words(3)) == [(sym("alpha"), sym("beta"))]
+    q = dfa.run((sym("alpha"), sym("omega")))
+    assert dfa.flags[q] == (True, False)
+    assert not dfa.accepting[q]
+
+
+def test_product_words_respect_the_length_cap_and_an_empty_guide():
+    star = compile_nfa(parse_regex("alpha*", SPECIALS), SPECIALS)
+    dfa = ProductDfa(SPECIALS, [(star, None)], lambda flags: True)
+    assert list(dfa.words(0)) == [()]
+    assert list(dfa.words(2)) == [(), (sym("alpha"),), (sym("alpha"),) * 2]
+    empty = compile_nfa(Empty(), SPECIALS)
+    assert list(ProductDfa(SPECIALS, [(empty, None)],
+                           lambda flags: True).words(5)) == []
+
+
+def test_product_builds_no_state_past_a_dead_guide():
+    """Only live prefixes of the guide are expanded: here the empty word,
+    alpha and alpha beta, each adding at most one state per symbol,
+    however many prefixes the other component tells apart."""
+    guide = compile_nfa(parse_regex("alpha beta", SPECIALS), SPECIALS)
+    any6 = " ".join(["(alpha + beta + omega)"] * 6)
+    other = compile_nfa(parse_regex(any6, SPECIALS), SPECIALS)
+    dfa = ProductDfa(SPECIALS, [(guide, None), (other, None)],
+                     lambda flags: True)
+    assert list(dfa.words(6)) == [(sym("alpha"), sym("beta"))]
+    assert len(dfa.flags) <= 1 + 3 * len(SPECIALS)

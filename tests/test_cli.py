@@ -207,6 +207,43 @@ def test_solve_ogtp_prints_none_on_unsolvable(files, capsys):
     assert capsys.readouterr().out.strip() == "NONE"
 
 
+def _assert_input_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_eval_graph_without_edges_exits_2(files, capsys):
+    graph = files["root"] / "no_edges.json"
+    graph.write_text(json.dumps({"vertices": ["a", "b"]}))
+    assert main(["eval", "--graph", str(graph), "--query", "G:omega"]) == 2
+    _assert_input_error(capsys)
+
+
+def test_verify_on_a_json_array_exits_2(files, capsys):
+    cert = files["root"] / "array.json"
+    cert.write_text("[1, 2]")
+    assert main(["verify", str(cert), str(files["instance"])]) == 2
+    _assert_input_error(capsys)
+
+
+def test_play_scripted_trace_line_without_requests_exits_2(files, capsys):
+    trace = files["root"] / "full.jsonl"
+    assert main(["play", str(files["instance"]), "--initial-cap", "4",
+                 "--out", str(trace)]) in (0, 1, 3)
+    lines = trace.read_text().splitlines()
+    assert len(lines) > 1
+    broken_round = json.loads(lines[1])
+    del broken_round["requests"]
+    lines[1] = json.dumps(broken_round)
+    broken = files["root"] / "no_requests.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["play", str(files["instance"]), "--strategy", "scripted",
+                 "--trace", str(broken)]) == 2
+    _assert_input_error(capsys)
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["reduce", "/nonexistent/input.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,10 +1,17 @@
-import pytest
+import random
 
-from oracles import is_homomorphism
-from rpqdet.automata import Empty, Lit, compile_nfa, parse_regex, parse_word
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import (explore_per_word, forced_per_word, is_homomorphism,
+                     random_regex, start_words_per_word)
+from rpqdet.automata import (Concat, Empty, Lit, compile_nfa, parse_regex,
+                             parse_word)
 from rpqdet.constraints import Request, make_arrow_set, make_arrows, requests
 from rpqdet.escape import (
     Caps,
+    ExploreContext,
     GuidanceError,
     PlayOutcome,
     Position,
@@ -25,7 +32,7 @@ from rpqdet.escape import (
     trace_to_jsonl,
 )
 from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homomorphism, iso_shadeless, verify_homomorphism
-from rpqdet.graphs import chain_graph
+from rpqdet.graphs import chain_graph, endpointed_to_json
 from rpqdet.ogtp import all_black_tiling
 from rpqdet.symbols import Alphabet, Color, sym
 
@@ -283,3 +290,103 @@ def test_caps_validation():
         Caps(0, 3, 6, 4)
     with pytest.raises(ValueError):
         Caps(4, 3, 6, 0)
+
+
+# --------------------------------------------------------------------------
+# The symbolic start-word prune against the per-word forcing rule
+
+
+@pytest.mark.parametrize("name", ["black", "blocked", "two_shade"])
+def test_start_words_match_the_per_word_filter(name, request):
+    out = request.getfixturevalue(f"{name}_reduction")
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(6, 3, 6, 4))
+    got = list(ctx.start_words())
+    assert got
+    assert got == start_words_per_word(ctx)
+
+
+def _random_instance(seed):
+    rng = random.Random(seed)
+    labels = list(SPECIALS.symbols)
+    views = []
+    for _ in range(rng.randint(1, 3)):
+        # A leading letter keeps the view free of the empty word.
+        views.append(Concat(Lit(rng.choice(labels)),
+                            random_regex(rng, labels, depth=3)))
+    q0 = random_regex(rng, labels, depth=4)
+    if rng.random() < 0.5:
+        q0 = Concat(q0, views[0]) if rng.random() < 0.5 else views[0]
+    caps = Caps(rng.randint(1, 5), rng.randint(1, 3), 2, rng.randint(1, 4))
+    return (compile_nfa(q0, SPECIALS), make_arrow_set(views, SPECIALS), caps)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_start_words_match_the_per_word_filter_on_random_instances(seed):
+    q0, cs, caps = _random_instance(seed)
+    ctx = ExploreContext(q0, cs, caps)
+    want = start_words_per_word(ctx)
+    assert list(ctx.start_words()) == want
+    for w in want:
+        assert not forced_per_word(ctx, w)
+
+
+@pytest.mark.parametrize("name, caps", [
+    ("black", Caps(8, 3, 6, 4)),
+    ("black", Caps(4, 3, 1, 4)),
+    ("blocked", Caps(6, 3, 6, 4)),
+    ("two_shade", Caps(5, 3, 6, 4)),
+])
+def test_explore_matches_the_per_word_search(name, caps, request):
+    out = request.getfixturevalue(f"{name}_reduction")
+    cs = out.constraint_set()
+    got = explore(out.q0_nfa, cs, caps)
+    want = explore_per_word(out.q0_nfa, cs, caps)
+    assert got.kind is want.kind
+    if want.certificate is None:
+        assert got.certificate is None
+    else:
+        assert (endpointed_to_json(got.certificate)
+                == endpointed_to_json(want.certificate))
+
+
+def test_classify_word_kills_forced_words_without_game_search(
+        black_reduction):
+    ctx = ExploreContext(black_reduction.q0_nfa,
+                         black_reduction.constraint_set(), Caps(3, 3, 6, 4))
+    warm = parse_word("alpha A-H-W-black omega", black_reduction.alphabet)
+    assert forced_per_word(ctx, warm)
+    assert ctx.classify_word(warm) == ("all_lost", None)
+    with pytest.raises(ValueError):
+        ctx.classify_word(())
+
+
+def _single_view_instance(q0_text, view_text):
+    q0 = compile_nfa(parse_regex(q0_text, SPECIALS), SPECIALS)
+    return q0, make_arrow_set([parse_regex(view_text, SPECIALS)], SPECIALS)
+
+
+def test_explore_without_a_start_word_within_the_cap_is_inconclusive():
+    q0, cs = _single_view_instance("alpha alpha alpha", "beta")
+    assert explore(q0, cs, Caps(2, 3, 6, 4)).kind is VerdictKind.INCONCLUSIVE
+    assert explore(q0, cs, Caps(3, 3, 6, 4)).kind is not VerdictKind.INCONCLUSIVE
+
+
+def test_explore_with_every_start_word_pruned_is_all_plays_lose():
+    # The view alpha forces: its one witness R:alpha is a red q0 word, and
+    # the green chain of alpha asks for it between the endpoints.
+    q0, cs = _single_view_instance("alpha", "alpha")
+    ctx = ExploreContext(q0, cs, Caps(4, 3, 6, 4))
+    assert list(ctx.start_words()) == []
+    assert start_words_per_word(ctx) == []
+    verdict = explore(q0, cs, Caps(4, 3, 6, 4))
+    assert verdict.kind is VerdictKind.ALL_PLAYS_LOSE
+    assert verdict.certificate is None
+
+
+def test_the_empty_word_is_never_a_start_word():
+    q0, cs = _single_view_instance("EPS + beta", "omega")
+    ctx = ExploreContext(q0, cs, Caps(3, 3, 6, 4))
+    assert list(ctx.start_words()) == [(sym("beta"),)]
+    only_empty, cs = _single_view_instance("EPS", "omega")
+    verdict = explore(only_empty, cs, Caps(3, 3, 6, 4))
+    assert verdict.kind is VerdictKind.INCONCLUSIVE
