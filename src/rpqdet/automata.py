@@ -439,6 +439,10 @@ class Nfa:
     def _step_cache(self) -> dict:
         return {}
 
+    @cached_property
+    def subset_dfa(self) -> "SubsetDfa":
+        return SubsetDfa(self)
+
     def step(self, states: frozenset[int], s: Symbol) -> frozenset[int]:
         key = (states, s)
         cached = self._step_cache.get(key)
@@ -593,36 +597,40 @@ def accepts(n: Nfa, word: Word) -> bool:
 def iter_words(n: Nfa, max_len: int):
     """Words of the language with length at most max_len, shortlex order.
 
-    Iterative deepening: for each length, a depth-first walk of the live
-    prefix tree in alphabet order, pruned by distance-to-acceptance.
+    Iterative deepening over the integer states of the Nfa's subset
+    automaton, pruned by distance to acceptance.
     """
-    symbols = n.alphabet.symbols
-    dist = n.min_dist
-    acc = n.accepting
-    root = frozenset([n.start])
-    prefix: list[Symbol] = []
-
-    def walk(states: frozenset[int], remaining: int):
-        if remaining == 0:
-            if states & acc:
-                yield tuple(prefix)
-            return
-        for s in symbols:
-            nxt = n.step(states, s)
-            if not nxt:
-                continue
-            if min(dist[t] for t in nxt) > remaining - 1:
-                continue
-            prefix.append(s)
-            yield from walk(nxt, remaining - 1)
-            prefix.pop()
-
     if n.n_states == 0:
         return
+    dfa = n.subset_dfa
+    yield from _shortlex_words(max_len, dfa.min_dist(0), dfa.live_row,
+                               dfa.accepting)
+
+
+def _shortlex_words(max_len: int, start_dist: int, live_row, accepting):
+    """Words from state 0 of a deterministic automaton with length at most
+    max_len, shortlex order: for each length, a depth-first walk of the
+    prefixes that can still reach acceptance in the length left.
+
+    live_row(q) lists (symbol, successor, successor's distance to
+    acceptance) in alphabet order; accepting is indexed by state.
+    """
+    prefix: list[Symbol] = []
+
+    def walk(q: int, remaining: int):
+        if remaining == 0:
+            if accepting[q]:
+                yield tuple(prefix)
+            return
+        for s, t, dist in live_row(q):
+            if dist < remaining:
+                prefix.append(s)
+                yield from walk(t, remaining - 1)
+                prefix.pop()
+
     for length in range(max_len + 1):
-        if dist[n.start] > length:
-            continue
-        yield from walk(root, length)
+        if start_dist <= length:
+            yield from walk(0, length)
 
 
 class SubsetDfa:
@@ -638,6 +646,7 @@ class SubsetDfa:
         self._sets = [start]
         self._ids = {start: 0}
         self._next: dict[tuple[int, Symbol], int] = {}
+        self._live: dict[int, tuple[tuple[Symbol, int, int], ...]] = {}
         self.accepting = [bool(start & nfa.accepting)]
 
     def step(self, q: int, s: Symbol) -> int:
@@ -664,6 +673,21 @@ class SubsetDfa:
         dist = self.nfa.min_dist
         return min((dist[t] for t in self._sets[q]), default=_INF)
 
+    def live_row(self, q: int) -> tuple[tuple[Symbol, int, int], ...]:
+        """(symbol, successor, its min_dist) for every symbol, in alphabet
+        order, whose successor can still reach acceptance; kept once
+        built."""
+        got = self._live.get(q)
+        if got is None:
+            got = []
+            for s in self.nfa.alphabet.symbols:
+                t = self.step(q, s)
+                d = self.min_dist(t)
+                if d < _INF:
+                    got.append((s, t, d))
+            got = self._live[q] = tuple(got)
+        return got
+
 
 class ProductDfa:
     """Lazy subset construction of the product of several automata.
@@ -680,7 +704,7 @@ class ProductDfa:
 
     def __init__(self, alphabet: Alphabet, components, accept):
         self.alphabet = alphabet
-        self._dfas = [SubsetDfa(nfa) for nfa, _ in components]
+        self._dfas = [nfa.subset_dfa for nfa, _ in components]
         self._labels = [tuple(s if relabel is None else relabel(s)
                               for s in alphabet.symbols)
                         for _, relabel in components]
@@ -771,22 +795,18 @@ class ProductDfa:
         """
         dist = self._distances(max_len)
         symbols = self.alphabet.symbols
-        prefix: list[Symbol] = []
 
-        def walk(q: int, remaining: int):
-            if remaining == 0:
-                if self.accepting[q]:
-                    yield tuple(prefix)
-                return
-            for k, t in enumerate(self._rows[q]):
-                if dist[t] < remaining:
-                    prefix.append(symbols[k])
-                    yield from walk(t, remaining - 1)
-                    prefix.pop()
+        live: dict[int, list[tuple[Symbol, int, int]]] = {}
 
-        for length in range(max_len + 1):
-            if dist[0] <= length:
-                yield from walk(0, length)
+        def live_row(q: int):
+            got = live.get(q)
+            if got is None:
+                got = live[q] = [(s, t, dist[t])
+                                 for s, t in zip(symbols, self._rows[q])
+                                 if dist[t] < _INF]
+            return got
+
+        yield from _shortlex_words(max_len, dist[0], live_row, self.accepting)
 
 
 def enumerate_words(n: Nfa, max_len: int) -> list[Word]:

@@ -16,9 +16,10 @@ from functools import cached_property
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus, Regex,
                        Star, Union, accepts, compile_nfa, literals_used,
                        parse_regex, render_regex, shortest_word)
-from .graphs import LabeledGraph, graph_union
+from .graphs import LabeledGraph
 from .rpq import evaluate
-from .symbols import Alphabet, Color, Word, WorkbenchError
+from .symbols import (Alphabet, Color, Word, WorkbenchError, expect,
+                      expect_key)
 
 
 class ConstraintError(WorkbenchError):
@@ -171,18 +172,23 @@ def apply_add(g: LabeledGraph, r: Request, w: Word, *, round_no: int,
     g.require_vertex(r.y)
     if len(w) == 0:
         raise WitnessRejectedError("witness word is empty")
-    if not accepts(r.constraint.rhs_nfa, w):
-        raise WitnessRejectedError(
-            f"witness {' '.join(s.name for s in w)!r} not in the rhs language "
-            f"of constraint {r.cid}")
+    check_witness(r.constraint, w)
     names = fresh_names(round_no, req_index, len(w) - 1)
-    clash = set(names) & g.vertices
+    clash = g.vertices.intersection(names)
     if clash:
         raise ValueError(f"fresh vertex names already taken: {sorted(clash)}")
     stops = [r.x, *names, r.y]
-    path = LabeledGraph.build(stops, [(stops[k], w[k], stops[k + 1])
-                                      for k in range(len(w))])
-    return graph_union([g, path])
+    return LabeledGraph(g.vertices.union(names),
+                        g.edges.union((stops[k], w[k], stops[k + 1])
+                                      for k in range(len(w))))
+
+
+def check_witness(rc: RegularConstraint, w: Word) -> None:
+    """WitnessRejectedError unless w is a word of rc's rhs language."""
+    if not accepts(rc.rhs_nfa, w):
+        raise WitnessRejectedError(
+            f"witness {' '.join(s.name for s in w)!r} not in the rhs language "
+            f"of constraint {rc.cid}")
 
 
 # --------------------------------------------------------------------------
@@ -198,12 +204,15 @@ def constraint_set_to_json(cs: ConstraintSet) -> str:
 
 
 def constraint_set_from_json(text: str, base_alphabet: Alphabet) -> ConstraintSet:
+    """Inverse of constraint_set_to_json; a wrong shape raises FormatError."""
     colored = base_alphabet.colored()
-    obj = json.loads(text)
+    obj = expect(json.loads(text), dict, "constraint set")
     out: list[RegularConstraint] = []
-    for i, entry in enumerate(obj["constraints"]):
-        lhs = parse_regex(entry["lhs"], colored)
-        rhs = parse_regex(entry["rhs"], colored)
+    for i, entry in enumerate(expect_key(obj, "constraints", list,
+                                         "constraint set")):
+        expect(entry, dict, "constraint")
+        lhs = parse_regex(expect_key(entry, "lhs", str, "constraint"), colored)
+        rhs = parse_regex(expect_key(entry, "rhs", str, "constraint"), colored)
         rc = RegularConstraint(lhs, rhs, i, colored)
         if accepts(rc.rhs_nfa, ()):
             raise ConstraintError(f"constraint {i}: rhs contains the empty word")

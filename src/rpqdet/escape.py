@@ -14,12 +14,12 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import product
 
 from .automata import (Nfa, ProductDfa, accepts, enumerate_words, iter_words,
                        shortest_word)
 from .constraints import (ConstraintSet, RegularConstraint, Request,
-                          apply_add, fresh_names, recolor_nfa, requests)
+                          WitnessRejectedError, apply_add, check_witness,
+                          fresh_names, recolor_nfa, requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import find_witness, holds
@@ -319,6 +319,102 @@ class Verdict:
 _WIN, _ALL_LOST, _UNDECIDED = "win", "all_lost", "undecided"
 
 
+class LivePosition:
+    """One mutable search position and the automaton states its walks
+    from a reach.
+
+    ``reach[v]`` holds every state of nfa that some walk from a, read
+    from nfa.start, ends in at v; the play is lost when one of b's is
+    accepting.  A graft only adds edges, so reach only grows: it is
+    extended from the sources of the new edges alone (semi-naive
+    evaluation), never recomputed from a.  Each graft returns a record of
+    what it added, which ``undo`` takes back; undo must come in reverse
+    graft order.
+    """
+
+    def __init__(self, nfa: Nfa, graph: LabeledGraph, a: str, b: str):
+        graph.require_vertex(a)
+        graph.require_vertex(b)
+        self.nfa = nfa
+        self.a = a
+        self.b = b
+        # Rows and edges are keyed by symbol name: a str caches its hash,
+        # while hashing a Symbol is a Python call.
+        self._delta = {q: {s.name: ts for s, ts in row.items()}
+                       for q, row in nfa.delta.items()}
+        # One out-row per vertex, isolated ones too: its keys are the
+        # vertex set.
+        self.out: dict[str, list[tuple[str, str]]] = {
+            v: [] for v in graph.vertices}
+        self.reach: dict[str, set[int]] = {v: set() for v in graph.vertices}
+        self.reach[a].add(nfa.start)
+        self._add_edges(graph.edges, [], [])
+
+    def lost(self) -> bool:
+        return not self.reach[self.b].isdisjoint(self.nfa.accepting)
+
+    def graph(self) -> LabeledGraph:
+        return LabeledGraph(frozenset(self.out),
+                            frozenset((v, Symbol(name), dst)
+                                      for v, row in self.out.items()
+                                      for name, dst in row))
+
+    def graft(self, r: Request, w: Word, round_no: int, req_index: int):
+        """Add a fresh path from r.x to r.y spelling w, with the vertex
+        names apply_add gives it; returns the undo record."""
+        if not w:
+            raise WitnessRejectedError("witness word is empty")
+        names = fresh_names(round_no, req_index, len(w) - 1)
+        clash = self.out.keys() & names
+        if clash:
+            raise ValueError(f"fresh vertex names already taken: {sorted(clash)}")
+        for v in names:
+            self.out[v] = []
+            self.reach[v] = set()
+        stops = [r.x, *names, r.y]
+        sources: list[str] = []
+        pairs: list[tuple[str, int]] = []
+        self._add_edges(zip(stops, w, stops[1:]), sources, pairs)
+        return names, sources, pairs
+
+    def undo(self, record) -> None:
+        names, sources, pairs = record
+        for v, t in pairs:
+            self.reach[v].discard(t)
+        for v in reversed(sources):
+            self.out[v].pop()
+        for v in names:
+            del self.out[v]
+            del self.reach[v]
+
+    def _add_edges(self, new, sources: list, pairs: list) -> None:
+        """Add the edges, appending the source of each to sources and every
+        (vertex, state) pair they make reachable to pairs.  An edge already
+        present is listed twice, which graph() folds and reach ignores."""
+        delta = self._delta
+        reach = self.reach
+        out = self.out
+        queue: list[tuple[str, int]] = []
+        for src, s, dst in new:
+            out[src].append((s.name, dst))
+            sources.append(src)
+            queue.extend((src, q) for q in reach[src])
+        while queue:
+            v, q = queue.pop()
+            row = delta.get(q)
+            if not row:
+                continue
+            for name, dst in out[v]:
+                targets = row.get(name)
+                if targets:
+                    seen = reach[dst]
+                    for t in targets:
+                        if t not in seen:
+                            seen.add(t)
+                            pairs.append((dst, t))
+                            queue.append((dst, t))
+
+
 class ExploreContext:
     """Shared state for the bounded search over one instance."""
 
@@ -333,7 +429,8 @@ class ExploreContext:
     def candidates(self, rc: RegularConstraint) -> tuple[Word, ...]:
         """Witness words for one request: the first max_branches words of
         the rhs language within max_witness_len, shortlex; when none fit,
-        the single shortest rhs word, so bounded play never gets stuck."""
+        the single shortest rhs word, so bounded play never gets stuck.
+        Each is checked against the rhs once here, so grafts need not."""
         got = self._candidates.get(rc.cid)
         if got is None:
             out = []
@@ -347,6 +444,8 @@ class ExploreContext:
                 w = shortest_word(rc.rhs_nfa)
                 if w is not None:
                     out.append(w)
+            for w in out:
+                check_witness(rc, w)
             got = tuple(out)
             self._candidates[rc.cid] = got
         return got
@@ -399,7 +498,9 @@ class ExploreContext:
         dfa = self.start_automaton
         if _forced_to_lose(dfa.flags[dfa.run(base)]):
             return _ALL_LOST, None
-        return self._dfs(initial_position(word))
+        pos = initial_position(word)
+        return self._search(LivePosition(self.red_q0, pos.graph, pos.a, pos.b),
+                            pos.round)
 
     def verdict(self, outcomes) -> Verdict:
         """Fold the classify_word outcomes of start_words, in that order,
@@ -423,40 +524,75 @@ class ExploreContext:
             return Verdict(VerdictKind.INCONCLUSIVE, self.caps)
         return Verdict(VerdictKind.ALL_PLAYS_LOSE, self.caps)
 
-    def _dfs(self, pos: Position):
-        if holds(self.red_q0, pos.graph, pos.a, pos.b):
+    def _search(self, live: LivePosition, round_no: int):
+        """Search every bounded play from the live position, which is left
+        as it was found; a win carries its fixpoint as a Position."""
+        if live.lost():
             return _ALL_LOST, None
-        reqs = requests(self.cs, pos.graph)
+        g = live.graph()
+        reqs = requests(self.cs, g)
         if not reqs:
-            return _WIN, pos
-        if pos.round >= self.caps.max_rounds:
+            return _WIN, Position(g, live.a, live.b, round_no)
+        if round_no >= self.caps.max_rounds:
             return _UNDECIDED, None
         cand_lists = [self.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
+        round_no += 1
         # Prune: if some single request loses under each of its candidates
         # in isolation, the added edges of the other requests cannot save
         # the play, so the whole subtree loses.
-        for r, cands in zip(reqs, cand_lists):
-            if all(self._lost_with(pos, r, u, i)
-                   for i, u in enumerate(cands)):
+        for i, (r, cands) in enumerate(zip(reqs, cand_lists)):
+            if all(_lost_with(live, r, u, round_no, i) for u in cands):
                 return _ALL_LOST, None
-        round_no = pos.round + 1
         any_undecided = False
-        for combo in product(*cand_lists):
-            g = pos.graph
-            for i, (r, w) in enumerate(zip(reqs, combo)):
-                g = apply_add(g, r, w, round_no=round_no, req_index=i)
-            kind, cert = self._dfs(Position(g, pos.a, pos.b, round_no))
+        for _ in _graft_each(live, reqs, cand_lists, round_no):
+            kind, win = self._search(live, round_no)
             if kind == _WIN:
-                return kind, cert
+                return kind, win
             if kind == _UNDECIDED:
                 any_undecided = True
         return (_UNDECIDED if any_undecided else _ALL_LOST), None
 
-    def _lost_with(self, pos: Position, r: Request, w: Word, idx: int) -> bool:
-        g = apply_add(pos.graph, r, w, round_no=pos.round + 1, req_index=idx)
-        return holds(self.red_q0, g, pos.a, pos.b)
+
+def _lost_with(live: LivePosition, r: Request, w: Word, round_no: int,
+               req_index: int) -> bool:
+    record = live.graft(r, w, round_no, req_index)
+    lost = live.lost()
+    live.undo(record)
+    return lost
+
+
+def _graft_each(live: LivePosition, reqs, cand_lists, round_no: int):
+    """Put each combination of one candidate per request in place on live,
+    in the order of itertools.product, and yield once it is.
+
+    Combinations that share a prefix share its grafts, so moving to the
+    next one undoes and grafts only the requests past the common prefix.
+    Live is as it was found when the walk ends or is closed early.
+    """
+    n = len(reqs)
+    picks = [0] * n
+    records = []
+    try:
+        while True:
+            for k in range(len(records), n):
+                records.append(live.graft(reqs[k], cand_lists[k][picks[k]],
+                                          round_no, k))
+            yield
+            k = n - 1
+            while True:
+                live.undo(records.pop())
+                picks[k] += 1
+                if picks[k] < len(cand_lists[k]):
+                    break
+                picks[k] = 0
+                k -= 1
+                if k < 0:
+                    return
+    finally:
+        while records:
+            live.undo(records.pop())
 
 
 def _green_symbol(s: Symbol) -> Symbol:

@@ -9,6 +9,7 @@ edge-list scan instead of the tiling checker's cell walk.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from rpqdet.automata import (
     Class,
@@ -22,8 +23,11 @@ from rpqdet.automata import (
     Union,
 )
 from rpqdet.automata import accepts, iter_words
-from rpqdet.escape import ExploreContext, Verdict, VerdictKind, initial_position
+from rpqdet.constraints import apply_add, requests
+from rpqdet.escape import (ExploreContext, Position, Verdict, VerdictKind,
+                           initial_position)
 from rpqdet.graphs import LabeledGraph
+from rpqdet.rpq import holds
 from rpqdet.symbols import Color, Symbol, Word
 
 
@@ -270,7 +274,7 @@ def explore_per_word(q0, cs, caps) -> Verdict:
         saw_word = True
         if forced_per_word(ctx, w):
             continue
-        kind, pos = ctx._dfs(initial_position(w))
+        kind, pos = classify_immutable(ctx, w)
         if kind == "win":
             return Verdict(VerdictKind.NONDETERMINATE, caps, pos.endpointed())
         if kind == "undecided":
@@ -278,6 +282,56 @@ def explore_per_word(q0, cs, caps) -> Verdict:
     if not saw_word or saw_undecided:
         return Verdict(VerdictKind.INCONCLUSIVE, caps)
     return Verdict(VerdictKind.ALL_PLAYS_LOSE, caps)
+
+
+# --------------------------------------------------------------------------
+# The bounded game search on immutable positions: every witness combination
+# is grafted from scratch with apply_add and every loss check is a fresh
+# holds() search, instead of one live position with an undo log.
+
+
+def classify_immutable(ctx: ExploreContext, word: Word):
+    """ExploreContext.classify_word without the forcing rule: the game
+    search from the word's initial position, same branch order, same
+    single-request prune."""
+    def lost_with(pos, r, w, idx):
+        g = apply_add(pos.graph, r, w, round_no=pos.round + 1, req_index=idx)
+        return holds(ctx.red_q0, g, pos.a, pos.b)
+
+    def dfs(pos):
+        if holds(ctx.red_q0, pos.graph, pos.a, pos.b):
+            return "all_lost", None
+        reqs = requests(ctx.cs, pos.graph)
+        if not reqs:
+            return "win", pos
+        if pos.round >= ctx.caps.max_rounds:
+            return "undecided", None
+        cand_lists = [ctx.candidates(r.constraint) for r in reqs]
+        if any(not c for c in cand_lists):
+            return "undecided", None
+        for r, cands in zip(reqs, cand_lists):
+            if all(lost_with(pos, r, u, i) for i, u in enumerate(cands)):
+                return "all_lost", None
+        round_no = pos.round + 1
+        any_undecided = False
+        for combo in product(*cand_lists):
+            g = pos.graph
+            for i, (r, w) in enumerate(zip(reqs, combo)):
+                g = apply_add(g, r, w, round_no=round_no, req_index=i)
+            kind, cert = dfs(Position(g, pos.a, pos.b, round_no))
+            if kind == "win":
+                return kind, cert
+            if kind == "undecided":
+                any_undecided = True
+        return ("undecided" if any_undecided else "all_lost"), None
+
+    return dfs(initial_position(word))
+
+
+def explore_immutable(q0, cs, caps) -> Verdict:
+    """explore with classify_immutable on the same start words."""
+    ctx = ExploreContext(q0, cs, caps)
+    return ctx.verdict(classify_immutable(ctx, w) for w in ctx.start_words())
 
 
 # --------------------------------------------------------------------------

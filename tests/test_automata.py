@@ -244,6 +244,15 @@ def test_enumeration_matches_generation_oracle():
         assert set(enumerate_words(n, 4)) == lang_upto(r, 4)
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
+def test_iter_words_matches_the_generation_oracle_in_shortlex_order(seed,
+                                                                    cap):
+    rng = random.Random(seed)
+    r = random_regex(rng, list(SPECIALS.symbols), depth=4)
+    want = sorted(lang_upto(r, cap), key=SPECIALS.word_key)
+    assert list(iter_words(compile_nfa(r, SPECIALS), cap)) == want
+
+
 def test_iter_words_can_stop_early():
     n = compile_nfa(parse_regex("alpha*", SPECIALS), SPECIALS)
     it = iter_words(n, 50)

@@ -23,7 +23,7 @@ from rpqdet.escape import initial_position
 from rpqdet.graphs import LabeledGraph, chain_graph
 from rpqdet.ogtp import reduction_alphabet
 from rpqdet.rpq import holds
-from rpqdet.symbols import Alphabet, Color, sym
+from rpqdet.symbols import Alphabet, Color, FormatError, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 BLACK = reduction_alphabet(("black",))
@@ -203,3 +203,14 @@ def test_constraint_set_json_round_trip(black_reduction):
     back = constraint_set_from_json(text, black_reduction.alphabet)
     assert len(back) == len(cs)
     assert [rc.describe() for rc in back] == [rc.describe() for rc in cs]
+
+
+@pytest.mark.parametrize("text", [
+    '[1]',
+    '{}',
+    '{"constraints": [1]}',
+    '{"constraints": [{"lhs": 1, "rhs": "R:alpha"}]}',
+])
+def test_constraint_set_json_of_the_wrong_shape_is_a_format_error(text):
+    with pytest.raises(FormatError):
+        constraint_set_from_json(text, Alphabet(["alpha"]))

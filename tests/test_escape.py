@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (explore_per_word, forced_per_word, is_homomorphism,
+from oracles import (classify_immutable, explore_immutable, explore_per_word,
+                     forced_per_word, is_homomorphism, random_graph,
                      random_regex, start_words_per_word)
 from rpqdet.automata import (Concat, Empty, Lit, compile_nfa, parse_regex,
                              parse_word)
@@ -13,6 +16,7 @@ from rpqdet.escape import (
     Caps,
     ExploreContext,
     GuidanceError,
+    LivePosition,
     PlayOutcome,
     Position,
     ScriptExhaustedError,
@@ -32,7 +36,8 @@ from rpqdet.escape import (
     trace_to_jsonl,
 )
 from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homomorphism, iso_shadeless, verify_homomorphism
-from rpqdet.graphs import chain_graph, endpointed_to_json
+from rpqdet.graphs import LabeledGraph, chain_graph, endpointed_to_json
+from rpqdet.rpq import holds
 from rpqdet.ogtp import all_black_tiling
 from rpqdet.symbols import Alphabet, Color, sym
 
@@ -390,3 +395,123 @@ def test_the_empty_word_is_never_a_start_word():
     only_empty, cs = _single_view_instance("EPS", "omega")
     verdict = explore(only_empty, cs, Caps(3, 3, 6, 4))
     assert verdict.kind is VerdictKind.INCONCLUSIVE
+
+
+# --------------------------------------------------------------------------
+# The live-position search against the immutable one
+
+
+def _two_shade_word(shades):
+    return (sym("alpha"), sym(f"A-H-C-{shades[0]}"), sym(f"B-V-C-{shades[1]}"),
+            sym(f"A-H-C-{shades[2]}"), sym(f"B-V-C-{shades[3]}"),
+            sym("omega"))
+
+
+def _same_outcome(got, want):
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("shades", list(product(("black", "grey"), repeat=4)))
+def test_classify_word_matches_the_immutable_search(shades, two_shade_reduction):
+    out = two_shade_reduction
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(6, 3, 6, 3))
+    word = _two_shade_word(shades)
+    _same_outcome(ctx.classify_word(word), classify_immutable(ctx, word))
+
+
+@pytest.mark.parametrize("name, caps", [
+    ("black", Caps(8, 3, 6, 4)),
+    ("black", Caps(4, 3, 1, 4)),
+    ("black", Caps(6, 2, 3, 2)),
+    ("blocked", Caps(7, 3, 6, 4)),
+    ("two_shade", Caps(5, 3, 6, 4)),
+])
+def test_explore_matches_the_immutable_search(name, caps, request):
+    out = request.getfixturevalue(f"{name}_reduction")
+    cs = out.constraint_set()
+    got = explore(out.q0_nfa, cs, caps)
+    want = explore_immutable(out.q0_nfa, cs, caps)
+    assert got.kind is want.kind
+    if want.certificate is None:
+        assert got.certificate is None
+    else:
+        assert (endpointed_to_json(got.certificate)
+                == endpointed_to_json(want.certificate))
+
+
+def test_a_request_is_pruned_only_when_every_candidate_loses():
+    # The start chain G:alpha asks for R:alpha or R:beta between the
+    # endpoints.  R:alpha is a red q0 word and loses; R:beta reaches a
+    # fixpoint.
+    q0, cs = _single_view_instance("alpha", "alpha + beta")
+    ctx = ExploreContext(q0, cs, Caps(1, 1, 2, 2))
+    word = (sym("alpha"),)
+    kind, pos = ctx.classify_word(word)
+    assert kind == "win"
+    assert (pos.a, sym("R:beta"), pos.b) in pos.graph.edges
+    _same_outcome((kind, pos), classify_immutable(ctx, word))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_classify_word_matches_the_immutable_search_on_random_instances(seed):
+    q0, cs, caps = _random_instance(seed)
+    # One-letter witnesses keep every search small; longer ones let a few
+    # seeds branch into millions of combinations.  Both wins and losses
+    # still occur often.
+    ctx = ExploreContext(q0, cs, Caps(min(caps.max_initial_len, 4), 1, 3, 2))
+    for w in ctx.start_words():
+        _same_outcome(ctx.classify_word(w), classify_immutable(ctx, w))
+
+
+def _reach_from_scratch(nfa, g, a):
+    """Per vertex, the states some walk from a reaches there: one holds()
+    search per (vertex, state) pair."""
+    return {v: frozenset(s for s in range(nfa.n_states)
+                         if holds(replace(nfa, accepting=frozenset([s])),
+                                  g, a, v))
+            for v in g.vertices}
+
+
+def _snapshot(live):
+    return live.graph(), {v: frozenset(got) for v, got in live.reach.items()}
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_live_reach_matches_a_fresh_search_through_grafts_and_undos(seed):
+    rng = random.Random(seed)
+    colored = SPECIALS.colored()
+    labels = list(colored.symbols)
+    nfa = compile_nfa(random_regex(rng, labels, depth=3), colored)
+    g = random_graph(rng, labels, max_vertices=5, max_edges=8)
+    a, b = rng.choice(sorted(g.vertices)), rng.choice(sorted(g.vertices))
+    rc = make_arrows(Lit(sym("alpha")), SPECIALS)[0]
+    live = LivePosition(nfa, g, a, b)
+    stack = []
+    for step_no in range(1, 13):
+        if stack and rng.random() < 0.4:
+            record, before = stack.pop()
+            live.undo(record)
+            assert _snapshot(live) == before
+        else:
+            vs = sorted(live.out)
+            r = Request(rng.choice(vs), rng.choice(vs), rc)
+            w = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+            before = _snapshot(live)
+            stack.append((live.graft(r, w, step_no, 0), before))
+            names = [f"n{step_no}_0_{k}" for k in range(1, len(w))]
+            stops = [r.x, *names, r.y]
+            assert live.graph() == LabeledGraph(
+                before[0].vertices | set(names),
+                before[0].edges | set(zip(stops, w, stops[1:])))
+        now = live.graph()
+        assert live.reach == _reach_from_scratch(nfa, now, a)
+        assert live.lost() == holds(nfa, now, a, b)
+    while stack:
+        record, before = stack.pop()
+        live.undo(record)
+        assert _snapshot(live) == before
+    assert live.graph() == g
