@@ -436,26 +436,19 @@ class Nfa:
         return tuple(dist)
 
     @cached_property
-    def _step_cache(self) -> dict:
-        return {}
-
-    @cached_property
     def subset_dfa(self) -> "SubsetDfa":
         return SubsetDfa(self)
 
     def step(self, states: frozenset[int], s: Symbol) -> frozenset[int]:
-        key = (states, s)
-        cached = self._step_cache.get(key)
-        if cached is None:
-            out: set[int] = set()
-            delta = self.delta
-            for st in states:
-                row = delta.get(st)
-                if row:
-                    out |= row.get(s, frozenset())
-            cached = frozenset(out)
-            self._step_cache[key] = cached
-        return cached
+        """The states reached from states on s; subset_dfa keeps each
+        result it asks for."""
+        out: set[int] = set()
+        delta = self.delta
+        for st in states:
+            row = delta.get(st)
+            if row:
+                out |= row.get(s, frozenset())
+        return frozenset(out)
 
 
 def thompson_nfa(r: Regex, alphabet: Alphabet):
@@ -586,12 +579,11 @@ def accepts(n: Nfa, word: Word) -> bool:
     for s in word:
         if s not in n.alphabet:
             raise ForeignSymbolError(f"symbol {s.name!r} not in alphabet")
-    cur = frozenset([n.start])
+    dfa = n.subset_dfa
+    q = 0
     for s in word:
-        cur = n.step(cur, s)
-        if not cur:
-            return False
-    return bool(cur & n.accepting)
+        q = dfa.step(q, s)
+    return dfa.accepting[q]
 
 
 def iter_words(n: Nfa, max_len: int):
@@ -652,13 +644,7 @@ class SubsetDfa:
     def step(self, q: int, s: Symbol) -> int:
         got = self._next.get((q, s))
         if got is None:
-            out: set[int] = set()
-            delta = self.nfa.delta
-            for st in self._sets[q]:
-                row = delta.get(st)
-                if row:
-                    out |= row.get(s, frozenset())
-            target = frozenset(out)
+            target = self.nfa.step(self._sets[q], s)
             got = self._ids.get(target)
             if got is None:
                 got = len(self._sets)
@@ -816,26 +802,9 @@ def enumerate_words(n: Nfa, max_len: int) -> list[Word]:
 def shortest_word(n: Nfa) -> Word | None:
     """Shortest accepted word, shortlex tie-break; None for the empty
     language."""
-    if n.n_states == 0:
+    dist = n.subset_dfa.min_dist(0)
+    if dist == _INF:
+        # An empty language keeps its start state, and iter_words would
+        # step through all _INF lengths.
         return None
-    key = n.alphabet.word_key
-    acc = n.accepting
-    frontier: dict[frozenset[int], Word] = {frozenset([n.start]): ()}
-    visited = set(frontier)
-    while frontier:
-        hits = [w for ss, w in frontier.items() if ss & acc]
-        if hits:
-            return min(hits, key=key)
-        nxt: dict[frozenset[int], Word] = {}
-        for ss, w in sorted(frontier.items(), key=lambda kv: key(kv[1])):
-            for s in n.alphabet.symbols:
-                stepped = n.step(ss, s)
-                if not stepped or stepped in visited:
-                    continue
-                cand = w + (s,)
-                old = nxt.get(stepped)
-                if old is None or key(cand) < key(old):
-                    nxt[stepped] = cand
-        visited |= nxt.keys()
-        frontier = nxt
-    return None
+    return next(iter_words(n, dist))

@@ -23,7 +23,7 @@ from .constraints import (ConstraintSet, RegularConstraint, Request,
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import find_witness, holds
-from .symbols import (Color, FormatError, Symbol, Word, WorkbenchError, expect,
+from .symbols import (Color, Symbol, Word, WorkbenchError, expect, expect_items,
                       expect_key, format_word)
 
 
@@ -654,11 +654,11 @@ def trace_from_jsonl(text: str) -> PlayTrace:
         def entries(key: str) -> list:
             return expect_key(obj, key, list, "trace round")
 
-        edges = [_triple(e, (str, str, str), "added edge")
+        edges = [expect_items(e, (str, str, str), "added edge")
                  for e in entries("added_edges")]
         rounds.append(RoundRecord(
             round_no=expect_key(obj, "round", int, "trace round"),
-            requests=tuple(_triple(r, (str, str, int), "request")
+            requests=tuple(expect_items(r, (str, str, int), "request")
                            for r in entries("requests")),
             choices=tuple(_word_from_text(expect(c, str, "choice"))
                           for c in entries("choices")),
@@ -669,12 +669,6 @@ def trace_from_jsonl(text: str) -> PlayTrace:
 
 def _word_from_text(text: str) -> Word:
     return tuple(Symbol(tok) for tok in text.split())
-
-
-def _triple(value, kinds, what: str) -> tuple:
-    if len(expect(value, list, what)) != 3:
-        raise FormatError(f"{what} must have three entries, got {value!r}")
-    return tuple(expect(v, k, what) for v, k in zip(value, kinds))
 
 
 def scripted_from_trace(trace: PlayTrace) -> ScriptedStrategy:

@@ -143,8 +143,8 @@ def _label_profile(g: LabeledGraph):
 def find_homomorphism(d: LabeledGraph, m: LabeledGraph) -> dict[str, str] | None:
     """A label-preserving vertex map from d into m, or None.
 
-    Backtracking over vertices in most-constrained-first order; candidates
-    are pruned by incident-label containment.
+    Candidates are pruned by incident-label containment, then searched by
+    _match.
     """
     d_out, d_in = _label_profile(d)
     m_out, m_in = _label_profile(m)
@@ -153,36 +153,7 @@ def find_homomorphism(d: LabeledGraph, m: LabeledGraph) -> dict[str, str] | None
         v: [u for u in m_vertices
             if d_out[v] <= m_out[u] and d_in[v] <= m_in[u]]
         for v in d.vertices}
-    if any(not c for c in candidates.values()):
-        return None
-    order = sorted(d.vertices, key=lambda v: (len(candidates[v]), v))
-    edge_set = m.edges
-    assignment: dict[str, str] = {}
-
-    def consistent(v: str, u: str) -> bool:
-        for s, w in d.out_adj[v]:
-            img = assignment.get(w)
-            if img is not None and (u, s, img) not in edge_set:
-                return False
-        for s, w in d.in_adj[v]:
-            img = assignment.get(w)
-            if img is not None and (img, s, u) not in edge_set:
-                return False
-        return True
-
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for u in candidates[v]:
-            if consistent(v, u):
-                assignment[v] = u
-                if rec(k + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    return dict(assignment) if rec(0) else None
+    return _match(d, m.edges, candidates, injective=False)
 
 
 def verify_homomorphism(d: LabeledGraph, m: LabeledGraph,
@@ -214,18 +185,47 @@ def iso_shadeless(d: LabeledGraph, e: LabeledGraph) -> bool:
         v: [u for u in sorted(e2.vertices)
             if _signature(e2, u) == _signature(d2, v)]
         for v in d2.vertices}
-    order = sorted(d2.vertices, key=lambda v: (len(candidates[v]), v))
-    edge_set = e2.edges
+    # A bijective homomorphism with equal edge counts maps the edge sets
+    # onto each other, so no reverse check is needed.
+    return _match(d2, e2.edges, candidates, injective=True) is not None
+
+
+def _match(d: LabeledGraph, edge_set, candidates: dict[str, list[str]],
+           injective: bool) -> dict[str, str] | None:
+    """A map sending each vertex of d to one of its candidates and every
+    edge of d into edge_set, one-to-one when injective; None when there is
+    none.
+
+    Backtracking in connectivity-first order, as in VF2 (Cordella et al.
+    2004): the first vertex has the fewest candidates, and each next one is
+    the unassigned neighbour of an assigned vertex with the fewest
+    candidates (ties by name), so every choice meets an edge check at once.
+    Only when no unassigned vertex has an assigned neighbour do all of them
+    compete.
+    """
+    if any(not c for c in candidates.values()):
+        return None
+    order: list[str] = []
+    placed: set[str] = set()
+    frontier: set[str] = set()
+    while len(order) < len(d.vertices):
+        v = min(frontier or d.vertices - placed,
+                key=lambda x: (len(candidates[x]), x))
+        order.append(v)
+        placed.add(v)
+        frontier.discard(v)
+        frontier.update(w for _, w in d.out_adj[v] + d.in_adj[v]
+                        if w not in placed)
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
     def consistent(v: str, u: str) -> bool:
-        for s, w in d2.out_adj[v]:
-            img = assignment.get(w)
+        for s, w in d.out_adj[v]:
+            img = u if w == v else assignment.get(w)
             if img is not None and (u, s, img) not in edge_set:
                 return False
-        for s, w in d2.in_adj[v]:
-            img = assignment.get(w)
+        for s, w in d.in_adj[v]:
+            img = u if w == v else assignment.get(w)
             if img is not None and (img, s, u) not in edge_set:
                 return False
         return True
@@ -235,7 +235,7 @@ def iso_shadeless(d: LabeledGraph, e: LabeledGraph) -> bool:
             return True
         v = order[k]
         for u in candidates[v]:
-            if u not in used and consistent(v, u):
+            if not (injective and u in used) and consistent(v, u):
                 assignment[v] = u
                 used.add(u)
                 if rec(k + 1):
@@ -244,6 +244,4 @@ def iso_shadeless(d: LabeledGraph, e: LabeledGraph) -> bool:
                 used.discard(u)
         return False
 
-    # A bijective homomorphism with equal edge counts maps the edge sets
-    # onto each other, so no reverse check is needed.
-    return rec(0)
+    return dict(assignment) if rec(0) else None

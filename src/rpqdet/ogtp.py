@@ -19,11 +19,13 @@ from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
                        compile_nfa, concat_all, parse_regex, render_regex,
                        union_all)
 from .constraints import ConstraintSet, make_arrow_set
-from .symbols import Alphabet, Symbol, WorkbenchError, sym
+from .symbols import (Alphabet, FormatError, Symbol, WorkbenchError, expect,
+                      expect_items, expect_key, sym)
 
 DIRECTIONS = ("H", "V")
 
 _SHADE_RE = re.compile(r"[a-z0-9_]+\Z")
+_CELL_RE = re.compile(r"(\d+),(\d+)\Z")
 
 
 class OgtpError(WorkbenchError):
@@ -314,13 +316,14 @@ def instance_to_obj(inst: OgtpInstance) -> dict:
 
 
 def instance_from_obj(obj) -> OgtpInstance:
-    try:
-        shades = tuple(str(s) for s in obj["shades"])
-        forbidden = frozenset(
-            ((str(p[0][0]), str(p[0][1])), (str(p[1][0]), str(p[1][1])))
-            for p in obj["forbidden"])
-    except (KeyError, TypeError, IndexError) as e:
-        raise OgtpError(f"malformed instance object: {e}") from None
+    """Inverse of instance_to_obj; a wrong shape raises FormatError."""
+    expect(obj, dict, "instance")
+    shades = tuple(expect(s, str, "shade")
+                   for s in expect_key(obj, "shades", list, "instance"))
+    forbidden = frozenset(
+        tuple(expect_items(half, (str, str), "direction-shade pair")
+              for half in expect_items(p, (list, list), "forbidden pair"))
+        for p in expect_key(obj, "forbidden", list, "instance"))
     return OgtpInstance(shades, forbidden)
 
 
@@ -343,17 +346,22 @@ def tiling_to_obj(t: GridTiling) -> dict:
 
 
 def tiling_from_obj(obj) -> GridTiling:
-    try:
-        n = int(obj["n"])
-        def cells(field):
-            out = {}
-            for key, shade in obj[field].items():
-                i, j = key.split(",")
-                out[(int(i), int(j))] = str(shade)
-            return out
-        return GridTiling(n, cells("h"), cells("v"))
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
-        raise TilingError(f"malformed tiling object: {e}") from None
+    """Inverse of tiling_to_obj; a wrong shape raises FormatError."""
+    expect(obj, dict, "tiling")
+
+    def cells(field: str) -> dict[tuple[int, int], str]:
+        out = {}
+        for key, shade in expect_key(obj, field, dict, "tiling").items():
+            hit = _CELL_RE.match(key)
+            if hit is None:
+                raise FormatError(f"tiling {field!r} key must read 'i,j', "
+                                  f"got {key!r}")
+            out[(int(hit.group(1)), int(hit.group(2)))] = expect(
+                shade, str, "shade")
+        return out
+
+    return GridTiling(expect_key(obj, "n", int, "tiling"), cells("h"),
+                      cells("v"))
 
 
 def tiling_to_json(t: GridTiling) -> str:
@@ -383,18 +391,22 @@ def reduction_to_obj(out: ReductionOutput) -> dict:
 
 
 def reduction_from_obj(obj) -> ReductionOutput:
-    try:
-        alphabet = Alphabet(Symbol(name) for name in obj["alphabet"])
-        views_obj = obj["views"]
-        views = Views(
-            tuple(parse_regex(r, alphabet) for r in views_obj.get("good", [])),
-            tuple(parse_regex(r, alphabet) for r in views_obj.get("bad", [])),
-            tuple(parse_regex(r, alphabet) for r in views_obj.get("ugly", [])))
-        q_start = (parse_regex(obj["q_start"], alphabet)
-                   if "q_start" in obj else None)
-        q0 = parse_regex(obj["q0"], alphabet)
-    except (KeyError, TypeError) as e:
-        raise OgtpError(f"malformed instance file: {e}") from None
+    """Inverse of reduction_to_obj; a wrong shape raises FormatError."""
+    what = "instance file"
+    expect(obj, dict, what)
+    alphabet = Alphabet(Symbol(expect(name, str, "symbol name"))
+                        for name in expect_key(obj, "alphabet", list, what))
+    views_obj = expect_key(obj, "views", dict, what)
+
+    def group(name: str) -> tuple[Regex, ...]:
+        where = f"views {name!r}"
+        return tuple(parse_regex(expect(r, str, where), alphabet)
+                     for r in expect(views_obj.get(name, []), list, where))
+
+    views = Views(group("good"), group("bad"), group("ugly"))
+    q_start = (parse_regex(expect_key(obj, "q_start", str, what), alphabet)
+               if "q_start" in obj else None)
+    q0 = parse_regex(expect_key(obj, "q0", str, what), alphabet)
     return ReductionOutput(alphabet, views, q_start, q0)
 
 

@@ -14,52 +14,41 @@ from .graphs import LabeledGraph
 from .symbols import Word
 
 
-def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
-    """All vertex pairs (x, y) connected by a walk spelling a query word."""
-    acc = q.accepting
-    delta = q.delta
-    out: set[tuple[str, str]] = set()
-    for x in g.vertices:
-        seen = {(x, q.start)}
-        queue = deque(seen)
-        while queue:
-            v, s = queue.popleft()
-            if s in acc:
-                out.add((x, v))
-            row = delta.get(s)
-            if not row:
-                continue
-            for label, dst in g.out_adj[v]:
-                for t in row.get(label, ()):
-                    node = (dst, t)
-                    if node not in seen:
-                        seen.add(node)
-                        queue.append(node)
-    return frozenset(out)
-
-
-def holds(q: Nfa, g: LabeledGraph, x: str, y: str) -> bool:
-    """Single-pair check with early exit."""
-    g.require_vertex(x)
-    g.require_vertex(y)
-    acc = q.accepting
-    delta = q.delta
-    seen = {(x, q.start)}
+def _reached(delta, acc, out_adj, start: int, x: str) -> set[str]:
+    """The vertices that some walk from x reaches in an accepting state:
+    breadth-first search of the product of graph and automaton from
+    (x, start)."""
+    seen = {(x, start)}
     queue = deque(seen)
+    hits: set[str] = set()
     while queue:
         v, s = queue.popleft()
-        if v == y and s in acc:
-            return True
+        if s in acc:
+            hits.add(v)
         row = delta.get(s)
         if not row:
             continue
-        for label, dst in g.out_adj[v]:
+        for label, dst in out_adj[v]:
             for t in row.get(label, ()):
                 node = (dst, t)
                 if node not in seen:
                     seen.add(node)
                     queue.append(node)
-    return False
+    return hits
+
+
+def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
+    """All vertex pairs (x, y) connected by a walk spelling a query word."""
+    delta, acc, out_adj, start = q.delta, q.accepting, g.out_adj, q.start
+    return frozenset((x, v) for x in g.vertices
+                     for v in _reached(delta, acc, out_adj, start, x))
+
+
+def holds(q: Nfa, g: LabeledGraph, x: str, y: str) -> bool:
+    """Single-pair check."""
+    g.require_vertex(x)
+    g.require_vertex(y)
+    return y in _reached(q.delta, q.accepting, g.out_adj, q.start, x)
 
 
 def find_witness(q: Nfa, g: LabeledGraph, x: str,

@@ -40,6 +40,15 @@ def expect_key(obj: dict, key: str, kind: type, what: str):
     return expect(obj[key], kind, f"{what} {key!r}")
 
 
+def expect_items(value, kinds: tuple[type, ...], what: str) -> tuple:
+    """value as a tuple if it is a JSON array with one entry per kind, each
+    checked by expect; else FormatError naming what."""
+    if len(expect(value, list, what)) != len(kinds):
+        raise FormatError(f"{what} must have {len(kinds)} entries, "
+                          f"got {value!r}")
+    return tuple(expect(v, k, what) for v, k in zip(value, kinds))
+
+
 _JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 
 

@@ -9,7 +9,7 @@ edge-list scan instead of the tiling checker's cell walk.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 from rpqdet.automata import (
     Class,
@@ -241,6 +241,24 @@ def is_homomorphism(d: LabeledGraph, m: LabeledGraph,
     if any(h[v] not in m.vertices for v in d.vertices):
         return False
     return all((h[x], lab, h[y]) in m.edges for x, lab, y in d.edges)
+
+
+def homomorphism_exists(d: LabeledGraph, m: LabeledGraph) -> bool:
+    """Brute force over every vertex map from d into m; keep d and m to a
+    handful of vertices."""
+    dv = sorted(d.vertices)
+    return any(is_homomorphism(d, m, dict(zip(dv, img)))
+               for img in product(sorted(m.vertices), repeat=len(dv)))
+
+
+def isomorphic(d: LabeledGraph, e: LabeledGraph) -> bool:
+    """Brute force over every bijection between the vertex sets; with equal
+    edge counts an edge-preserving bijection is an isomorphism."""
+    if len(d.vertices) != len(e.vertices) or len(d.edges) != len(e.edges):
+        return False
+    dv = sorted(d.vertices)
+    return any(is_homomorphism(d, e, dict(zip(dv, img)))
+               for img in permutations(sorted(e.vertices)))
 
 
 # --------------------------------------------------------------------------

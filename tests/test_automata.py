@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lang_upto, match_regex, random_regex
+from oracles import lang_empty, lang_upto, match_regex, random_regex
 from rpqdet.automata import (
     Class,
     Concat,
@@ -263,6 +263,20 @@ def test_iter_words_can_stop_early():
 def test_shortest_word_prefers_shortlex_on_ties():
     n = compile_nfa(parse_regex("beta + alpha", SPECIALS), SPECIALS)
     assert shortest_word(n) == (sym("alpha"),)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_shortest_word_matches_the_generation_oracle(seed):
+    rng = random.Random(seed)
+    r = random_regex(rng, list(SPECIALS.symbols), depth=4)
+    got = shortest_word(compile_nfa(r, SPECIALS))
+    if lang_empty(r):
+        assert got is None
+        return
+    cap = 0
+    while not (words := lang_upto(r, cap)):
+        cap += 1
+    assert got == min(words, key=SPECIALS.word_key)
 
 
 # --------------------------------------------------------------------------

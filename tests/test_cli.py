@@ -247,3 +247,47 @@ def test_play_scripted_trace_line_without_requests_exits_2(files, capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["reduce", "/nonexistent/input.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, doc, where", [
+    ("search", {"alphabet": ["alpha"], "views": [], "q0": "alpha"},
+     "'views'"),
+    ("search", {"alphabet": ["alpha"], "views": {"bad": "alpha"},
+                "q0": "alpha"}, "views 'bad'"),
+    ("search", {"alphabet": "alpha", "views": {}, "q0": "alpha"},
+     "'alphabet'"),
+    ("verify", {"alphabet": ["alpha"], "views": {}}, "'q0'"),
+    ("reduce", {"shades": "black", "forbidden": []}, "'shades'"),
+    ("solve-ogtp", {"shades": ["black"], "forbidden": [["H", "black"]]},
+     "forbidden pair"),
+    ("solve-ogtp", {"shades": ["black"], "forbidden": [[["H"], ["V", 0]]]},
+     "direction-shade pair"),
+    ("grid", {"n": "1", "h": {}, "v": {}}, "'n'"),
+    ("grid", {"n": 1, "h": [], "v": {}}, "'h'"),
+    ("grid", {"n": 1, "h": {"0;0": "black"}, "v": {}}, "'0;0'"),
+    ("grid", {"n": 1, "h": {"0,0": 5, "0,1": "black"},
+              "v": {"0,0": "black", "1,0": "black"}}, "shade must be"),
+])
+def test_malformed_loader_shapes_exit_2(files, capsys, verb, doc, where):
+    path = files["root"] / "shape.json"
+    path.write_text(json.dumps(doc))
+    argv = {"search": ["search", str(path)],
+            "verify": ["verify", str(files["model2"]), str(path)],
+            "reduce": ["reduce", str(path)],
+            "solve-ogtp": ["solve-ogtp", str(path)],
+            "grid": ["grid", "1", "--tiling", str(path)]}[verb]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert where in err
+
+
+def test_play_guided_on_an_odd_grid_exits_0(files, capsys):
+    model = files["root"] / "model7.json"
+    model.write_text(endpointed_to_json(
+        decorate(build_grid(7), all_black_tiling(7))))
+    word = "alpha " + "A-H-C-black B-V-C-black " * 7 + "omega"
+    code = main(["play", str(files["instance"]), "--strategy", "guided",
+                 "--model", str(model), "--initial-word", word])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "WON_FIXPOINT round=8"

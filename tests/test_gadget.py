@@ -1,6 +1,11 @@
-import pytest
+import random
+import time
 
-from oracles import is_homomorphism
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import homomorphism_exists, is_homomorphism, isomorphic, random_graph
 from rpqdet.constraints import make_arrow_set, requests, satisfied
 from rpqdet.escape import initial_position
 from rpqdet.gadget import (
@@ -245,3 +250,75 @@ def test_missing_edge_breaks_isomorphism():
     pruned = LabeledGraph.build(
         g.vertices, [e for e in g.edges if e[1] is not sym("R:omega")])
     assert not iso_shadeless(g, pruned)
+
+
+# --------------------------------------------------------------------------
+# The shared backtracker against brute force
+
+
+HOM_LABELS = [sym("G:alpha"), sym("G:A-H-C-black")]
+SHADED = {"G:A-H-C": [sym("G:A-H-C-black"), sym("G:A-H-C-grey")],
+          "R:B-V-W": [sym("R:B-V-W-black"), sym("R:B-V-W-grey")]}
+ISO_LABELS = [sym("G:alpha"), *SHADED["G:A-H-C"], *SHADED["R:B-V-W"]]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_find_homomorphism_matches_brute_force(seed):
+    rng = random.Random(seed)
+    d = random_graph(rng, HOM_LABELS, max_vertices=4, max_edges=5)
+    m = random_graph(rng, HOM_LABELS, max_vertices=5, max_edges=9)
+    h = find_homomorphism(d, m)
+    assert (h is not None) == homomorphism_exists(d, m)
+    if h is not None:
+        assert is_homomorphism(d, m, h)
+
+
+def test_a_self_loop_maps_only_onto_a_self_loop():
+    s = sym("G:alpha")
+    d = LabeledGraph.build(["x"], [("x", s, "x")])
+    two_cycle = LabeledGraph.build(["p", "q"], [("p", s, "q"), ("q", s, "p")])
+    assert find_homomorphism(d, two_cycle) is None
+    looped = LabeledGraph.build(["p", "q"], [("p", s, "q"), ("q", s, "q")])
+    assert find_homomorphism(d, looped) == {"x": "q"}
+
+
+def _reshaded_copy(rng, g):
+    """g with its vertices renamed by a random permutation and every shaded
+    label given a random shade."""
+    names = sorted(g.vertices)
+    rename = dict(zip(names, rng.sample([f"w{i}" for i in names], len(names))))
+    edges = {(rename[x], rng.choice(SHADED.get(lab.stripped().name, [lab])),
+              rename[y]) for x, lab, y in g.edges}
+    return LabeledGraph.build(rename.values(), edges)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_iso_shadeless_matches_brute_force(seed):
+    rng = random.Random(seed)
+    d = random_graph(rng, ISO_LABELS, max_vertices=5, max_edges=7)
+    roll = rng.random()
+    if roll < 0.8:
+        e = _reshaded_copy(rng, d)
+        if roll < 0.4 and e.edges:
+            x, lab, y = rng.choice(sorted(e.edges, key=repr))
+            moved = (x, lab, rng.choice(sorted(e.vertices)))
+            e = LabeledGraph.build(e.vertices,
+                                   set(e.edges) - {(x, lab, y)} | {moved})
+    else:
+        e = random_graph(rng, ISO_LABELS, max_vertices=5, max_edges=7)
+    assert iso_shadeless(d, e) == isomorphic(strip_shades(d), strip_shades(e))
+
+
+@pytest.mark.parametrize("m", [7, 9, 17])
+def test_start_chain_embeds_into_odd_grids_within_budget(black_reduction, m):
+    """Odd sizes once sent the name-ordered search into exponential
+    backtracking; the connectivity-first order walks the chain."""
+    word = parse_word("alpha " + "A-H-C-black B-V-C-black " * m + "omega",
+                      black_reduction.alphabet)
+    d = initial_position(word).graph
+    model = decorated(m).graph
+    t0 = time.perf_counter()
+    h = find_homomorphism(d, model)
+    assert time.perf_counter() - t0 < 2.0
+    assert h is not None
+    assert verify_homomorphism(d, model, h)
