@@ -8,6 +8,10 @@ symbols.  Class literals expand at parse time against the ambient alphabet;
 in a colored alphabet they may carry a ``G:`` or ``R:`` prefix to select one
 copy.  The reserved tokens ``EMPTY`` and ``EPS`` denote the empty language
 and the empty word.
+
+``compile_nfa`` builds the position automaton of a syntax tree: a start
+state plus one state per literal or class occurrence, with no epsilon
+moves.
 """
 
 from __future__ import annotations
@@ -109,16 +113,6 @@ def concat_all(parts) -> Regex:
     for p in parts[1:]:
         out = Concat(out, p)
     return out
-
-
-def ast_size(r: Regex) -> int:
-    if isinstance(r, (Empty, Epsilon, Lit, Class)):
-        return 1
-    if isinstance(r, (Union, Concat)):
-        return 1 + ast_size(r.left) + ast_size(r.right)
-    if isinstance(r, (Star, Plus)):
-        return 1 + ast_size(r.inner)
-    raise TypeError(f"not a regex: {r!r}")
 
 
 def literals_used(r: Regex) -> frozenset[Symbol]:
@@ -451,128 +445,90 @@ class Nfa:
         return frozenset(out)
 
 
-def thompson_nfa(r: Regex, alphabet: Alphabet):
-    """Classic construction with epsilon moves.
-
-    Returns (state count, transitions with None for epsilon, start, accept).
-    State count stays within 2 * ast_size(r) + 2.
-    """
-    transitions: list[tuple[int, Symbol | None, int]] = []
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(node: Regex) -> tuple[int, int]:
-        if isinstance(node, Empty):
-            return fresh(), fresh()
-        if isinstance(node, Epsilon):
-            s, a = fresh(), fresh()
-            transitions.append((s, None, a))
-            return s, a
-        if isinstance(node, Lit):
-            if node.symbol not in alphabet:
-                raise SymbolError(f"literal {node.symbol.name!r} not in alphabet")
-            s, a = fresh(), fresh()
-            transitions.append((s, node.symbol, a))
-            return s, a
-        if isinstance(node, Class):
-            s, a = fresh(), fresh()
-            for x in sorted(node.symbols, key=alphabet.index):
-                transitions.append((s, x, a))
-            return s, a
-        if isinstance(node, Union):
-            ls, la = build(node.left)
-            rs, ra = build(node.right)
-            s, a = fresh(), fresh()
-            transitions.extend([(s, None, ls), (s, None, rs), (la, None, a), (ra, None, a)])
-            return s, a
-        if isinstance(node, Concat):
-            ls, la = build(node.left)
-            rs, ra = build(node.right)
-            transitions.append((la, None, rs))
-            return ls, ra
-        if isinstance(node, Star):
-            is_, ia = build(node.inner)
-            s, a = fresh(), fresh()
-            transitions.extend([(s, None, is_), (s, None, a), (ia, None, is_), (ia, None, a)])
-            return s, a
-        if isinstance(node, Plus):
-            is_, ia = build(node.inner)
-            s, a = fresh(), fresh()
-            transitions.extend([(s, None, is_), (ia, None, is_), (ia, None, a)])
-            return s, a
-        raise TypeError(f"not a regex: {node!r}")
-
-    start, accept = build(r)
-    return counter[0], transitions, start, accept
+def _reach(seeds, edges) -> set[int]:
+    """The states reachable from seeds along (src, dst) edges."""
+    adj: dict[int, list[int]] = {}
+    for src, dst in edges:
+        adj.setdefault(src, []).append(dst)
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for u in adj.get(stack.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def compile_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
-    """Compile via the classic construction, then remove epsilon moves and
-    states that are unreachable or cannot reach acceptance."""
-    n, transitions, start, accept = thompson_nfa(r, alphabet)
+    """Build the position automaton of r (Glushkov 1961; McNaughton and
+    Yamada 1960), then drop the states that are unreachable or cannot
+    reach acceptance.
 
-    eps: dict[int, list[int]] = {}
-    labeled: dict[int, list[tuple[Symbol, int]]] = {}
-    for src, s, dst in transitions:
-        if s is None:
-            eps.setdefault(src, []).append(dst)
+    State 0 is the start and every Lit or Class occurrence is one state,
+    entered on its symbols, so there are no epsilon moves.  One post-order
+    pass with an explicit stack, not recursion, gives each node whether it
+    accepts the empty word and its sets of first and last positions, and
+    records which positions may follow which.
+    """
+    labels: list[tuple[Symbol, ...]] = [()]
+    follow: list[set[int]] = [set()]
+    # (nullable, first, last) of each finished node; a parent consumes its
+    # children's sets, so it may grow them in place.
+    done: list[tuple[bool, set[int], set[int]]] = []
+    todo: list[tuple[Regex, bool]] = [(r, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if isinstance(node, (Union, Concat)) and not expanded:
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, (Star, Plus)) and not expanded:
+            todo += [(node, True), (node.inner, False)]
+        elif isinstance(node, Lit) and node.symbol not in alphabet:
+            raise SymbolError(f"literal {node.symbol.name!r} not in alphabet")
+        elif isinstance(node, (Lit, Class)):
+            p = len(labels)
+            labels.append((node.symbol,) if isinstance(node, Lit)
+                          else tuple(node.symbols))
+            follow.append(set())
+            done.append((False, {p}, {p}))
+        elif isinstance(node, (Empty, Epsilon)):
+            done.append((isinstance(node, Epsilon), set(), set()))
+        elif isinstance(node, Union):
+            rn, rf, rl = done.pop()
+            ln, lf, ll = done.pop()
+            lf |= rf
+            ll |= rl
+            done.append((ln or rn, lf, ll))
+        elif isinstance(node, Concat):
+            rn, rf, rl = done.pop()
+            ln, lf, ll = done.pop()
+            for p in ll:
+                follow[p] |= rf
+            if ln:
+                lf |= rf
+            if rn:
+                ll |= rl
+            done.append((ln and rn, lf, ll if rn else rl))
+        elif isinstance(node, (Star, Plus)):
+            nullable, first, last = done.pop()
+            for p in last:
+                follow[p] |= first
+            done.append((nullable or isinstance(node, Star), first, last))
         else:
-            labeled.setdefault(src, []).append((s, dst))
+            raise TypeError(f"not a regex: {node!r}")
+    nullable, follow[0], last = done.pop()
+    accepting = last | {0} if nullable else last
 
-    def closure(state: int) -> frozenset[int]:
-        seen = {state}
-        queue = deque([state])
-        while queue:
-            v = queue.popleft()
-            for u in eps.get(v, ()):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return frozenset(seen)
-
-    closures = [closure(s) for s in range(n)]
-    flat: set[tuple[int, Symbol, int]] = set()
-    accepting: set[int] = set()
-    for s in range(n):
-        for t in closures[s]:
-            if t == accept:
-                accepting.add(s)
-            for sym, dst in labeled.get(t, ()):
-                flat.add((s, sym, dst))
-
-    # Keep states reachable from the start and able to reach acceptance.
-    fwd: dict[int, set[int]] = {}
-    for src, _, dst in flat:
-        fwd.setdefault(src, set()).add(dst)
-    reach = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in fwd.get(v, ()):
-            if u not in reach:
-                reach.add(u)
-                queue.append(u)
-    rev: dict[int, set[int]] = {}
-    for src, _, dst in flat:
-        rev.setdefault(dst, set()).add(src)
-    co = set(accepting)
-    queue = deque(accepting)
-    while queue:
-        v = queue.popleft()
-        for u in rev.get(v, ()):
-            if u not in co:
-                co.add(u)
-                queue.append(u)
-    keep = sorted((reach & co) | {start})
+    edges = [(p, q) for p, qs in enumerate(follow) for q in qs]
+    keep = sorted((_reach([0], edges)
+                   & _reach(accepting, [(q, p) for p, q in edges])) | {0})
     renum = {old: i for i, old in enumerate(keep)}
-    kept = frozenset((renum[a], s, renum[b]) for a, s, b in flat
-                     if a in renum and b in renum)
-    return Nfa(alphabet=alphabet, n_states=len(keep), transitions=kept,
-               start=renum[start],
-               accepting=frozenset(renum[s] for s in accepting if s in renum))
+    return Nfa(alphabet=alphabet, n_states=len(keep),
+               transitions=frozenset((renum[p], s, renum[q]) for p, q in edges
+                                     if p in renum and q in renum
+                                     for s in labels[q]),
+               start=0,
+               accepting=frozenset(renum[p] for p in accepting if p in renum))
 
 
 def accepts(n: Nfa, word: Word) -> bool:

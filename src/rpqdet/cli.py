@@ -206,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the main output to this file")
     common.add_argument("--jobs", type=int, default=1,
                         help="worker processes where supported (default 1)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for fuzz corpora; core commands are "
-                             "deterministic and ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common],
@@ -274,6 +271,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (WorkbenchError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError as e:
+        # The JSON decoder and the regex parser's parentheses recurse.
+        print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return 2
 
 

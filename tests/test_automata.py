@@ -19,7 +19,6 @@ from rpqdet.automata import (
     Union,
     UnknownSymbolError,
     accepts,
-    ast_size,
     compile_nfa,
     concat_all,
     enumerate_words,
@@ -28,7 +27,6 @@ from rpqdet.automata import (
     parse_word,
     render_regex,
     shortest_word,
-    thompson_nfa,
     union_all,
 )
 from rpqdet.ogtp import reduction_alphabet
@@ -195,19 +193,57 @@ def test_accepts_rejects_foreign_symbols():
         accepts(n, (sym("A-H-C-black"),))
 
 
-def test_thompson_state_budget():
+def _leaves(r):
+    """The Lit and Class occurrences of r."""
+    if isinstance(r, (Lit, Class)):
+        return 1
+    if isinstance(r, (Union, Concat)):
+        return _leaves(r.left) + _leaves(r.right)
+    if isinstance(r, (Star, Plus)):
+        return _leaves(r.inner)
+    return 0
+
+
+def _has_empty(r):
+    if isinstance(r, Empty):
+        return True
+    if isinstance(r, (Union, Concat)):
+        return _has_empty(r.left) or _has_empty(r.right)
+    if isinstance(r, (Star, Plus)):
+        return _has_empty(r.inner)
+    return False
+
+
+def test_compiled_nfa_has_one_state_per_leaf_plus_a_start():
     rng = random.Random(11)
     labels = list(BLACK.symbols)
     for _ in range(200):
         r = random_regex(rng, labels, depth=4)
-        states, _, _, _ = thompson_nfa(r, BLACK)
-        assert states <= 2 * ast_size(r) + 2
+        assert compile_nfa(r, BLACK).n_states <= _leaves(r) + 1
 
 
 def test_compiled_nfa_has_no_dead_states():
-    n = compile_nfa(parse_regex("alpha beta* + EMPTY", SPECIALS), SPECIALS)
-    # Every state is reachable and co-reachable after pruning.
-    assert n.min_dist[n.start] < 10 ** 9 or n.start in n.accepting
+    rng = random.Random(17)
+    labels = list(SPECIALS.symbols)
+    checked = 0
+    while checked < 100:
+        r = random_regex(rng, labels, depth=5)
+        if not _has_empty(r):
+            continue
+        checked += 1
+        n = compile_nfa(r, SPECIALS)
+        reach = {n.start}
+        stack = [n.start]
+        while stack:
+            for dsts in n.delta.get(stack.pop(), {}).values():
+                for t in dsts - reach:
+                    reach.add(t)
+                    stack.append(t)
+        # Every state but the start is reachable and co-reachable.
+        for q in range(n.n_states):
+            if q != n.start:
+                assert q in reach
+                assert n.min_dist[q] < 10 ** 9
 
 
 # --------------------------------------------------------------------------

@@ -59,6 +59,26 @@ def test_eval_bad_regex_exits_2(files, capsys):
     assert "position" in err
 
 
+def test_eval_long_flat_query(files, capsys):
+    graph = files["root"] / "cycle.json"
+    graph.write_text(json.dumps({"vertices": ["u", "v"], "edges": [
+        {"src": "u", "label": "G:alpha", "dst": "v"},
+        {"src": "v", "label": "G:alpha", "dst": "u"}]}))
+    code = main(["eval", "--graph", str(graph),
+                 "--query", " ".join(["G:alpha"] * 3000)])
+    assert code == 0
+    assert capsys.readouterr().out == "u u\nv v\n"
+
+
+def test_eval_deeply_nested_graph_json_exits_2(files, capsys):
+    graph = files["root"] / "deep.json"
+    graph.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["eval", "--graph", str(graph), "--query", "G:alpha"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "nested too deeply" in err
+
+
 # --------------------------------------------------------------------------
 # reduce
 
