@@ -116,15 +116,21 @@ def concat_all(parts) -> Regex:
 
 
 def literals_used(r: Regex) -> frozenset[Symbol]:
-    if isinstance(r, Lit):
-        return frozenset([r.symbol])
-    if isinstance(r, Class):
-        return r.symbols
-    if isinstance(r, (Union, Concat)):
-        return literals_used(r.left) | literals_used(r.right)
-    if isinstance(r, (Star, Plus)):
-        return literals_used(r.inner)
-    return frozenset()
+    """Every symbol of a Lit or Class in r; an explicit stack, not
+    recursion, walks the tree."""
+    out: set[Symbol] = set()
+    todo = [r]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Lit):
+            out.add(node.symbol)
+        elif isinstance(node, Class):
+            out |= node.symbols
+        elif isinstance(node, (Union, Concat)):
+            todo += [node.left, node.right]
+        elif isinstance(node, (Star, Plus)):
+            todo.append(node.inner)
+    return frozenset(out)
 
 
 # --------------------------------------------------------------------------

@@ -31,22 +31,33 @@ class WitnessRejectedError(WorkbenchError):
 
 
 def recolor_regex(r: Regex, color: Color) -> Regex:
-    """Repaint every literal and class with one color."""
-    if isinstance(r, (Empty, Epsilon)):
-        return r
-    if isinstance(r, Lit):
-        return Lit(r.symbol.colored(color))
-    if isinstance(r, Class):
-        return Class(frozenset(s.colored(color) for s in r.symbols))
-    if isinstance(r, Union):
-        return Union(recolor_regex(r.left, color), recolor_regex(r.right, color))
-    if isinstance(r, Concat):
-        return Concat(recolor_regex(r.left, color), recolor_regex(r.right, color))
-    if isinstance(r, Star):
-        return Star(recolor_regex(r.inner, color))
-    if isinstance(r, Plus):
-        return Plus(recolor_regex(r.inner, color))
-    raise TypeError(f"not a regex: {r!r}")
+    """Repaint every literal and class with one color.
+
+    A post-order walk with an explicit stack, as in compile_nfa, so a long
+    flat word does not recurse once per symbol.
+    """
+    done: list[Regex] = []
+    todo: list[tuple[Regex, bool]] = [(r, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if isinstance(node, (Union, Concat)) and not expanded:
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, (Star, Plus)) and not expanded:
+            todo += [(node, True), (node.inner, False)]
+        elif isinstance(node, (Empty, Epsilon)):
+            done.append(node)
+        elif isinstance(node, Lit):
+            done.append(Lit(node.symbol.colored(color)))
+        elif isinstance(node, Class):
+            done.append(Class(frozenset(s.colored(color) for s in node.symbols)))
+        elif isinstance(node, (Union, Concat)):
+            right = done.pop()
+            done.append(type(node)(done.pop(), right))
+        elif isinstance(node, (Star, Plus)):
+            done.append(type(node)(done.pop()))
+        else:
+            raise TypeError(f"not a regex: {node!r}")
+    return done.pop()
 
 
 def recolor_nfa(n: Nfa, color: Color) -> Nfa:

@@ -424,6 +424,7 @@ class ExploreContext:
         self.caps = caps
         self.red_q0 = recolor_nfa(q0, Color.RED)
         self._candidates: dict[int, tuple[Word, ...]] = {}
+        self._minimal: dict[int, tuple[Word, ...]] = {}
         self._forcing: dict[int, bool] = {}
 
     def candidates(self, rc: RegularConstraint) -> tuple[Word, ...]:
@@ -448,6 +449,23 @@ class ExploreContext:
                 check_witness(rc, w)
             got = tuple(out)
             self._candidates[rc.cid] = got
+        return got
+
+    def minimal(self, rc: RegularConstraint) -> tuple[Word, ...]:
+        """The candidates of rc whose red q0 relations are ⊆-minimal, in
+        candidate order, one word per distinct relation (the first).
+
+        A word's relation is {(p, q) : q in δ*(p, w)} on red_q0: all the
+        loss test can see of a path spelling it (see _search).
+        """
+        got = self._minimal.get(rc.cid)
+        if got is None:
+            firsts: dict[frozenset[tuple[int, int]], Word] = {}
+            for w in self.candidates(rc):
+                firsts.setdefault(_relation(self.red_q0, w), w)
+            got = tuple(w for rel, w in firsts.items()
+                        if not any(other < rel for other in firsts))
+            self._minimal[rc.cid] = got
         return got
 
     def forces_loss_alone(self, rc: RegularConstraint) -> bool:
@@ -526,7 +544,23 @@ class ExploreContext:
 
     def _search(self, live: LivePosition, round_no: int):
         """Search every bounded play from the live position, which is left
-        as it was found; a win carries its fixpoint as a Position."""
+        as it was found; a win carries its fixpoint as a Position.
+
+        A node is decided all-lost over the minimal candidates first.  A
+        fresh path's inner vertices have one in-edge and one out-edge, and
+        b is never one of them, so a red q0 walk from a that ends at b
+        crosses a grafted path from x to y whole, and sees of it only the
+        relation of its word (ExploreContext.minimal).  Swapping a
+        candidate for one whose relation is a subset, and adding edges
+        only adds walks, so every combination loses once each combination
+        of minimal candidates does (the subsumption of antichain
+        algorithms; De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  A
+        request that loses under each of its candidates alone makes every
+        combination lose, the minimal ones included, so this check also
+        covers that case.  Nothing is claimed about wins: when some
+        minimal combination survives, every combination is searched in
+        order, as if the check were not there.
+        """
         if live.lost():
             return _ALL_LOST, None
         g = live.graph()
@@ -539,12 +573,11 @@ class ExploreContext:
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
         round_no += 1
-        # Prune: if some single request loses under each of its candidates
-        # in isolation, the added edges of the other requests cannot save
-        # the play, so the whole subtree loses.
-        for i, (r, cands) in enumerate(zip(reqs, cand_lists)):
-            if all(_lost_with(live, r, u, round_no, i) for u in cands):
-                return _ALL_LOST, None
+        minimal = [self.minimal(r.constraint) for r in reqs]
+        # all() stops at the first surviving combination; dropping the
+        # walk then undoes its grafts.
+        if all(live.lost() for _ in _graft_each(live, reqs, minimal, round_no)):
+            return _ALL_LOST, None
         any_undecided = False
         for _ in _graft_each(live, reqs, cand_lists, round_no):
             kind, win = self._search(live, round_no)
@@ -555,12 +588,14 @@ class ExploreContext:
         return (_UNDECIDED if any_undecided else _ALL_LOST), None
 
 
-def _lost_with(live: LivePosition, r: Request, w: Word, round_no: int,
-               req_index: int) -> bool:
-    record = live.graft(r, w, round_no, req_index)
-    lost = live.lost()
-    live.undo(record)
-    return lost
+def _relation(nfa: Nfa, w: Word) -> frozenset[tuple[int, int]]:
+    """{(p, q) : q in δ*(p, w)} over the states of nfa."""
+    delta = nfa.delta
+    pairs = {(p, p) for p in range(nfa.n_states)}
+    for s in w:
+        pairs = {(p, r) for p, q in pairs
+                 for r in delta.get(q, {}).get(s, ())}
+    return frozenset(pairs)
 
 
 def _graft_each(live: LivePosition, reqs, cand_lists, round_no: int):

@@ -309,13 +309,10 @@ def explore_per_word(q0, cs, caps) -> Verdict:
 
 
 def classify_immutable(ctx: ExploreContext, word: Word):
-    """ExploreContext.classify_word without the forcing rule: the game
-    search from the word's initial position, same branch order, same
-    single-request prune."""
-    def lost_with(pos, r, w, idx):
-        g = apply_add(pos.graph, r, w, round_no=pos.round + 1, req_index=idx)
-        return holds(ctx.red_q0, g, pos.a, pos.b)
-
+    """ExploreContext.classify_word without the forcing rule or any prune:
+    the game search from the word's initial position in the same branch
+    order, every combination of every candidate list grafted and
+    searched."""
     def dfs(pos):
         if holds(ctx.red_q0, pos.graph, pos.a, pos.b):
             return "all_lost", None
@@ -327,9 +324,6 @@ def classify_immutable(ctx: ExploreContext, word: Word):
         cand_lists = [ctx.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return "undecided", None
-        for r, cands in zip(reqs, cand_lists):
-            if all(lost_with(pos, r, u, i) for i, u in enumerate(cands)):
-                return "all_lost", None
         round_no = pos.round + 1
         any_undecided = False
         for combo in product(*cand_lists):

@@ -1,8 +1,11 @@
 import json
+from time import monotonic
 
 import pytest
 
+from oracles import explore_immutable
 from rpqdet.cli import main
+from rpqdet.escape import Caps
 from rpqdet.gadget import build_grid, decorate
 from rpqdet.graphs import endpointed_to_json, graph_from_json
 from rpqdet.ogtp import (
@@ -132,6 +135,16 @@ def test_play_rejects_words_outside_q0(files, capsys):
     assert "not in the q0 language" in capsys.readouterr().err
 
 
+def test_play_on_a_long_flat_view(files, capsys):
+    instance = files["root"] / "flat_view.json"
+    instance.write_text(json.dumps({
+        "alphabet": ["alpha", "beta", "omega"], "q0": "alpha omega",
+        "views": {"good": [" ".join(["alpha"] * 3000)]}}))
+    code = main(["play", str(instance), "--initial-word", "alpha omega"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "WON_FIXPOINT round=0"
+
+
 def test_play_scripted_replay_is_byte_identical(files, capsys):
     t1 = files["root"] / "t1.jsonl"
     code = main(["play", str(files["instance"]),
@@ -185,6 +198,30 @@ def test_search_blocked_instance_all_plays_lose(files, capsys):
     code = main(["search", str(reduced), "--max-initial-len", "4"])
     assert code == 1
     assert capsys.readouterr().out.strip() == "ALL_PLAYS_LOSE"
+
+
+def test_search_two_shade_at_the_default_caps(files, two_shade_instance,
+                                              capsys):
+    tiling = files["root"] / "two_shade.json"
+    tiling.write_text(instance_to_json(two_shade_instance))
+    reduced = files["root"] / "two_shade_instance.json"
+    assert main(["reduce", str(tiling), "--out", str(reduced)]) == 0
+    start = monotonic()
+    code = main(["search", str(reduced)])
+    assert monotonic() - start < 20
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "ALL_PLAYS_LOSE"
+    # The all-black tiling solves the instance; eight branches reach it.
+    cert = files["root"] / "two_shade_cert.json"
+    assert main(["search", str(reduced), "--max-branches", "8",
+                 "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.strip() == "NONDETERMINATE"
+    out = reduction_from_json(reduced.read_text())
+    want = explore_immutable(out.q0_nfa, out.constraint_set(),
+                             Caps(8, 3, 6, 8))
+    assert cert.read_text() == endpointed_to_json(want.certificate)
+    assert main(["verify", str(cert), str(reduced)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
 
 
 def test_verify_reports_the_failing_condition(files, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import random_graph, random_regex
-from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, enumerate_words, parse_regex, parse_word
+from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, concat_all, enumerate_words, literals_used, parse_regex, parse_word
 from rpqdet.constraints import (
     ConstraintError,
     Request,
@@ -39,6 +39,30 @@ def test_recolor_regex_relabels_literals_and_classes():
     red = recolor_regex(r, Color.RED)
     n = compile_nfa(red, BLACK.colored())
     assert accepts(n, parse_word("R:alpha R:A-H-C-black", BLACK.colored()))
+
+
+def test_recolor_regex_repaints_random_trees():
+    rng = random.Random(11)
+    labels = list(SPECIALS.symbols)
+    colored = SPECIALS.colored()
+    for _ in range(200):
+        r = random_regex(rng, labels, depth=4)
+        for color in (Color.GREEN, Color.RED):
+            painted = recolor_regex(r, color)
+            assert literals_used(painted) == {s.colored(color)
+                                              for s in literals_used(r)}
+            assert enumerate_words(compile_nfa(painted, colored), 3) == [
+                tuple(s.colored(color) for s in w)
+                for w in enumerate_words(compile_nfa(r, SPECIALS), 3)]
+
+
+def test_recolor_regex_and_literals_used_walk_long_flat_words():
+    flat = concat_all([Lit(sym("alpha")), Lit(sym("beta"))] * 5000)
+    red = recolor_regex(flat, Color.RED)
+    assert literals_used(red) == {sym("R:alpha"), sym("R:beta")}
+    fwd, back = make_arrows(flat, SPECIALS)
+    green = {sym("G:alpha"), sym("G:beta")}
+    assert literals_used(fwd.lhs) == literals_used(back.rhs) == green
 
 
 def test_recolor_nfa_preserves_language_shape():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from oracles import (classify_immutable, explore_immutable, explore_per_word,
                      forced_per_word, is_homomorphism, random_graph,
                      random_regex, start_words_per_word)
-from rpqdet.automata import (Concat, Empty, Lit, compile_nfa, parse_regex,
-                             parse_word)
+from rpqdet.automata import (Concat, Empty, Lit, accepts, compile_nfa,
+                             parse_regex, parse_word)
 from rpqdet.constraints import Request, make_arrow_set, make_arrows, requests
 from rpqdet.escape import (
     Caps,
@@ -423,12 +423,25 @@ def test_classify_word_matches_the_immutable_search(shades, two_shade_reduction)
     _same_outcome(ctx.classify_word(word), classify_immutable(ctx, word))
 
 
+@pytest.mark.parametrize("shades", [("black",) * 4,
+                                    ("grey", "black", "grey", "black")])
+def test_classify_word_matches_the_immutable_search_at_four_branches(
+        shades, two_shade_reduction):
+    # Every round-one combination of these words loses: 32,768 of them,
+    # against 32 over the minimal candidates.
+    out = two_shade_reduction
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(6, 3, 6, 4))
+    word = _two_shade_word(shades)
+    _same_outcome(ctx.classify_word(word), classify_immutable(ctx, word))
+
+
 @pytest.mark.parametrize("name, caps", [
     ("black", Caps(8, 3, 6, 4)),
     ("black", Caps(4, 3, 1, 4)),
     ("black", Caps(6, 2, 3, 2)),
     ("blocked", Caps(7, 3, 6, 4)),
     ("two_shade", Caps(5, 3, 6, 4)),
+    ("two_shade", Caps(8, 3, 6, 8)),
 ])
 def test_explore_matches_the_immutable_search(name, caps, request):
     out = request.getfixturevalue(f"{name}_reduction")
@@ -456,15 +469,68 @@ def test_a_request_is_pruned_only_when_every_candidate_loses():
     _same_outcome((kind, pos), classify_immutable(ctx, word))
 
 
+def test_a_win_through_a_non_minimal_candidate_is_found_by_the_fallback():
+    # The start chain a G:beta v G:alpha b asks for R:beta or R:beta R:omega
+    # from a to v.  The red q0 relation of R:beta R:omega is empty, so it is
+    # the one minimal candidate; it does not lose, so the node falls back
+    # to every combination.  R:beta, whose relation is larger, comes first
+    # and reaches a fixpoint at once; R:beta R:omega opens more requests.
+    q0, cs = _single_view_instance("beta alpha", "beta + beta omega")
+    caps = Caps(2, 2, 3, 2)
+    ctx = ExploreContext(q0, cs, caps)
+    rc = cs.by_id(0)
+    r_beta, r_beta_omega = (sym("R:beta"),), (sym("R:beta"), sym("R:omega"))
+    assert ctx.candidates(rc) == (r_beta, r_beta_omega)
+    assert ctx.minimal(rc) == (r_beta_omega,)
+    word = (sym("beta"), sym("alpha"))
+    kind, pos = ctx.classify_word(word)
+    assert (kind, pos.round) == ("win", 1)
+    assert pos.graph.edges == {("a", sym("G:beta"), "x1"),
+                               ("x1", sym("G:alpha"), "b"),
+                               ("a", sym("R:beta"), "x1")}
+    _same_outcome((kind, pos), classify_immutable(ctx, word))
+    got, want = explore(q0, cs, caps), explore_immutable(q0, cs, caps)
+    assert got.kind is want.kind is VerdictKind.NONDETERMINATE
+    assert (endpointed_to_json(got.certificate)
+            == endpointed_to_json(want.certificate))
+
+
+def _relation_by_membership(nfa, w):
+    """The pairs (p, q) for which nfa, started in p, ends in q on w."""
+    return frozenset((p, q) for p in range(nfa.n_states)
+                     for q in range(nfa.n_states)
+                     if accepts(replace(nfa, start=p, accepting=frozenset([q])),
+                                w))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_minimal_keeps_the_first_word_of_each_minimal_relation(seed):
+    q0, cs, caps = _random_instance(seed)
+    ctx = ExploreContext(q0, cs, replace(caps, max_witness_len=3))
+    for rc in cs:
+        cands = ctx.candidates(rc)
+        rel = {w: _relation_by_membership(ctx.red_q0, w) for w in cands}
+        want = [w for i, w in enumerate(cands)
+                if rel[w] not in {rel[u] for u in cands[:i]}
+                and not any(rel[u] < rel[w] for u in cands)]
+        assert list(ctx.minimal(rc)) == want
+        for w in cands:
+            assert any(rel[m] <= rel[w] for m in want)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 def test_classify_word_matches_the_immutable_search_on_random_instances(seed):
     q0, cs, caps = _random_instance(seed)
     # One-letter witnesses keep every search small; longer ones let a few
     # seeds branch into millions of combinations.  Both wins and losses
-    # still occur often.
-    ctx = ExploreContext(q0, cs, Caps(min(caps.max_initial_len, 4), 1, 3, 2))
-    for w in ctx.start_words():
-        _same_outcome(ctx.classify_word(w), classify_immutable(ctx, w))
+    # still occur often.  Two-letter witnesses give candidates whose red
+    # q0 relations nest, so the minimal check both decides nodes and
+    # falls back; one round keeps those searches small.
+    for search_caps in (Caps(min(caps.max_initial_len, 4), 1, 3, 2),
+                        Caps(min(caps.max_initial_len, 3), 2, 1, 2)):
+        ctx = ExploreContext(q0, cs, search_caps)
+        for w in ctx.start_words():
+            _same_outcome(ctx.classify_word(w), classify_immutable(ctx, w))
 
 
 def _reach_from_scratch(nfa, g, a):
