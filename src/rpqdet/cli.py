@@ -35,7 +35,7 @@ def _read(path: str) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -80,7 +80,7 @@ def cmd_play(args) -> int:
 
     if args.initial_word:
         word = parse_word(args.initial_word, out.alphabet)
-    elif args.initial_cap:
+    elif args.initial_cap is not None:
         word = next((w for w in iter_words(q0, args.initial_cap) if w), None)
         if word is None:
             raise WorkbenchError(
@@ -115,8 +115,7 @@ def cmd_play(args) -> int:
 
     result, trace = run_play(q0, cs, strategy, init, args.max_rounds)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_jsonl(trace))
+        _emit(args, trace_to_jsonl(trace))
     print(f"{result.outcome.value} round={result.round}")
     return {PlayOutcome.WON_FIXPOINT: 0, PlayOutcome.LOST: 1,
             PlayOutcome.EXHAUSTED: 3}[result.outcome]
@@ -151,12 +150,7 @@ def cmd_search(args) -> int:
         verdict = explore(out.q0_nfa, out.constraint_set(), caps)
     print(verdict.kind.value)
     if verdict.certificate is not None:
-        cert_json = endpointed_to_json(verdict.certificate)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(cert_json)
-        else:
-            sys.stdout.write(cert_json)
+        _emit(args, endpointed_to_json(verdict.certificate))
     return {VerdictKind.NONDETERMINATE: 0, VerdictKind.ALL_PLAYS_LOSE: 1,
             VerdictKind.INCONCLUSIVE: 3}[verdict.kind]
 
@@ -204,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "search the constraint game, verify counterexamples.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the main output to this file")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes where supported (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common],
@@ -240,9 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-witness-len", type=int, default=3)
     p.add_argument("--max-rounds", type=int, default=6)
     p.add_argument("--max-branches", type=int, default=4)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes classifying start words (default 1)")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify",
                        help="check a counterexample against an instance")
     p.add_argument("graph", help="endpointed graph JSON file")
     p.add_argument("instance", help="workbench instance JSON file")

@@ -190,21 +190,23 @@ class GuidedStrategy:
         self._pending.clear()
 
 
+# The interactive prompt lists up to _SAMPLE_COUNT rhs words of length at
+# most _SAMPLE_LEN.
+_SAMPLE_LEN, _SAMPLE_COUNT = 4, 8
+
+
 class InteractiveStrategy:
     """Prompt for witness words; re-prompt until one the rhs accepts."""
 
-    def __init__(self, input_fn=input, print_fn=print, sample_len: int = 4,
-                 sample_count: int = 8):
+    def __init__(self, input_fn=input, print_fn=print):
         self.input_fn = input_fn
         self.print_fn = print_fn
-        self.sample_len = sample_len
-        self.sample_count = sample_count
 
     def __call__(self, pos: Position, req: Request, cs: ConstraintSet) -> Word:
         rc = req.constraint
         self.print_fn(f"round {pos.round + 1}: request ({req.x}, {req.y}) "
                       f"for constraint {req.cid}: {rc.describe()}")
-        samples = enumerate_words(rc.rhs_nfa, self.sample_len)[:self.sample_count]
+        samples = enumerate_words(rc.rhs_nfa, _SAMPLE_LEN)[:_SAMPLE_COUNT]
         if samples:
             self.print_fn("candidates: " +
                           "; ".join(format_word(w) for w in samples))
@@ -253,8 +255,7 @@ def play_round(pos: Position, cs: ConstraintSet, strategy,
         choices.append(w)
         g = apply_add(g, r, w, round_no=round_no, req_index=i)
     new_pos = Position(g, pos.a, pos.b, round_no)
-    added = tuple(sorted(g.edges - pos.graph.edges,
-                         key=lambda e: (e[0], e[1].name, e[2])))
+    added = tuple(sorted(g.edges - pos.graph.edges))
     record = RoundRecord(round_no, tuple((r.x, r.y, r.cid) for r in reqs),
                          tuple(choices), added)
     hook = getattr(strategy, "observe_round", None)
@@ -338,13 +339,9 @@ class LivePosition:
         self.nfa = nfa
         self.a = a
         self.b = b
-        # Rows and edges are keyed by symbol name: a str caches its hash,
-        # while hashing a Symbol is a Python call.
-        self._delta = {q: {s.name: ts for s, ts in row.items()}
-                       for q, row in nfa.delta.items()}
         # One out-row per vertex, isolated ones too: its keys are the
         # vertex set.
-        self.out: dict[str, list[tuple[str, str]]] = {
+        self.out: dict[str, list[tuple[Symbol, str]]] = {
             v: [] for v in graph.vertices}
         self.reach: dict[str, set[int]] = {v: set() for v in graph.vertices}
         self.reach[a].add(nfa.start)
@@ -355,9 +352,9 @@ class LivePosition:
 
     def graph(self) -> LabeledGraph:
         return LabeledGraph(frozenset(self.out),
-                            frozenset((v, Symbol(name), dst)
+                            frozenset((v, s, dst)
                                       for v, row in self.out.items()
-                                      for name, dst in row))
+                                      for s, dst in row))
 
     def graft(self, r: Request, w: Word, round_no: int, req_index: int):
         """Add a fresh path from r.x to r.y spelling w, with the vertex
@@ -391,12 +388,12 @@ class LivePosition:
         """Add the edges, appending the source of each to sources and every
         (vertex, state) pair they make reachable to pairs.  An edge already
         present is listed twice, which graph() folds and reach ignores."""
-        delta = self._delta
+        delta = self.nfa.delta
         reach = self.reach
         out = self.out
         queue: list[tuple[str, int]] = []
         for src, s, dst in new:
-            out[src].append((s.name, dst))
+            out[src].append((s, dst))
             sources.append(src)
             queue.extend((src, q) for q in reach[src])
         while queue:
@@ -404,8 +401,8 @@ class LivePosition:
             row = delta.get(q)
             if not row:
                 continue
-            for name, dst in out[v]:
-                targets = row.get(name)
+            for s, dst in out[v]:
+                targets = row.get(s)
                 if targets:
                     seen = reach[dst]
                     for t in targets:

@@ -168,8 +168,10 @@ def verify_homomorphism(d: LabeledGraph, m: LabeledGraph,
 
 
 def _signature(g: LabeledGraph, v: str):
-    return (tuple(sorted(s.name for s, _ in g.out_adj[v])),
-            tuple(sorted(s.name for s, _ in g.in_adj[v])))
+    """v's out-labels and in-labels, each sorted: adjacency rows are
+    sorted by label first."""
+    return (tuple(s for s, _ in g.out_adj[v]),
+            tuple(s for s, _ in g.in_adj[v]))
 
 
 def iso_shadeless(d: LabeledGraph, e: LabeledGraph) -> bool:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .symbols import (Color, Symbol, Word, WorkbenchError, expect,
                       expect_key)
@@ -39,16 +39,14 @@ class LabeledGraph:
         rows: dict[str, list[tuple[Symbol, str]]] = {v: [] for v in self.vertices}
         for src, s, dst in self.edges:
             rows[src].append((s, dst))
-        return {v: tuple(sorted(row, key=lambda e: (e[0].name, e[1])))
-                for v, row in rows.items()}
+        return {v: tuple(sorted(row)) for v, row in rows.items()}
 
     @cached_property
     def in_adj(self) -> dict[str, tuple[tuple[Symbol, str], ...]]:
         rows: dict[str, list[tuple[Symbol, str]]] = {v: [] for v in self.vertices}
         for src, s, dst in self.edges:
             rows[dst].append((s, src))
-        return {v: tuple(sorted(row, key=lambda e: (e[0].name, e[1])))
-                for v, row in rows.items()}
+        return {v: tuple(sorted(row)) for v, row in rows.items()}
 
     def labels(self) -> frozenset[Symbol]:
         return frozenset(s for _, s, _ in self.edges)
@@ -71,23 +69,15 @@ class EndpointedGraph:
         self.graph.require_vertex(self.b)
 
 
-def chain_graph(word: Word, x: str, y: str,
-                names: Sequence[str] | None = None) -> LabeledGraph:
-    """A simple path from x to y spelling the given word.
-
-    Intermediate vertices default to x1..x{n-1}; pass explicit names to
-    override (useful when grafting into an existing graph).
-    """
+def chain_graph(word: Word, x: str, y: str) -> LabeledGraph:
+    """A simple path from x to y spelling the given word, through
+    intermediate vertices x1..x{n-1}."""
     n = len(word)
     if n == 0:
         raise ValueError("chain needs a nonempty word")
     if x == y:
         raise ValueError("chain endpoints must differ")
-    if names is None:
-        names = [f"x{k}" for k in range(1, n)]
-    if len(names) != n - 1:
-        raise ValueError(f"need {n - 1} intermediate names, got {len(names)}")
-    stops = [x, *names, y]
+    stops = [x, *(f"x{k}" for k in range(1, n)), y]
     if len(set(stops)) != len(stops):
         raise ValueError("chain vertex names collide")
     edges = [(stops[k], word[k], stops[k + 1]) for k in range(n)]
@@ -144,8 +134,7 @@ def graph_to_obj(g: LabeledGraph) -> dict:
     return {
         "vertices": sorted(g.vertices),
         "edges": [{"src": src, "label": s.name, "dst": dst}
-                  for src, s, dst in sorted(g.edges,
-                                            key=lambda e: (e[0], e[1].name, e[2]))],
+                  for src, s, dst in sorted(g.edges)],
     }
 
 

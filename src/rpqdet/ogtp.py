@@ -95,17 +95,20 @@ def all_black_tiling(n: int) -> GridTiling:
 
 
 def _in_edges(t: GridTiling, i: int, j: int):
-    if i >= 1:
-        yield "H", t.h[(i - 1, j)]
-    if j >= 1:
-        yield "V", t.v[(i, j - 1)]
+    """(direction, shade) of each shaded edge into u_{i,j}; edges off the
+    grid or not shaded yet are skipped."""
+    if (s := t.h.get((i - 1, j))) is not None:
+        yield "H", s
+    if (s := t.v.get((i, j - 1))) is not None:
+        yield "V", s
 
 
 def _out_edges(t: GridTiling, i: int, j: int):
-    if i < t.n:
-        yield "H", t.h[(i, j)]
-    if j < t.n:
-        yield "V", t.v[(i, j)]
+    """(direction, shade) of each shaded edge out of u_{i,j}."""
+    if (s := t.h.get((i, j))) is not None:
+        yield "H", s
+    if (s := t.v.get((i, j))) is not None:
+        yield "V", s
 
 
 def check_tiling(inst: OgtpInstance, t: GridTiling) -> bool:
@@ -161,18 +164,6 @@ def _solve_at(inst: OgtpInstance, n: int) -> GridTiling | None:
     t = GridTiling(n, {}, {})
     forb = inst.forbidden
 
-    def assigned_in(i: int, j: int):
-        if i >= 1 and (i - 1, j) in t.h:
-            yield "H", t.h[(i - 1, j)]
-        if j >= 1 and (i, j - 1) in t.v:
-            yield "V", t.v[(i, j - 1)]
-
-    def assigned_out(i: int, j: int):
-        if i < n and (i, j) in t.h:
-            yield "H", t.h[(i, j)]
-        if j < n and (i, j) in t.v:
-            yield "V", t.v[(i, j)]
-
     def admissible(kind: str, i: int, j: int, s: str) -> bool:
         if kind == "v":
             if (i, j) == (0, 0) and s != "black":
@@ -182,10 +173,10 @@ def _solve_at(inst: OgtpInstance, n: int) -> GridTiling | None:
             if (i, j) == (n - 1, n) and s != "black":
                 return False
             d, dst = "H", (i + 1, j)
-        for pin in assigned_in(i, j):
+        for pin in _in_edges(t, i, j):
             if (pin, (d, s)) in forb:
                 return False
-        for pout in assigned_out(*dst):
+        for pout in _out_edges(t, *dst):
             if ((d, s), pout) in forb:
                 return False
         return True

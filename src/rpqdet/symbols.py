@@ -65,11 +65,9 @@ SPECIALS = ("alpha", "beta", "omega")
 _SIGMA0_RE = re.compile(r"([AB])-([HV])-([WC])(?:-([a-z0-9_]+))?\Z")
 
 
-class Symbol:
-    """Interned edge symbol.  Compare and hash by token name."""
-
-    __slots__ = ("name", "color", "base", "tag", "direction", "temperature",
-                 "shade", "_hash")
+class Symbol(str):
+    """Interned edge symbol: a str equal to its token, so it compares,
+    hashes and sorts as the token does."""
 
     _pool: dict[str, "Symbol"] = {}
 
@@ -77,7 +75,6 @@ class Symbol:
         cached = cls._pool.get(name)
         if cached is not None:
             return cached
-        self = super().__new__(cls)
         color = None
         base = name
         if name.startswith("G:"):
@@ -90,6 +87,7 @@ class Symbol:
             if m is None:
                 raise SymbolError(f"bad symbol token: {name!r}")
             tag, direction, temperature, shade = m.groups()
+        self = super().__new__(cls, name)
         self.name = name
         self.color = color
         self.base = base
@@ -97,7 +95,6 @@ class Symbol:
         self.direction = direction
         self.temperature = temperature
         self.shade = shade
-        self._hash = hash(name)
         cls._pool[name] = self
         return self
 
@@ -119,12 +116,6 @@ class Symbol:
         prefix = f"{self.color.value}:" if self.color else ""
         return Symbol(f"{prefix}{self.tag}-{self.direction}-{self.temperature}")
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Symbol) and self.name == other.name)
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return self.name
 
@@ -142,7 +133,7 @@ Word = tuple[Symbol, ...]
 
 
 def format_word(word: Word) -> str:
-    return " ".join(s.name for s in word)
+    return " ".join(word)
 
 
 def word_colored(word: Word, color: Color) -> Word:
@@ -165,9 +156,7 @@ class Alphabet:
     def __init__(self, symbols):
         seen = []
         index: dict[Symbol, int] = {}
-        for s in symbols:
-            if not isinstance(s, Symbol):
-                s = Symbol(s)
+        for s in map(Symbol, symbols):
             if s in index:
                 raise SymbolError(f"duplicate symbol in alphabet: {s.name}")
             index[s] = len(seen)
@@ -178,8 +167,7 @@ class Alphabet:
     @classmethod
     def from_canonical(cls, symbols) -> "Alphabet":
         """Build with symbols sorted canonically, not by declaration order."""
-        uniq = {Symbol(s) if not isinstance(s, Symbol) else s for s in symbols}
-        return cls(sorted(uniq, key=_canonical_key))
+        return cls(sorted(set(map(Symbol, symbols)), key=_canonical_key))
 
     def index(self, s: Symbol) -> int:
         try:

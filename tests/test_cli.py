@@ -135,6 +135,12 @@ def test_play_rejects_words_outside_q0(files, capsys):
     assert "not in the q0 language" in capsys.readouterr().err
 
 
+def test_play_initial_cap_zero_is_a_cap_not_an_absent_flag(files, capsys):
+    code = main(["play", str(files["instance"]), "--initial-cap", "0"])
+    assert code == 2
+    assert "q0 has no word within length 0" in capsys.readouterr().err
+
+
 def test_play_on_a_long_flat_view(files, capsys):
     instance = files["root"] / "flat_view.json"
     instance.write_text(json.dumps({
@@ -185,6 +191,15 @@ def test_search_parallel_matches_serial(files, capsys):
     capsys.readouterr()
 
 
+def test_search_prints_the_certificate_it_would_write(files, capsys):
+    cert = files["root"] / "cert_written.json"
+    argv = ["search", str(files["instance"]), "--max-initial-len", "4"]
+    assert main(argv + ["--out", str(cert)]) == 0
+    assert capsys.readouterr().out == "NONDETERMINATE\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "NONDETERMINATE\n" + cert.read_text()
+
+
 def test_search_round_starved_is_inconclusive(files, capsys):
     code = main(["search", str(files["instance"]), "--max-initial-len", "4",
                  "--max-rounds", "1"])
@@ -233,6 +248,29 @@ def test_verify_reports_the_failing_condition(files, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "G(Q0) fails" in out
+
+
+def test_verify_takes_no_out_flag(files, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", str(files["model2"]), str(files["instance"]),
+              "--out", str(files["root"] / "unused.txt")])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--graph", "g.json", "--query", "G:omega"],
+    ["reduce", "i.json"],
+    ["play", "i.json"],
+    ["verify", "g.json", "i.json"],
+    ["grid", "1"],
+    ["solve-ogtp", "i.json"],
+])
+def test_only_search_takes_jobs(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--jobs", "2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

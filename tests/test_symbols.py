@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +23,44 @@ def test_grid_token_fields():
 
 def test_interning_returns_same_object():
     assert sym("R:omega") is sym("R:omega")
+    assert Symbol("A-H-C-black") is Symbol("A-H-C-black")
+
+
+@pytest.mark.parametrize("name", ["alpha", "G:omega", "R:B-V-W-grey", "A-H-C"])
+def test_symbol_equals_and_hashes_as_its_token(name):
+    s = Symbol(name)
+    assert s == name and name == s
+    assert hash(s) == hash(s.name) == hash(name)
+    assert {name: 1}[s] == 1 and {s: 1}[name] == 1
+    assert type(s.name) is str
+
+
+def test_pickle_round_trip_returns_the_interned_symbol():
+    s = sym("R:A-H-W-black")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(s, protocol)) is s
+        assert pickle.loads(pickle.dumps((s, [s]), protocol))[1][0] is s
+
+
+def test_repr_and_format_give_the_bare_token():
+    s = sym("G:A-V-C-black")
+    assert repr(s) == "G:A-V-C-black"
+    assert f"{s}" == str(s) == "G:A-V-C-black"
+    assert repr((s,)) == "(G:A-V-C-black,)"
+    # Messages quote through .name, which is a plain str.
+    assert f"{s.name!r}" == "'G:A-V-C-black'"
+
+
+_TOKENS = st.sampled_from(["alpha", "beta", "omega", "G:alpha", "R:omega",
+                           "A-H-C-black", "A-H-C", "B-V-W-grey",
+                           "G:A-H-W-black", "R:B-H-C-grey"])
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "x1", "r1_0_1"]),
+                          _TOKENS.map(Symbol),
+                          st.sampled_from(["a", "b", "x2", "r2_1_0"]))))
+def test_edges_sort_as_their_token_names(edges):
+    assert sorted(edges) == sorted(edges, key=lambda e: (e[0], e[1].name, e[2]))
 
 
 def test_colored_and_uncolored():
@@ -37,6 +77,9 @@ def test_stripped_drops_shade_only():
 @pytest.mark.parametrize("bad", ["gamma", "X-H-C-black", "A-H-C-Black",
                                  "G:", "g:alpha", "A-H-C-black-extra"])
 def test_bad_tokens_rejected(bad):
+    with pytest.raises(SymbolError):
+        sym(bad)
+    assert bad not in Symbol._pool
     with pytest.raises(SymbolError):
         sym(bad)
 
