@@ -357,39 +357,56 @@ def _class_token(symbols: frozenset[Symbol], alphabet: Alphabet) -> str:
     return "(" + " + ".join(parts) + ")"
 
 
-def _render(r: Regex, alphabet: Alphabet) -> tuple[str, int]:
-    if isinstance(r, Empty):
-        return "EMPTY", _PREC_ATOM
-    if isinstance(r, Epsilon):
-        return "EPS", _PREC_ATOM
-    if isinstance(r, Lit):
-        return r.symbol.name, _PREC_ATOM
-    if isinstance(r, Class):
-        return _class_token(r.symbols, alphabet), _PREC_ATOM
-    if isinstance(r, (Union, Concat)):
-        prec = _PREC_UNION if isinstance(r, Union) else _PREC_CONCAT
-        sep = " + " if isinstance(r, Union) else " "
-        lt, lp = _render(r.left, alphabet)
-        rt, rp = _render(r.right, alphabet)
-        if lp < prec:
-            lt = f"({lt})"
-        if rp <= prec:
-            rt = f"({rt})"
-        return f"{lt}{sep}{rt}", prec
+def _prec(r: Regex) -> int:
+    """How tightly r's rendering binds."""
+    if isinstance(r, Union):
+        return _PREC_UNION
+    if isinstance(r, Concat):
+        return _PREC_CONCAT
     if isinstance(r, (Star, Plus)):
-        it, ip = _render(r.inner, alphabet)
-        if ip < _PREC_ATOM:
-            it = f"({it})"
-        return it + ("*" if isinstance(r, Star) else "^+"), _PREC_POSTFIX
-    raise TypeError(f"not a regex: {r!r}")
+        return _PREC_POSTFIX
+    return _PREC_ATOM
+
+
+def _operand(r: Regex, paren: bool) -> list:
+    """r as stack entries, in reverse, parenthesized when paren."""
+    return [")", r, "("] if paren else [r]
 
 
 def render_regex(r: Regex, alphabet: Alphabet) -> str:
     """Serialize so that reparsing yields an equal syntax tree, for every
     tree whose classes are expressible as class literals.  Other classes
     fall back to a parenthesized union of singletons, which reparses to a
-    language-equal tree."""
-    return _render(r, alphabet)[0]
+    language-equal tree.
+
+    An explicit stack of nodes and text pieces, written left to right, so
+    a long flat word neither recurses nor rebuilds its prefix per symbol.
+    """
+    out: list[str] = []
+    todo: list[Regex | str] = [r]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Empty):
+            out.append("EMPTY")
+        elif isinstance(node, Epsilon):
+            out.append("EPS")
+        elif isinstance(node, Lit):
+            out.append(node.symbol.name)
+        elif isinstance(node, Class):
+            out.append(_class_token(node.symbols, alphabet))
+        elif isinstance(node, (Union, Concat)):
+            prec = _prec(node)
+            todo += _operand(node.right, _prec(node.right) <= prec)
+            todo.append(" + " if isinstance(node, Union) else " ")
+            todo += _operand(node.left, _prec(node.left) < prec)
+        elif isinstance(node, (Star, Plus)):
+            todo.append("*" if isinstance(node, Star) else "^+")
+            todo += _operand(node.inner, _prec(node.inner) < _PREC_ATOM)
+        else:
+            raise TypeError(f"not a regex: {node!r}")
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -763,10 +780,18 @@ def enumerate_words(n: Nfa, max_len: int) -> list[Word]:
 
 def shortest_word(n: Nfa) -> Word | None:
     """Shortest accepted word, shortlex tie-break; None for the empty
-    language."""
-    dist = n.subset_dfa.min_dist(0)
+    language.
+
+    Steps along the subset automaton's exact distances to acceptance:
+    from each state, the first symbol whose successor is one step closer,
+    so a long word costs no recursion.
+    """
+    dfa = n.subset_dfa
+    q, dist = 0, dfa.min_dist(0)
     if dist == _INF:
-        # An empty language keeps its start state, and iter_words would
-        # step through all _INF lengths.
         return None
-    return next(iter_words(n, dist))
+    word: list[Symbol] = []
+    while dist:
+        s, q, dist = next(e for e in dfa.live_row(q) if e[2] == dist - 1)
+        word.append(s)
+    return tuple(word)

@@ -48,8 +48,18 @@ class LabeledGraph:
             rows[dst].append((s, src))
         return {v: tuple(sorted(row)) for v, row in rows.items()}
 
+    @cached_property
+    def sources_by_label(self) -> dict[Symbol, tuple[str, ...]]:
+        """Per edge label, the vertices with an out-edge carrying it, each
+        once.  Rows are tuples: a graph kept with its cache, such as a
+        certificate, holds a fraction of the memory that sets would."""
+        rows: dict[Symbol, set[str]] = {}
+        for src, s, _ in self.edges:
+            rows.setdefault(s, set()).add(src)
+        return {s: tuple(row) for s, row in rows.items()}
+
     def labels(self) -> frozenset[Symbol]:
-        return frozenset(s for _, s, _ in self.edges)
+        return frozenset(self.sources_by_label)
 
     def require_vertex(self, v: str) -> None:
         if v not in self.vertices:

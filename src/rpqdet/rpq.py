@@ -3,52 +3,67 @@
 A query holds between x and y when some directed walk from x to y spells a
 word of the query language.  Walks may repeat vertices and edges, so the
 evaluation runs as reachability in the product of graph and automaton.
+
+Unless the query accepts the empty word, an accepted walk leaves x by an
+edge whose label the start state reads, so ``evaluate`` starts only from
+the vertices that the graph's ``sources_by_label`` index lists under those
+labels (the rare-label start of Koschmieder & Leser, SSDBM 2012); a query
+that accepts the empty word starts from every vertex.  One stack-driven
+walk, ``_walk``, covers all the start vertices; ``holds`` runs it from one.
+``find_witness`` keeps its own layered search, because it carries the
+shortlex word and path of each product node.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .automata import Nfa
 from .graphs import LabeledGraph
 from .symbols import Word
 
 
-def _reached(delta, acc, out_adj, start: int, x: str) -> set[str]:
-    """The vertices that some walk from x reaches in an accepting state:
-    breadth-first search of the product of graph and automaton from
-    (x, start)."""
-    seen = {(x, start)}
-    queue = deque(seen)
-    hits: set[str] = set()
-    while queue:
-        v, s = queue.popleft()
-        if s in acc:
-            hits.add(v)
-        row = delta.get(s)
-        if not row:
-            continue
-        for label, dst in out_adj[v]:
-            for t in row.get(label, ()):
-                node = (dst, t)
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
-    return hits
+def _walk(q: Nfa, g: LabeledGraph, sources) -> set[tuple[str, str]]:
+    """The pairs (x, y), x among the sources, such that some walk from x
+    reaches y in an accepting state: a depth-first search of the product
+    of graph and automaton from each (x, start), all in one loop."""
+    delta, acc, out_adj, start = q.delta, q.accepting, g.out_adj, q.start
+    pairs: set[tuple[str, str]] = set()
+    for x in sources:
+        seen = {(x, start)}
+        stack = [(x, start)]
+        while stack:
+            v, s = stack.pop()
+            if s in acc:
+                pairs.add((x, v))
+            row = delta.get(s)
+            if not row:
+                continue
+            for label, dst in out_adj[v]:
+                for t in row.get(label, ()):
+                    node = (dst, t)
+                    if node not in seen:
+                        seen.add(node)
+                        stack.append(node)
+    return pairs
 
 
 def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
-    """All vertex pairs (x, y) connected by a walk spelling a query word."""
-    delta, acc, out_adj, start = q.delta, q.accepting, g.out_adj, q.start
-    return frozenset((x, v) for x in g.vertices
-                     for v in _reached(delta, acc, out_adj, start, x))
+    """All vertex pairs (x, y) connected by a walk spelling a query word,
+    searched from the first-label sources only."""
+    if q.start in q.accepting:
+        sources = g.vertices
+    else:
+        index = g.sources_by_label
+        sources = set()
+        for s in q.delta.get(q.start, ()):
+            sources.update(index.get(s, ()))
+    return frozenset(_walk(q, g, sources))
 
 
 def holds(q: Nfa, g: LabeledGraph, x: str, y: str) -> bool:
     """Single-pair check."""
     g.require_vertex(x)
     g.require_vertex(y)
-    return y in _reached(q.delta, q.accepting, g.out_adj, q.start, x)
+    return (x, y) in _walk(q, g, (x,))
 
 
 def find_witness(q: Nfa, g: LabeledGraph, x: str,

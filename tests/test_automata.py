@@ -149,6 +149,17 @@ def test_render_random_trees_round_trip():
         assert parse_regex(render_regex(r, TWO), TWO) == r
 
 
+def test_render_walks_a_long_flat_word():
+    # Trees are compared through their renderings and automata: the
+    # dataclass __eq__ recurses once per tree level.
+    flat = concat_all([Lit(sym("alpha")), Lit(sym("beta"))] * 5000)
+    text = render_regex(flat, SPECIALS)
+    assert text == " ".join(["alpha beta"] * 5000)
+    back = parse_regex(text, SPECIALS)
+    assert render_regex(back, SPECIALS) == text
+    assert compile_nfa(back, SPECIALS) == compile_nfa(flat, SPECIALS)
+
+
 # --------------------------------------------------------------------------
 # Compilation and membership
 

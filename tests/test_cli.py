@@ -141,11 +141,17 @@ def test_play_initial_cap_zero_is_a_cap_not_an_absent_flag(files, capsys):
     assert "q0 has no word within length 0" in capsys.readouterr().err
 
 
-def test_play_on_a_long_flat_view(files, capsys):
+def flat_view(files):
+    """An instance whose one view is a 3,000-letter word."""
     instance = files["root"] / "flat_view.json"
     instance.write_text(json.dumps({
         "alphabet": ["alpha", "beta", "omega"], "q0": "alpha omega",
         "views": {"good": [" ".join(["alpha"] * 3000)]}}))
+    return instance
+
+
+def test_play_on_a_long_flat_view(files, capsys):
+    instance = flat_view(files)
     code = main(["play", str(instance), "--initial-word", "alpha omega"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "WON_FIXPOINT round=0"
@@ -248,6 +254,30 @@ def test_verify_reports_the_failing_condition(files, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "G(Q0) fails" in out
+
+
+def test_search_and_verify_on_a_long_flat_view(files, capsys):
+    instance = flat_view(files)
+    cert = files["root"] / "flat_view_cert.json"
+    assert main(["search", str(instance), "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.strip() == "NONDETERMINATE"
+    assert main(["verify", str(cert), str(instance)]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+
+
+def test_verify_a_failing_certificate_on_a_long_flat_view(files, capsys):
+    instance = flat_view(files)
+    cert = files["root"] / "flat_view_bad_cert.json"
+    cert.write_text(json.dumps({
+        "vertices": ["a", "b"],
+        "edges": [{"src": "a", "label": "G:alpha", "dst": "a"},
+                  {"src": "a", "label": "G:alpha", "dst": "b"},
+                  {"src": "b", "label": "G:omega", "dst": "b"}],
+        "a": "a", "b": "b"}))
+    assert main(["verify", str(cert), str(instance)]) == 1
+    green, red = (" ".join([f"{c}:alpha"] * 3000) for c in "GR")
+    assert capsys.readouterr().out.splitlines() == [
+        f"views fail: constraint 0 ({green} -> {red}) not satisfied"]
 
 
 def test_verify_takes_no_out_flag(files, capsys):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import random_graph
 from rpqdet.graphs import (
     EndpointedGraph,
     LabeledGraph,
@@ -155,3 +158,20 @@ def test_chain_graph_path_is_unique(names):
     g = chain_graph(w, "a", "b")
     assert chain_word(g, "a", "b") == w
     assert len(g.edges) == len(w)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_sources_by_label_matches_an_edge_scan(seed):
+    rng = random.Random(seed)
+    labels = [sym(n) for n in ("G:alpha", "R:alpha", "G:omega", "beta")]
+    g = random_graph(rng, labels, max_edges=rng.choice([0, 3, 14]))
+    want: dict = {}
+    for src, s, _ in g.edges:
+        want.setdefault(s, set()).add(src)
+    got = g.sources_by_label
+    assert {s: set(row) for s, row in got.items()} == want
+    assert all(len(row) == len(set(row)) for row in got.values())
+    assert g.labels() == want.keys()
+    # A vertex without out-edges, isolated or not, is in no row.
+    quiet = g.vertices - {src for src, _, _ in g.edges}
+    assert all(quiet.isdisjoint(row) for row in got.values())

@@ -7,9 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from rpqdet import constraints, gadget
+from rpqdet.automata import parse_word
+from rpqdet.escape import initial_position
+from rpqdet.ogtp import all_black_tiling
+
 # run_path compiles the file in memory: nothing is written under bench/.
-TRACED = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))["TRACED"]
+TRACER = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+TRACED = TRACER["TRACED"]
 
 
 @pytest.mark.parametrize("module,attr", TRACED,
@@ -22,3 +28,19 @@ def test_every_traced_function_resolves(module, attr):
     else:
         fn = getattr(home, attr)
     assert callable(fn)
+
+
+def test_tracer_charges_the_rpq_layers(black_reduction):
+    """requests and check_counterexample reach evaluate and holds through
+    the module names the tracer rebinds."""
+    word = parse_word("alpha A-H-C-black B-V-C-black omega",
+                      black_reduction.q0_nfa.alphabet)
+    chain = initial_position(word).graph
+    eg = gadget.decorate(gadget.build_grid(4), all_black_tiling(4))
+    with TRACER["Tracer"]() as t:
+        assert constraints.requests(black_reduction.constraint_set(), chain)
+        assert gadget.check_counterexample(
+            eg.graph, black_reduction.views.all_languages(),
+            black_reduction.q0_nfa, eg.a, eg.b).ok
+    assert t.calls["rpq.evaluate"] > 0
+    assert t.calls["rpq.holds"] > 0
