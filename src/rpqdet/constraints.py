@@ -4,14 +4,14 @@ A constraint lhs -> rhs demands that whenever lhs holds between two
 vertices, rhs holds there too.  Lifting a base language L to the colored
 signature produces the pair G(L) -> R(L) and R(L) -> G(L); a graph
 satisfying both carries a red twin of every green L-connection and vice
-versa.
+versa.  The pair shares its two automata, recolorings of the one compiled
+for L, so ``requests`` evaluates each of them once per graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus, Regex,
                        Star, Union, accepts, compile_nfa, literals_used,
@@ -62,9 +62,12 @@ def recolor_regex(r: Regex, color: Color) -> Regex:
 
 def recolor_nfa(n: Nfa, color: Color) -> Nfa:
     """The same automaton over one colored copy of a base alphabet."""
+    # Symbols repeat across transitions (a position is entered on each of
+    # its symbols from every predecessor), so each is colored once.
+    paint = {s: s.colored(color) for s in {s for _, s, _ in n.transitions}}
     return Nfa(alphabet=n.alphabet.colored(),
                n_states=n.n_states,
-               transitions=frozenset((a, s.colored(color), b)
+               transitions=frozenset((a, paint[s], b)
                                      for a, s, b in n.transitions),
                start=n.start,
                accepting=n.accepting)
@@ -72,20 +75,15 @@ def recolor_nfa(n: Nfa, color: Color) -> Nfa:
 
 @dataclass(frozen=True)
 class RegularConstraint:
-    """lhs -> rhs over a colored alphabet, with a stable id."""
+    """lhs -> rhs over a colored alphabet, with a stable id, and the
+    automata of its two sides, which the other arrow of a pair shares."""
 
     lhs: Regex
     rhs: Regex
     cid: int
     alphabet: Alphabet
-
-    @cached_property
-    def lhs_nfa(self) -> Nfa:
-        return compile_nfa(self.lhs, self.alphabet)
-
-    @cached_property
-    def rhs_nfa(self) -> Nfa:
-        return compile_nfa(self.rhs, self.alphabet)
+    lhs_nfa: Nfa = field(compare=False, repr=False)
+    rhs_nfa: Nfa = field(compare=False, repr=False)
 
     def describe(self) -> str:
         return (f"{render_regex(self.lhs, self.alphabet)} -> "
@@ -107,7 +105,9 @@ class ConstraintSet:
         return self.constraints[cid]
 
 
-def _check_language(l: Regex, base_alphabet: Alphabet) -> None:
+def _check_language(l: Regex, base_alphabet: Alphabet) -> Nfa:
+    """The automaton of a base view language, which must be epsilon-free
+    over the base alphabet."""
     for s in literals_used(l):
         if s.color is not None:
             raise ConstraintError(f"language uses colored symbol {s.name!r}; "
@@ -118,18 +118,23 @@ def _check_language(l: Regex, base_alphabet: Alphabet) -> None:
     if accepts(n, ()):
         raise ConstraintError("language contains the empty word; constraint "
                               "sides must be epsilon-free")
+    return n
 
 
 def make_arrows(l: Regex, base_alphabet: Alphabet,
                 first_id: int = 0) -> tuple[RegularConstraint, RegularConstraint]:
     """The two colored containment constraints induced by a base language:
-    green-to-red, then red-to-green."""
-    _check_language(l, base_alphabet)
-    colored = base_alphabet.colored()
+    green-to-red, then red-to-green.  Both hold the same two automata,
+    recolorings of the one compiled for l, which are equal to the automata
+    of the recolored regexes."""
+    n = _check_language(l, base_alphabet)
     green = recolor_regex(l, Color.GREEN)
     red = recolor_regex(l, Color.RED)
-    return (RegularConstraint(green, red, first_id, colored),
-            RegularConstraint(red, green, first_id + 1, colored))
+    g_nfa = recolor_nfa(n, Color.GREEN)
+    r_nfa = recolor_nfa(n, Color.RED)
+    colored = g_nfa.alphabet
+    return (RegularConstraint(green, red, first_id, colored, g_nfa, r_nfa),
+            RegularConstraint(red, green, first_id + 1, colored, r_nfa, g_nfa))
 
 
 def make_arrow_set(languages, base_alphabet: Alphabet) -> ConstraintSet:
@@ -159,10 +164,23 @@ class Request:
 
 
 def requests(cs: ConstraintSet, g: LabeledGraph) -> tuple[Request, ...]:
-    """All open requests, ordered by (x, y, constraint id)."""
+    """All open requests, ordered by (x, y, constraint id).
+
+    Each distinct automaton is evaluated once.  Automata are told apart by
+    identity, not by value: hashing and comparing them costs a large part
+    of a whole call.
+    """
+    memo: dict[int, frozenset[tuple[str, str]]] = {}
+
+    def pairs(q: Nfa) -> frozenset[tuple[str, str]]:
+        got = memo.get(id(q))
+        if got is None:
+            got = memo[id(q)] = evaluate(q, g)
+        return got
+
     out: list[Request] = []
     for rc in cs:
-        missing = evaluate(rc.lhs_nfa, g) - evaluate(rc.rhs_nfa, g)
+        missing = pairs(rc.lhs_nfa) - pairs(rc.rhs_nfa)
         out += [Request(x, y, rc) for x, y in missing]
     out.sort(key=lambda r: (r.x, r.y, r.cid))
     return tuple(out)
@@ -224,7 +242,8 @@ def constraint_set_from_json(text: str, base_alphabet: Alphabet) -> ConstraintSe
         expect(entry, dict, "constraint")
         lhs = parse_regex(expect_key(entry, "lhs", str, "constraint"), colored)
         rhs = parse_regex(expect_key(entry, "rhs", str, "constraint"), colored)
-        rc = RegularConstraint(lhs, rhs, i, colored)
+        rc = RegularConstraint(lhs, rhs, i, colored, compile_nfa(lhs, colored),
+                               compile_nfa(rhs, colored))
         if accepts(rc.rhs_nfa, ()):
             raise ConstraintError(f"constraint {i}: rhs contains the empty word")
         if shortest_word(rc.rhs_nfa) is None and shortest_word(rc.lhs_nfa) is not None:

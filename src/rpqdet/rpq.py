@@ -9,9 +9,10 @@ edge whose label the start state reads, so ``evaluate`` starts only from
 the vertices that the graph's ``sources_by_label`` index lists under those
 labels (the rare-label start of Koschmieder & Leser, SSDBM 2012); a query
 that accepts the empty word starts from every vertex.  One stack-driven
-walk, ``_walk``, covers all the start vertices; ``holds`` runs it from one.
-``find_witness`` keeps its own layered search, because it carries the
-shortlex word and path of each product node.
+walk, ``_walk``, covers all the start vertices; ``holds`` runs it from one
+and stops as soon as the walk reaches its goal vertex in an accepting
+state.  ``find_witness`` keeps its own layered search, because it carries
+the shortlex word and path of each product node.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from .graphs import LabeledGraph
 from .symbols import Word
 
 
-def _walk(q: Nfa, g: LabeledGraph, sources) -> set[tuple[str, str]]:
+def _walk(q: Nfa, g: LabeledGraph, sources,
+          goal: str | None = None) -> set[tuple[str, str]]:
     """The pairs (x, y), x among the sources, such that some walk from x
     reaches y in an accepting state: a depth-first search of the product
-    of graph and automaton from each (x, start), all in one loop."""
+    of graph and automaton from each (x, start), all in one loop.  With a
+    goal, it returns as soon as it finds a pair (x, goal), so the pairs
+    are then complete only if no such pair exists."""
     delta, acc, out_adj, start = q.delta, q.accepting, g.out_adj, q.start
     pairs: set[tuple[str, str]] = set()
     for x in sources:
@@ -34,6 +38,8 @@ def _walk(q: Nfa, g: LabeledGraph, sources) -> set[tuple[str, str]]:
             v, s = stack.pop()
             if s in acc:
                 pairs.add((x, v))
+                if v == goal:
+                    return pairs
             row = delta.get(s)
             if not row:
                 continue
@@ -63,7 +69,7 @@ def holds(q: Nfa, g: LabeledGraph, x: str, y: str) -> bool:
     """Single-pair check."""
     g.require_vertex(x)
     g.require_vertex(y)
-    return (x, y) in _walk(q, g, (x,))
+    return (x, y) in _walk(q, g, (x,), y)
 
 
 def find_witness(q: Nfa, g: LabeledGraph, x: str,

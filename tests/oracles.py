@@ -23,11 +23,13 @@ from rpqdet.automata import (
     Union,
 )
 from rpqdet.automata import accepts, iter_words
-from rpqdet.constraints import apply_add, requests
+from rpqdet.constraints import (ConstraintSet, apply_add, make_arrow_set,
+                                recolor_nfa, requests, satisfied)
 from rpqdet.escape import (ExploreContext, Position, Verdict, VerdictKind,
                            initial_position)
+from rpqdet.gadget import CounterexampleReport
 from rpqdet.graphs import LabeledGraph
-from rpqdet.rpq import holds
+from rpqdet.rpq import evaluate, holds
 from rpqdet.symbols import Color, Symbol, Word
 
 
@@ -344,6 +346,37 @@ def explore_immutable(q0, cs, caps) -> Verdict:
     """explore with classify_immutable on the same start words."""
     ctx = ExploreContext(q0, cs, caps)
     return ctx.verdict(classify_immutable(ctx, w) for w in ctx.start_words())
+
+
+# --------------------------------------------------------------------------
+# Requests and counterexample checks constraint by constraint: both sides of
+# every constraint evaluated afresh, instead of each distinct automaton once.
+
+
+def requests_per_constraint(cs: ConstraintSet,
+                            g: LabeledGraph) -> list[tuple[str, str, int]]:
+    """(x, y, cid) of every open request, sorted: evaluate(lhs) minus
+    evaluate(rhs) for each constraint."""
+    out: list[tuple[str, str, int]] = []
+    for rc in cs:
+        missing = evaluate(rc.lhs_nfa, g) - evaluate(rc.rhs_nfa, g)
+        out += [(x, y, rc.cid) for x, y in missing]
+    return sorted(out)
+
+
+def check_counterexample_per_constraint(m: LabeledGraph, views, q0, a: str,
+                                        b: str) -> CounterexampleReport:
+    """gadget.check_counterexample with one satisfied() call per
+    constraint and the q0 paths read off evaluate()."""
+    failures = [f"views fail: constraint {rc.cid} ({rc.describe()}) "
+                "not satisfied"
+                for rc in make_arrow_set(list(views), q0.alphabet)
+                if not satisfied(rc, m)]
+    if (a, b) not in evaluate(recolor_nfa(q0, Color.GREEN), m):
+        failures.append("G(Q0) fails: no green q0 path from a to b")
+    if (a, b) in evaluate(recolor_nfa(q0, Color.RED), m):
+        failures.append("R(Q0) fails: a red q0 path from a to b exists")
+    return CounterexampleReport(not failures, tuple(failures))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import random_graph, random_regex
+from oracles import random_graph, random_regex, requests_per_constraint
 from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, concat_all, enumerate_words, literals_used, parse_regex, parse_word
 from rpqdet.constraints import (
     ConstraintError,
@@ -72,6 +74,34 @@ def test_recolor_nfa_preserves_language_shape():
         (sym("R:alpha"),),
         (sym("R:beta"), sym("R:omega")),
     ]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_recolored_automaton_is_the_automaton_of_the_recolored_regex(seed):
+    rng = random.Random(seed)
+    r = random_regex(rng, list(BLACK.symbols), depth=4,
+                     product_classes=rng.random() < 0.5)
+    n = compile_nfa(r, BLACK)
+    for color in (Color.GREEN, Color.RED):
+        assert recolor_nfa(n, color) == compile_nfa(recolor_regex(r, color),
+                                                    BLACK.colored())
+    if not accepts(n, ()):
+        fwd, back = make_arrows(r, BLACK)
+        assert back.lhs_nfa is fwd.rhs_nfa and back.rhs_nfa is fwd.lhs_nfa
+        assert fwd.lhs_nfa == compile_nfa(fwd.lhs, fwd.alphabet)
+        assert fwd.rhs_nfa == compile_nfa(fwd.rhs, fwd.alphabet)
+
+
+def test_reduction_arrows_share_their_automata(black_reduction,
+                                               blocked_reduction,
+                                               two_shade_reduction):
+    for reduction in (black_reduction, blocked_reduction,
+                      two_shade_reduction):
+        cs = reduction.constraint_set()
+        for fwd, back in zip(cs.constraints[::2], cs.constraints[1::2]):
+            assert back.lhs_nfa is fwd.rhs_nfa and back.rhs_nfa is fwd.lhs_nfa
+            assert fwd.lhs_nfa == compile_nfa(fwd.lhs, cs.alphabet)
+            assert fwd.rhs_nfa == compile_nfa(fwd.rhs, cs.alphabet)
 
 
 def test_make_arrows_returns_both_directions():
@@ -148,6 +178,32 @@ def test_requests_empty_iff_all_satisfied(black_reduction):
     assert requests(cs, g)
     empty = LabeledGraph.build([], [])
     assert requests(cs, empty) == ()
+
+
+@pytest.fixture(scope="module")
+def arrow_sets(black_reduction, two_shade_reduction):
+    """Per reduction, its arrow set and the same set read back from JSON,
+    whose arrows share no automaton."""
+    out = {}
+    for name, reduction in (("black", black_reduction),
+                            ("two_shade", two_shade_reduction)):
+        cs = reduction.constraint_set()
+        out[name] = (cs, constraint_set_from_json(constraint_set_to_json(cs),
+                                                  reduction.alphabet))
+    return out
+
+
+@pytest.mark.parametrize("name", ["black", "two_shade"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_requests_match_the_per_constraint_loop(name, seed, arrow_sets):
+    """requests evaluates each shared automaton once; the set read back
+    from JSON must give the same requests."""
+    cs, loaded = arrow_sets[name]
+    g = random_graph(random.Random(seed), list(cs.alphabet.symbols),
+                     max_vertices=6, max_edges=20)
+    want = requests_per_constraint(cs, g)
+    assert [(r.x, r.y, r.cid) for r in requests(cs, g)] == want
+    assert [(r.x, r.y, r.cid) for r in requests(loaded, g)] == want
 
 
 def test_request_invariant_holds_at_creation(black_reduction):
@@ -227,6 +283,9 @@ def test_constraint_set_json_round_trip(black_reduction):
     back = constraint_set_from_json(text, black_reduction.alphabet)
     assert len(back) == len(cs)
     assert [rc.describe() for rc in back] == [rc.describe() for rc in cs]
+    # Each side read back is compiled on its own: no automaton is shared.
+    nfas = [n for rc in back for n in (rc.lhs_nfa, rc.rhs_nfa)]
+    assert len({id(n) for n in nfas}) == len(nfas)
 
 
 @pytest.mark.parametrize("text", [

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import homomorphism_exists, is_homomorphism, isomorphic, random_graph
+from oracles import (check_counterexample_per_constraint, homomorphism_exists,
+                     is_homomorphism, isomorphic, random_graph)
 from rpqdet.constraints import make_arrow_set, requests, satisfied
 from rpqdet.escape import initial_position
 from rpqdet.gadget import (
@@ -168,6 +169,28 @@ def test_counterexample_checker_validates_endpoints(black_reduction):
     with pytest.raises(UnknownVertexError):
         check_counterexample(eg.graph, black_reduction.views.all_languages(),
                              black_reduction.q0_nfa, "a", "zzz")
+
+
+def test_counterexample_failures_match_the_per_constraint_loop(
+        two_shade_reduction):
+    """Every single-grey-cell tiling of the doubled grid, m = 2..4: the
+    failures read off requests() are the per-constraint satisfied()
+    failures, in the same order and words."""
+    views = two_shade_reduction.views.all_languages()
+    q0 = two_shade_reduction.q0_nfa
+    failed = 0
+    for m in (2, 3, 4):
+        grid = build_grid(m)
+        for field, cells in (("h", h_cells(m)), ("v", v_cells(m))):
+            for cell in cells:
+                t = all_black_tiling(m)
+                getattr(t, field)[cell] = "grey"
+                eg = decorate(grid, t)
+                got = check_counterexample(eg.graph, views, q0, eg.a, eg.b)
+                assert got == check_counterexample_per_constraint(
+                    eg.graph, views, q0, eg.a, eg.b)
+                failed += not got.ok
+    assert failed
 
 
 def test_grid_satisfies_the_good_views_with_no_open_requests(black_reduction):

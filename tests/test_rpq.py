@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import eval_algebraic, eval_walks, random_graph, random_regex
-from rpqdet.automata import Epsilon, Lit, compile_nfa, parse_regex, accepts
+from rpqdet.automata import Epsilon, Lit, Union, compile_nfa, parse_regex, accepts
 from rpqdet.gadget import build_grid
 from rpqdet.graphs import LabeledGraph, UnknownVertexError, chain_graph
 from rpqdet.rpq import evaluate, find_path, holds
@@ -107,6 +107,20 @@ def test_eval_holds_find_path_agree():
                 inside = (x, y) in pairs
                 assert holds(q, g, x, y) == inside
                 assert (find_path(q, g, x, y) is not None) == inside
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_holds_agrees_with_evaluate_on_random_instances(seed):
+    """holds stops once it reaches its goal; every pair, x == y included,
+    and a query that accepts the empty word must still agree."""
+    rng = random.Random(seed)
+    g = random_graph(rng, LABELS, max_vertices=6, max_edges=10)
+    r = random_regex(rng, LABELS, depth=3)
+    for q in (compile_nfa(r, ALPH), compile_nfa(Union(Epsilon(), r), ALPH)):
+        pairs = evaluate(q, g)
+        for x in sorted(g.vertices):
+            for y in sorted(g.vertices):
+                assert holds(q, g, x, y) == ((x, y) in pairs)
 
 
 def test_eval_agrees_with_relation_algebra():

@@ -44,3 +44,17 @@ def test_tracer_charges_the_rpq_layers(black_reduction):
             black_reduction.q0_nfa, eg.a, eg.b).ok
     assert t.calls["rpq.evaluate"] > 0
     assert t.calls["rpq.holds"] > 0
+
+
+def test_check_counterexample_evaluates_each_automaton_once(
+        two_shade_reduction):
+    """The two arrows of a view share their automata and requests()
+    evaluates each once: two evaluate calls and one compile per view."""
+    views = two_shade_reduction.views.all_languages()
+    eg = gadget.decorate(gadget.build_grid(4), all_black_tiling(4))
+    with TRACER["Tracer"]() as t:
+        assert gadget.check_counterexample(
+            eg.graph, views, two_shade_reduction.q0_nfa, eg.a, eg.b).ok
+    assert t.calls["rpq.evaluate"] == 2 * len(views)
+    assert t.calls["rpq.holds"] == 2
+    assert t.calls["automata.compile_nfa"] == len(views)
