@@ -5,20 +5,22 @@ vertices, rhs holds there too.  Lifting a base language L to the colored
 signature produces the pair G(L) -> R(L) and R(L) -> G(L); a graph
 satisfying both carries a red twin of every green L-connection and vice
 versa.  The pair shares its two automata, recolorings of the one compiled
-for L, so ``requests`` evaluates each of them once per graph.
+for L, so ``requests`` evaluates each of them once per graph, and
+``LiveRequests`` keeps one pair set for each while a play's graph grows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus, Regex,
                        Star, Union, accepts, compile_nfa, literals_used,
                        parse_regex, render_regex, shortest_word)
-from .graphs import LabeledGraph
-from .rpq import evaluate
-from .symbols import (Alphabet, Color, Word, WorkbenchError, expect,
+from .graphs import Edge, LabeledGraph, require_vertex
+from .rpq import LivePairs, edges_by_label, evaluate
+from .symbols import (Alphabet, Color, Symbol, Word, WorkbenchError, expect,
                       expect_key)
 
 
@@ -186,30 +188,81 @@ def requests(cs: ConstraintSet, g: LabeledGraph) -> tuple[Request, ...]:
     return tuple(out)
 
 
+class LiveRequests:
+    """requests(cs, g), kept current while g only grows.
+
+    Each distinct automaton of cs, told apart by identity as in
+    ``requests``, keeps its pairs in one ``LivePairs`` over the caller's
+    out-rows, which are walked as they stand at construction.  A
+    constraint's open requests after a step are those it had before and
+    those its lhs gained, less every pair its rhs now holds.
+    """
+
+    def __init__(self, cs: ConstraintSet,
+                 out: dict[str, list[tuple[Symbol, str]]]):
+        live: dict[int, LivePairs] = {}
+        for rc in cs:
+            for q in (rc.lhs_nfa, rc.rhs_nfa):
+                if id(q) not in live:
+                    live[id(q)] = LivePairs(q, out)
+        self._live = live
+        self._sides = [(rc, live[id(rc.lhs_nfa)], live[id(rc.rhs_nfa)])
+                       for rc in cs]
+        self._open: list[set[tuple[str, str]]] = [set() for _ in cs]
+        self.extend(list(out), [(v, label, dst) for v, row in out.items()
+                                for label, dst in row])
+
+    def extend(self, vertices, edges) -> None:
+        """Take in the vertices and edges just added to the out-rows."""
+        by_label = edges_by_label(edges)
+        gained = {key: pairs.extend(vertices, by_label)
+                  for key, pairs in self._live.items()}
+        self._open = [{p for p in chain(was, gained[id(lhs.q)])
+                       if p not in rhs.pairs}
+                      for was, (_, lhs, rhs) in zip(self._open, self._sides)]
+
+    def requests(self) -> tuple[Request, ...]:
+        """All open requests, ordered by (x, y, constraint id)."""
+        out = [Request(x, y, rc)
+               for (rc, _, _), open_ in zip(self._sides, self._open)
+               for x, y in open_]
+        out.sort(key=lambda r: (r.x, r.y, r.cid))
+        return tuple(out)
+
+
 def fresh_names(round_no: int, req_index: int, count: int) -> list[str]:
     return [f"n{round_no}_{req_index}_{k}" for k in range(1, count + 1)]
 
 
-def apply_add(g: LabeledGraph, r: Request, w: Word, *, round_no: int,
-              req_index: int) -> LabeledGraph:
-    """Graft a fresh path from r.x to r.y spelling w.
+def graft_path(vertices, r: Request, w: Word, *, round_no: int,
+               req_index: int) -> tuple[list[str], list[Edge]]:
+    """The fresh vertices and the edges of a path from r.x to r.y spelling
+    w, to be added to a graph with the given vertex set.  A word of length
+    n makes n-1 fresh vertices named n<round>_<index>_<k>.
 
-    The word must belong to the constraint's rhs language.  A word of
-    length n creates n-1 fresh vertices named n<round>_<index>_<k>.
-    """
-    g.require_vertex(r.x)
-    g.require_vertex(r.y)
+    The checks come in this order: both request endpoints are vertices,
+    the word is not empty, the constraint's rhs accepts it, the fresh
+    names are free.  apply_add, play_round and run_play all graft through
+    here."""
+    require_vertex(vertices, r.x)
+    require_vertex(vertices, r.y)
     if len(w) == 0:
         raise WitnessRejectedError("witness word is empty")
     check_witness(r.constraint, w)
     names = fresh_names(round_no, req_index, len(w) - 1)
-    clash = g.vertices.intersection(names)
+    clash = [v for v in names if v in vertices]
     if clash:
         raise ValueError(f"fresh vertex names already taken: {sorted(clash)}")
     stops = [r.x, *names, r.y]
-    return LabeledGraph(g.vertices.union(names),
-                        g.edges.union((stops[k], w[k], stops[k + 1])
-                                      for k in range(len(w))))
+    return names, list(zip(stops, w, stops[1:]))
+
+
+def apply_add(g: LabeledGraph, r: Request, w: Word, *, round_no: int,
+              req_index: int) -> LabeledGraph:
+    """Graft a fresh path from r.x to r.y spelling w (see graft_path)."""
+    names, edges = graft_path(g.vertices, r, w, round_no=round_no,
+                              req_index=req_index)
+    return LabeledGraph(g.vertices.union(names), g.edges.union(edges))
 
 
 def check_witness(rc: RegularConstraint, w: Word) -> None:

@@ -5,6 +5,13 @@ chain of a word of the start-and-traps language q0.  Each round the player
 must satisfy every open constraint request at once by grafting witness
 paths.  The player loses as soon as a red q0 word connects a to b; a
 position with no open requests is a fixpoint and certifies a counterexample.
+
+A round only adds edges, so ``run_play`` keeps one ``LivePosition`` for
+the whole play and extends it from each round's new edges: its reach
+sets answer the loss test, and a ``LiveRequests`` over its out-rows
+answers the requests.  ``step`` and the bounded search ask
+``requests`` on an immutable graph instead; the search takes its grafts
+back, which the request tracker does not support.
 """
 
 from __future__ import annotations
@@ -14,15 +21,16 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 from .automata import (Nfa, ProductDfa, accepts, enumerate_words, iter_words,
                        shortest_word)
-from .constraints import (ConstraintSet, RegularConstraint, Request,
-                          WitnessRejectedError, apply_add, check_witness,
-                          fresh_names, recolor_nfa, requests)
+from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
+                          Request, WitnessRejectedError, check_witness,
+                          fresh_names, graft_path, recolor_nfa, requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
-from .rpq import find_witness, holds
+from .rpq import find_witness
 from .symbols import (Color, Symbol, Word, WorkbenchError, expect, expect_items,
                       expect_key, format_word)
 
@@ -244,24 +252,50 @@ def strategy_interactive(**kwargs) -> InteractiveStrategy:
 # Playing
 
 
-def play_round(pos: Position, cs: ConstraintSet, strategy,
-               reqs: tuple[Request, ...]) -> tuple[Position, RoundRecord]:
-    """Satisfy every open request at once with the strategy's witnesses."""
+def _graft_round(pos: Position, cs: ConstraintSet, strategy, reqs,
+                 vertices, add) -> tuple[Word, ...]:
+    """Ask the strategy for each request's witness in order and graft it
+    at once: graft_path checks it against vertices, which must grow with
+    every add(names, edges).  Returns the witnesses."""
     round_no = pos.round + 1
-    g = pos.graph
     choices: list[Word] = []
     for i, r in enumerate(reqs):
         w = strategy(pos, r, cs)
         choices.append(w)
-        g = apply_add(g, r, w, round_no=round_no, req_index=i)
-    new_pos = Position(g, pos.a, pos.b, round_no)
-    added = tuple(sorted(g.edges - pos.graph.edges))
-    record = RoundRecord(round_no, tuple((r.x, r.y, r.cid) for r in reqs),
-                         tuple(choices), added)
+        add(*graft_path(vertices, r, w, round_no=round_no, req_index=i))
+    return tuple(choices)
+
+
+def _close_round(pos: Position, reqs, choices: tuple[Word, ...], added,
+                 new_pos: Position, strategy) -> RoundRecord:
+    """The round's record, once the strategy has seen the round."""
+    record = RoundRecord(pos.round + 1,
+                         tuple((r.x, r.y, r.cid) for r in reqs), choices,
+                         tuple(sorted(added)))
     hook = getattr(strategy, "observe_round", None)
     if hook is not None:
-        hook(pos, reqs, record.choices, new_pos)
-    return new_pos, record
+        hook(pos, reqs, choices, new_pos)
+    return record
+
+
+def play_round(pos: Position, cs: ConstraintSet, strategy,
+               reqs: tuple[Request, ...]) -> tuple[Position, RoundRecord]:
+    """Satisfy every open request at once with the strategy's witnesses.
+
+    The round's grafts go into one vertex set and one edge set, and the
+    new position's graph is built once from them."""
+    vertices = set(pos.graph.vertices)
+    edges = set(pos.graph.edges)
+
+    def add(names, path):
+        vertices.update(names)
+        edges.update(path)
+
+    choices = _graft_round(pos, cs, strategy, reqs, vertices, add)
+    g = LabeledGraph(frozenset(vertices), frozenset(edges))
+    new_pos = Position(g, pos.a, pos.b, pos.round + 1)
+    return new_pos, _close_round(pos, reqs, choices, g.edges - pos.graph.edges,
+                                 new_pos, strategy)
 
 
 def step(pos: Position, cs: ConstraintSet, strategy) -> Position:
@@ -273,30 +307,93 @@ def step(pos: Position, cs: ConstraintSet, strategy) -> Position:
     return new_pos
 
 
+class _Snapshot(Position):
+    """run_play's position at the end of a round.  Its graph is built
+    only when something reads it, from the first vertices of the live
+    position and the first edges of the play's edge log: the built-in
+    strategies read only the round.
+
+    It equals, and hashes as, the Position with the same fields.  It keeps
+    Position's __init__, so dataclasses.replace gives a _Snapshot holding
+    the graph it was given, which shadows the lazy one."""
+
+    @classmethod
+    def lazy(cls, live: LivePosition, edges: list[Edge],
+             round_no: int) -> _Snapshot:
+        snap = cls.__new__(cls)
+        # Position is frozen, so its fields are set past __setattr__, as
+        # its own __init__ does.
+        object.__setattr__(snap, "a", live.a)
+        object.__setattr__(snap, "b", live.b)
+        object.__setattr__(snap, "round", round_no)
+        object.__setattr__(snap, "_cut",
+                           (live.out, len(live.out), edges, len(edges)))
+        return snap
+
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        vertices, n_vertices, edges, n_edges = self._cut
+        return LabeledGraph(frozenset(islice(vertices, n_vertices)),
+                            frozenset(islice(edges, n_edges)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Position):
+            return NotImplemented
+        return ((self.graph, self.a, self.b, self.round)
+                == (other.graph, other.a, other.b, other.round))
+
+    __hash__ = Position.__hash__
+
+
 def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
              max_rounds: int) -> tuple[PlayResult, PlayTrace]:
     """Play from init until loss, fixpoint, or the round bound.
 
     q0 ranges over the base alphabet; the loss test checks its red copy
     between the endpoints after every position, the initial one included.
+
+    The play runs on one LivePosition over red q0, whose reach answers
+    the loss test, and one LiveRequests over its out-rows, which answers
+    the requests; both are extended from each round's new edges only, as
+    a round never takes an edge away.  After round one, the positions
+    handed to the strategy are _Snapshots, which build their graph when
+    it is first read.
     """
-    red_q0 = recolor_nfa(q0, Color.RED)
+    live = LivePosition(recolor_nfa(q0, Color.RED), init.graph, init.a,
+                        init.b)
+    tracker = LiveRequests(cs, live.out)
+    edges = list(init.graph.edges)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
     pos = init
     while True:
-        if holds(red_q0, pos.graph, pos.a, pos.b):
+        if live.lost():
             result = PlayResult(PlayOutcome.LOST, pos.round)
             break
-        reqs = requests(cs, pos.graph)
+        reqs = tracker.requests()
         if not reqs:
             result = PlayResult(PlayOutcome.WON_FIXPOINT, pos.round)
             break
         if pos.round >= max_rounds:
             result = PlayResult(PlayOutcome.EXHAUSTED, pos.round)
             break
-        pos, record = play_round(pos, cs, strategy, reqs)
-        records.append(record)
+        names: list[str] = []
+        added: list[Edge] = []
+
+        def add(fresh, path):
+            # A one-letter witness may repeat an edge; it is not added.
+            new = [e for e in path if e[1:] not in live.out.get(e[0], ())]
+            live.add(fresh, new)
+            names.extend(fresh)
+            added.extend(new)
+
+        choices = _graft_round(pos, cs, strategy, reqs, live.out, add)
+        tracker.extend(names, added)
+        edges += added
+        new_pos = _Snapshot.lazy(live, edges, pos.round + 1)
+        records.append(_close_round(pos, reqs, choices, added, new_pos,
+                                    strategy))
+        pos = new_pos
     return result, PlayTrace(init_word, tuple(records))
 
 
@@ -358,20 +455,28 @@ class LivePosition:
 
     def graft(self, r: Request, w: Word, round_no: int, req_index: int):
         """Add a fresh path from r.x to r.y spelling w, with the vertex
-        names apply_add gives it; returns the undo record."""
+        names apply_add gives it; returns the undo record.
+
+        The search checks its candidates once (ExploreContext.candidates),
+        so it grafts here without graft_path: building the path through
+        graft_path's lists made game search 4-8 % slower."""
         if not w:
             raise WitnessRejectedError("witness word is empty")
         names = fresh_names(round_no, req_index, len(w) - 1)
         clash = self.out.keys() & names
         if clash:
             raise ValueError(f"fresh vertex names already taken: {sorted(clash)}")
+        stops = [r.x, *names, r.y]
+        return self.add(names, zip(stops, w, stops[1:]))
+
+    def add(self, names, edges):
+        """Add the new vertices, then the edges; returns the undo record."""
         for v in names:
             self.out[v] = []
             self.reach[v] = set()
-        stops = [r.x, *names, r.y]
         sources: list[str] = []
         pairs: list[tuple[str, int]] = []
-        self._add_edges(zip(stops, w, stops[1:]), sources, pairs)
+        self._add_edges(edges, sources, pairs)
         return names, sources, pairs
 
     def undo(self, record) -> None:

@@ -62,8 +62,13 @@ class LabeledGraph:
         return frozenset(self.sources_by_label)
 
     def require_vertex(self, v: str) -> None:
-        if v not in self.vertices:
-            raise UnknownVertexError(f"no vertex named {v!r}")
+        require_vertex(self.vertices, v)
+
+
+def require_vertex(vertices, v: str) -> None:
+    """UnknownVertexError unless v is among the vertices."""
+    if v not in vertices:
+        raise UnknownVertexError(f"no vertex named {v!r}")
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,25 @@ walk, ``_walk``, covers all the start vertices; ``holds`` runs it from one
 and stops as soon as the walk reaches its goal vertex in an accepting
 state.  ``find_witness`` keeps its own layered search, because it carries
 the shortlex word and path of each product node.
+
+``LivePairs`` keeps the pairs of ``evaluate`` on a graph that only grows,
+as a play's positions do.  A pair that holds keeps holding, and a new
+pair needs a walk over a new edge, so each step resumes the walks already
+under way across the new edges, starts walks from the new sources, and
+does nothing else (semi-naive evaluation; Bancilhon & Ramakrishnan,
+1986).  This is a third walk, kept apart from ``_walk`` as
+``find_witness`` and the search's ``LivePosition`` are: it keeps what the
+walk from each source reached, where ``_walk`` throws its visited sets
+away, so a one-shot ``evaluate`` stays on ``_walk``; and its graph never
+loses an edge, so unlike ``LivePosition`` it keeps no undo log and no
+reach set per vertex.
 """
 
 from __future__ import annotations
 
 from .automata import Nfa
 from .graphs import LabeledGraph
-from .symbols import Word
+from .symbols import Symbol, Word
 
 
 def _walk(q: Nfa, g: LabeledGraph, sources,
@@ -116,3 +128,108 @@ def find_path(q: Nfa, g: LabeledGraph, x: str, y: str) -> Word | None:
     spells; None exactly when holds() is false."""
     hit = find_witness(q, g, x, y)
     return None if hit is None else hit[0]
+
+
+class LivePairs:
+    """The pairs evaluate(q, g) returns, kept current while g only grows.
+
+    ``out`` is the caller's out-row dict, vertex -> [(label, dst)], the
+    form of ``LivePosition.out``.  The pairs start empty: the caller hands
+    ``extend`` every vertex and edge of the rows, those already there
+    first, each batch once it is in the rows.
+
+    For each automaton state with an out-row, ``_at[state]`` maps every
+    vertex a walk has reached in that state to the walk's source: the
+    source's name while there is one, a set once there are more.  A state
+    with no out-row ends a walk, so it is not kept; a walk that reaches it
+    accepting records its pair again.
+    """
+
+    def __init__(self, q: Nfa, out: dict[str, list[tuple[Symbol, str]]]):
+        self.q = q
+        self.out = out
+        self.pairs: set[tuple[str, str]] = set()
+        delta = q.delta
+        self._at: list[dict | None] = [{} if delta.get(s) else None
+                                       for s in range(q.n_states)]
+        # label -> [(state, targets)] over the states that read the label.
+        self._readers: dict[Symbol, list[tuple[int, frozenset[int]]]] = {}
+        for s, row in delta.items():
+            for label, targets in row.items():
+                self._readers.setdefault(label, []).append((s, targets))
+
+    def extend(self, vertices, by_label) -> list[tuple[str, str]]:
+        """Take in the vertices and edges just added to the out-rows, the
+        edges grouped by edges_by_label; returns the pairs that now hold
+        and did not before."""
+        q = self.q
+        delta, acc, start, at, out = (q.delta, q.accepting, q.start,
+                                      self._at, self.out)
+        stack: list[tuple[str, str, int]] = []
+
+        def push(x: str, v: str, t: int) -> None:
+            seen = at[t]
+            if seen is None or _mark(seen, v, x):
+                stack.append((x, v, t))
+
+        # Walks under way cross each new edge from every state they
+        # reached its tail in.
+        for label, batch in by_label.items():
+            for s, targets in self._readers.get(label, ()):
+                seen = at[s]
+                for u, dst in batch:
+                    got = seen.get(u)
+                    if got is not None:
+                        for x in (got,) if isinstance(got, str) else list(got):
+                            for t in targets:
+                                push(x, dst, t)
+        # A vertex starts a walk once an accepted walk could leave it:
+        # every new vertex when the empty word is accepted, else a vertex
+        # with a new out-edge whose label the start state reads.
+        if start in acc:
+            for x in vertices:
+                push(x, x, start)
+        else:
+            for label in delta.get(start, ()):
+                for x, _ in by_label.get(label, ()):
+                    push(x, x, start)
+        new: list[tuple[str, str]] = []
+        pairs = self.pairs
+        while stack:
+            x, v, s = stack.pop()
+            if s in acc and (x, v) not in pairs:
+                pairs.add((x, v))
+                new.append((x, v))
+            row = delta.get(s)
+            if row:
+                for label, dst in out[v]:
+                    for t in row.get(label, ()):
+                        push(x, dst, t)
+        return new
+
+
+def edges_by_label(edges) -> dict[Symbol, list[tuple[str, str]]]:
+    """(src, dst) of the edges per label, the form LivePairs.extend takes,
+    so that automata sharing a step group its edges once."""
+    out: dict[Symbol, list[tuple[str, str]]] = {}
+    for src, label, dst in edges:
+        out.setdefault(label, []).append((src, dst))
+    return out
+
+
+def _mark(seen: dict, v: str, x: str) -> bool:
+    """Record in seen that the walk from x reached v; False if it had.
+    One source is kept as its name, not as a set of one, because most
+    (vertex, state) nodes of a play are reached from one source."""
+    got = seen.get(v)
+    if got is None:
+        seen[v] = x
+    elif isinstance(got, str):
+        if got == x:
+            return False
+        seen[v] = {got, x}
+    elif x in got:
+        return False
+    else:
+        got.add(x)
+    return True

@@ -151,7 +151,7 @@ def _canonical_key(s: Symbol) -> tuple:
 class Alphabet:
     """Finite ordered set of symbols; declaration order drives shortlex."""
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index", "_colored")
 
     def __init__(self, symbols):
         seen = []
@@ -163,6 +163,7 @@ class Alphabet:
             seen.append(s)
         self.symbols = tuple(seen)
         self._index = index
+        self._colored = None
 
     @classmethod
     def from_canonical(cls, symbols) -> "Alphabet":
@@ -211,9 +212,12 @@ class Alphabet:
         return tuple(out)
 
     def colored(self) -> "Alphabet":
-        """Green copies of every symbol, then red copies, in base order."""
-        if any(s.color is not None for s in self.symbols):
-            raise SymbolError("alphabet is already colored")
-        greens = [s.colored(Color.GREEN) for s in self.symbols]
-        reds = [s.colored(Color.RED) for s in self.symbols]
-        return Alphabet(greens + reds)
+        """Green copies of every symbol, then red copies, in base order;
+        built once per alphabet, since every recolored automaton asks."""
+        if self._colored is None:
+            if any(s.color is not None for s in self.symbols):
+                raise SymbolError("alphabet is already colored")
+            greens = [s.colored(Color.GREEN) for s in self.symbols]
+            reds = [s.colored(Color.RED) for s in self.symbols]
+            self._colored = Alphabet(greens + reds)
+        return self._colored

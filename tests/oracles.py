@@ -25,10 +25,11 @@ from rpqdet.automata import (
 from rpqdet.automata import accepts, iter_words
 from rpqdet.constraints import (ConstraintSet, apply_add, make_arrow_set,
                                 recolor_nfa, requests, satisfied)
-from rpqdet.escape import (ExploreContext, Position, Verdict, VerdictKind,
-                           initial_position)
+from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
+                           PlayTrace, Position, RoundRecord, Verdict,
+                           VerdictKind, initial_position)
 from rpqdet.gadget import CounterexampleReport
-from rpqdet.graphs import LabeledGraph
+from rpqdet.graphs import LabeledGraph, chain_word
 from rpqdet.rpq import evaluate, holds
 from rpqdet.symbols import Color, Symbol, Word
 
@@ -349,6 +350,56 @@ def explore_immutable(q0, cs, caps) -> Verdict:
 
 
 # --------------------------------------------------------------------------
+# Plays on immutable positions: every round asks holds() and requests() on
+# the whole graph and grafts each witness with apply_add, instead of
+# extending one live position and its request tracker from the new edges.
+
+
+def play_round_immutable(pos: Position, cs: ConstraintSet, strategy,
+                         reqs) -> tuple[Position, RoundRecord]:
+    """play_round with one apply_add, so one new graph, per request."""
+    round_no = pos.round + 1
+    g = pos.graph
+    choices: list[Word] = []
+    for i, r in enumerate(reqs):
+        w = strategy(pos, r, cs)
+        choices.append(w)
+        g = apply_add(g, r, w, round_no=round_no, req_index=i)
+    new_pos = Position(g, pos.a, pos.b, round_no)
+    added = tuple(sorted(g.edges - pos.graph.edges))
+    record = RoundRecord(round_no, tuple((r.x, r.y, r.cid) for r in reqs),
+                         tuple(choices), added)
+    hook = getattr(strategy, "observe_round", None)
+    if hook is not None:
+        hook(pos, reqs, record.choices, new_pos)
+    return new_pos, record
+
+
+def run_play_immutable(q0, cs: ConstraintSet, strategy, init: Position,
+                       max_rounds: int) -> tuple[PlayResult, PlayTrace]:
+    """run_play with a fresh holds() loss test and a fresh requests() call
+    on every position."""
+    red_q0 = recolor_nfa(q0, Color.RED)
+    records: list[RoundRecord] = []
+    init_word = chain_word(init.graph, init.a, init.b)
+    pos = init
+    while True:
+        if holds(red_q0, pos.graph, pos.a, pos.b):
+            result = PlayResult(PlayOutcome.LOST, pos.round)
+            break
+        reqs = requests(cs, pos.graph)
+        if not reqs:
+            result = PlayResult(PlayOutcome.WON_FIXPOINT, pos.round)
+            break
+        if pos.round >= max_rounds:
+            result = PlayResult(PlayOutcome.EXHAUSTED, pos.round)
+            break
+        pos, record = play_round_immutable(pos, cs, strategy, reqs)
+        records.append(record)
+    return result, PlayTrace(init_word, tuple(records))
+
+
+# --------------------------------------------------------------------------
 # Requests and counterexample checks constraint by constraint: both sides of
 # every constraint evaluated afresh, instead of each distinct automaton once.
 
@@ -436,3 +487,22 @@ def random_regex(rng: random.Random, labels: list[Symbol], depth: int = 4,
     if op == "star":
         return Star(random_regex(rng, labels, depth - 1, product_classes))
     return Plus(random_regex(rng, labels, depth - 1, product_classes))
+
+
+def random_batches(rng: random.Random, g: LabeledGraph):
+    """g's vertices and edges in random batches, as (vertices, edges) pairs:
+    each edge comes once both its endpoints have, and a batch may bring
+    nothing."""
+    vertices = sorted(g.vertices)
+    rng.shuffle(vertices)
+    pending = sorted(g.edges)
+    rng.shuffle(pending)
+    have: set[str] = set()
+    while vertices or pending:
+        new_vertices = [vertices.pop()
+                        for _ in range(rng.randint(0, len(vertices)))]
+        have.update(new_vertices)
+        ready = [e for e in pending if e[0] in have and e[2] in have]
+        new_edges = rng.sample(ready, rng.randint(0, len(ready)))
+        pending = [e for e in pending if e not in new_edges]
+        yield new_vertices, new_edges

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_graph, random_regex, requests_per_constraint
+from oracles import (random_batches, random_graph, random_regex,
+                     requests_per_constraint)
 from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, concat_all, enumerate_words, literals_used, parse_regex, parse_word
 from rpqdet.constraints import (
     ConstraintError,
+    LiveRequests,
     Request,
     WitnessRejectedError,
     apply_add,
@@ -204,6 +206,33 @@ def test_requests_match_the_per_constraint_loop(name, seed, arrow_sets):
     want = requests_per_constraint(cs, g)
     assert [(r.x, r.y, r.cid) for r in requests(cs, g)] == want
     assert [(r.x, r.y, r.cid) for r in requests(loaded, g)] == want
+
+
+@pytest.mark.parametrize("name", ["black", "two_shade"])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_live_requests_match_requests_after_every_batch(name, seed,
+                                                        arrow_sets):
+    cs, _ = arrow_sets[name]
+    rng = random.Random(seed)
+    g = random_graph(rng, list(cs.alphabet.symbols), max_vertices=6,
+                     max_edges=20)
+    batches = random_batches(rng, g)
+    # The tracker walks the rows it is given at once, then each batch.
+    out: dict = {}
+    edges: list = []
+    tracker = None
+    for new_vertices, new_edges in batches:
+        for v in new_vertices:
+            out[v] = []
+        for src, s, dst in new_edges:
+            out[src].append((s, dst))
+        edges += new_edges
+        if tracker is None:
+            tracker = LiveRequests(cs, out)
+        else:
+            tracker.extend(new_vertices, new_edges)
+        assert tracker.requests() == requests(cs, LabeledGraph.build(out,
+                                                                     edges))
 
 
 def test_request_invariant_holds_at_creation(black_reduction):

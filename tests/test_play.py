@@ -1,0 +1,200 @@
+"""run_play on its live position against run_play_immutable, which asks
+holds() and requests() afresh on every position and grafts with
+apply_add: the same results, the same trace bytes and the same errors."""
+
+import json
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import random_graph, random_regex, run_play_immutable
+from rpqdet.automata import Concat, Lit, compile_nfa, iter_words, parse_word
+from rpqdet.constraints import make_arrow_set
+from rpqdet.escape import (PlayOutcome, Position, initial_position, run_play,
+                           scripted_from_trace, strategy_guided,
+                           strategy_scripted, strategy_shortest,
+                           trace_from_jsonl, trace_to_jsonl)
+from rpqdet.gadget import build_grid, decorate, find_homomorphism
+from rpqdet.graphs import graph_to_json
+from rpqdet.ogtp import all_black_tiling
+from rpqdet.symbols import Alphabet, WorkbenchError
+
+SPECIALS = Alphabet(["alpha", "beta", "omega"])
+
+
+def _outcome(play, make_strategy):
+    """(result, trace JSONL, strategy) of one play, or the type and message
+    of the error it raised."""
+    strategy = make_strategy()
+    try:
+        result, trace = play(strategy)
+    except (WorkbenchError, ValueError) as e:
+        return type(e), str(e)
+    return result, trace_to_jsonl(trace), strategy
+
+
+def _same_play(q0, cs, make_strategy, init, max_rounds):
+    got = _outcome(lambda s: run_play(q0, cs, s, init, max_rounds),
+                   make_strategy)
+    want = _outcome(lambda s: run_play_immutable(q0, cs, s, init, max_rounds),
+                    make_strategy)
+    assert got[:2] == want[:2]
+    return got, want
+
+
+class Watching:
+    """A strategy that keeps every position it is shown, and the positions
+    observe_round passes, and defers to an inner strategy."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def __call__(self, pos, req, cs):
+        self.seen.append(pos)
+        return self.inner(pos, req, cs)
+
+    def observe_round(self, old_pos, reqs, choices, new_pos):
+        self.seen += [old_pos, new_pos]
+        hook = getattr(self.inner, "observe_round", None)
+        if hook is not None:
+            hook(old_pos, reqs, choices, new_pos)
+
+    def graphs(self):
+        return [(p.round, p.a, p.b, graph_to_json(p.graph)) for p in self.seen]
+
+
+def _random_play(seed):
+    """A random view set over the specials, a q0, and a start position:
+    a random colored graph, or the green chain of a word of q0 or of a
+    view, which opens a request from a to b.  Two rounds at most: the
+    requests of a third can run into the thousands."""
+    rng = random.Random(seed)
+    labels = list(SPECIALS.symbols)
+    views = [Concat(Lit(rng.choice(labels)), random_regex(rng, labels, 3))
+             for _ in range(rng.randint(1, 3))]
+    cs = make_arrow_set(views, SPECIALS)
+    q0 = compile_nfa(random_regex(rng, labels, 3), SPECIALS)
+    starts = [w for n in (q0, compile_nfa(rng.choice(views), SPECIALS))
+              for w in iter_words(n, 4) if w]
+    if not starts or rng.random() < 0.3:
+        g = random_graph(rng, list(SPECIALS.colored().symbols),
+                         max_vertices=6, max_edges=9)
+        vs = sorted(g.vertices)
+        init = Position(g, rng.choice(vs), rng.choice(vs), 0)
+    else:
+        init = initial_position(rng.choice(starts))
+    # Words for a script: rhs words, a word of base symbols, which no rhs
+    # reads, and the empty word, so that replays also fail mid-round.
+    pool = [w for rc in cs for w in iter_words(rc.rhs_nfa, 2) if w]
+    pool += [(), tuple(SPECIALS.symbols)]
+    script = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+    return q0, cs, init, script, rng.randint(1, 2)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_run_play_matches_the_immutable_play_on_random_instances(seed):
+    q0, cs, init, script, max_rounds = _random_play(seed)
+    _same_play(q0, cs, strategy_shortest, init, max_rounds)
+    _same_play(q0, cs, lambda: strategy_scripted(script), init, max_rounds)
+    # The positions shown to a strategy hold the graph as it stood before
+    # the round, however much later it is read.
+    got, want = _same_play(q0, cs,
+                           lambda: Watching(strategy_scripted(script)),
+                           init, max_rounds)
+    if len(got) == 3:
+        assert got[2].graphs() == want[2].graphs()
+        assert got[2].seen == want[2].seen
+        assert want[2].seen == got[2].seen
+        assert [hash(p) for p in got[2].seen] == [hash(p) for p in want[2].seen]
+
+
+def test_play_positions_replace_like_positions(black_reduction):
+    """A position run_play shows the strategy keeps dataclasses.replace
+    working: the copy holds the graph it is given and equals the Position
+    with the same fields."""
+    q0, cs = black_reduction.q0_nfa, black_reduction.constraint_set()
+    model = decorate(build_grid(2), all_black_tiling(2)).graph
+    init = _start_chain(2)
+    watch = Watching(_guided(model, init)())
+    run_play(q0, cs, watch, init, 20)
+    later = [p for p in watch.seen if type(p) is not Position]
+    assert later
+    for p in later:
+        plain = Position(p.graph, p.a, p.b, p.round)
+        assert p == plain and plain == p and hash(p) == hash(plain)
+        assert replace(p, round=7) == replace(plain, round=7)
+        assert replace(p, graph=init.graph).graph is init.graph
+        assert replace(p, graph=init.graph) == replace(plain, graph=init.graph)
+        assert p != replace(plain, b="elsewhere")
+
+
+def _start_chain(m):
+    return initial_position(parse_word(
+        "alpha " + "A-H-C-black B-V-C-black " * m + "omega",
+        Alphabet(["alpha", "omega", "A-H-C-black", "B-V-C-black"])))
+
+
+def _guided(model, init):
+    h0 = find_homomorphism(init.graph, model)
+    assert h0 is not None
+    return lambda: strategy_guided(model, h0)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("name", ["black", "two_shade"])
+def test_guided_play_to_the_doubled_grid_matches_the_immutable_play(
+        name, m, request):
+    out = request.getfixturevalue(f"{name}_reduction")
+    cs = out.constraint_set()
+    model = decorate(build_grid(m), all_black_tiling(m)).graph
+    init = _start_chain(m)
+    got, want = _same_play(out.q0_nfa, cs, _guided(model, init), init, 20)
+    result = got[0]
+    assert (result.outcome, result.round) == (PlayOutcome.WON_FIXPOINT,
+                                              m + 1)
+    assert got[2].mapping == want[2].mapping
+
+
+def test_each_outcome_matches_the_immutable_play(black_reduction):
+    q0, cs = black_reduction.q0_nfa, black_reduction.constraint_set()
+    model = decorate(build_grid(2), all_black_tiling(2)).graph
+    init = _start_chain(2)
+    lost = initial_position(
+        parse_word("alpha A-H-W-black omega", black_reduction.alphabet))
+    cases = [(strategy_shortest, lost, 10, PlayOutcome.LOST),
+             (_guided(model, init), init, 2, PlayOutcome.EXHAUSTED),
+             (_guided(model, init), init, 10, PlayOutcome.WON_FIXPOINT)]
+    for make_strategy, start, max_rounds, outcome in cases:
+        got, _ = _same_play(q0, cs, make_strategy, start, max_rounds)
+        assert got[0].outcome is outcome
+
+
+def _edited(trace, round_no, index, choice):
+    """The trace with one choice of one round replaced, in JSONL form."""
+    lines = trace_to_jsonl(trace).splitlines()
+    rec = json.loads(lines[round_no])
+    rec["choices"][index] = choice
+    lines[round_no] = json.dumps(rec)
+    return trace_from_jsonl("\n".join(lines) + "\n")
+
+
+def test_mid_round_failures_match_the_immutable_play(black_reduction):
+    q0, cs = black_reduction.q0_nfa, black_reduction.constraint_set()
+    model = decorate(build_grid(2), all_black_tiling(2)).graph
+    init = _start_chain(2)
+    _, trace = run_play(q0, cs, _guided(model, init)(), init, 20)
+    short = list(trace.rounds[0].choices) + list(trace.rounds[1].choices[:3])
+    failing = {
+        "script ran out": lambda: strategy_scripted(short),
+        "not in the rhs language":
+            lambda: scripted_from_trace(_edited(trace, 2, 1, "R:alpha")),
+        "witness word is empty":
+            lambda: scripted_from_trace(_edited(trace, 2, 1, "")),
+    }
+    for needle, make_strategy in failing.items():
+        got, _ = _same_play(q0, cs, make_strategy, init, 20)
+        assert needle in got[1]

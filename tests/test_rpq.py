@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import eval_algebraic, eval_walks, random_graph, random_regex
-from rpqdet.automata import Epsilon, Lit, Union, compile_nfa, parse_regex, accepts
+from oracles import (eval_algebraic, eval_walks, random_batches, random_graph,
+                     random_regex)
+from rpqdet.automata import (Epsilon, Lit, Nfa, Union, accepts, compile_nfa,
+                             parse_regex)
 from rpqdet.gadget import build_grid
 from rpqdet.graphs import LabeledGraph, UnknownVertexError, chain_graph
-from rpqdet.rpq import evaluate, find_path, holds
+from rpqdet.rpq import LivePairs, edges_by_label, evaluate, find_path, holds
 from rpqdet.symbols import Alphabet, sym
 
 LABELS = [sym(n) for n in ("alpha", "beta", "omega", "A-H-C-black")]
@@ -166,3 +168,36 @@ def test_eval_matches_oracle_on_random_instances(seed):
     g = random_graph(rng, LABELS, max_vertices=6, max_edges=9)
     r = random_regex(rng, LABELS, depth=3)
     assert evaluate(compile_nfa(r, ALPH), g) == eval_algebraic(r, g)
+
+
+def _hand_built(start_accepts: bool) -> Nfa:
+    """alpha (beta alpha)* omega?, with state 0 re-entered on beta; when
+    start_accepts, state 0 also accepts, which the Glushkov automata of
+    compile_nfa never combine with re-entry."""
+    a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
+    return Nfa(ALPH, 3, frozenset({(0, a, 1), (1, b, 0), (1, o, 2)}), 0,
+               frozenset({0, 1, 2} if start_accepts else {1, 2}))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_live_pairs_match_evaluate_after_every_batch(seed):
+    rng = random.Random(seed)
+    queries = [compile_nfa(random_regex(rng, LABELS, depth=3), ALPH),
+               nfa("alpha*"), _hand_built(True), _hand_built(False)]
+    g = random_graph(rng, LABELS, max_vertices=7, max_edges=16)
+    out: dict = {}
+    live = [LivePairs(q, out) for q in queries]
+    edges: list = []
+    for new_vertices, new_edges in random_batches(rng, g):
+        for v in new_vertices:
+            out[v] = []
+        for src, s, dst in new_edges:
+            out[src].append((s, dst))
+        edges += new_edges
+        now = LabeledGraph.build(out, edges)
+        by_label = edges_by_label(new_edges)
+        for pairs in live:
+            before = set(pairs.pairs)
+            gained = pairs.extend(new_vertices, by_label)
+            assert pairs.pairs == evaluate(pairs.q, now)
+            assert sorted(gained) == sorted(pairs.pairs - before)

@@ -116,6 +116,17 @@ def test_colored_alphabet_layout():
     assert [s.name for s in doubled] == ["G:alpha", "G:omega", "R:alpha", "R:omega"]
     with pytest.raises(SymbolError):
         doubled.colored()
+    with pytest.raises(SymbolError):
+        doubled.colored()
+
+
+def test_colored_alphabet_is_built_once():
+    base = Alphabet(["alpha", "omega", "A-H-W-black"])
+    first = base.colored()
+    assert base.colored() is first
+    assert first == Alphabet(["G:alpha", "G:omega", "G:A-H-W-black",
+                              "R:alpha", "R:omega", "R:A-H-W-black"])
+    assert base == Alphabet(["alpha", "omega", "A-H-W-black"])
 
 
 def test_sigma0_and_shades():

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from rpqdet import constraints, gadget
+from rpqdet import constraints, escape, gadget
 from rpqdet.automata import parse_word
-from rpqdet.escape import initial_position
+from rpqdet.escape import PlayOutcome, initial_position
 from rpqdet.ogtp import all_black_tiling
 
 # run_path compiles the file in memory: nothing is written under bench/.
@@ -51,10 +51,31 @@ def test_check_counterexample_evaluates_each_automaton_once(
     """The two arrows of a view share their automata and requests()
     evaluates each once: two evaluate calls and one compile per view."""
     views = two_shade_reduction.views.all_languages()
+    # q0 is compiled on first use; compile it here, outside the count.
+    q0 = two_shade_reduction.q0_nfa
     eg = gadget.decorate(gadget.build_grid(4), all_black_tiling(4))
     with TRACER["Tracer"]() as t:
-        assert gadget.check_counterexample(
-            eg.graph, views, two_shade_reduction.q0_nfa, eg.a, eg.b).ok
+        assert gadget.check_counterexample(eg.graph, views, q0, eg.a,
+                                           eg.b).ok
     assert t.calls["rpq.evaluate"] == 2 * len(views)
     assert t.calls["rpq.holds"] == 2
     assert t.calls["automata.compile_nfa"] == len(views)
+
+
+def test_guided_play_evaluates_nothing_from_scratch(black_reduction):
+    """run_play answers requests and the loss test from its live position:
+    a play on the 4-grid makes no whole-graph evaluation and no graft that
+    copies the graph."""
+    q0, cs = black_reduction.q0_nfa, black_reduction.constraint_set()
+    init = initial_position(parse_word(
+        "alpha " + "A-H-C-black B-V-C-black " * 4 + "omega", q0.alphabet))
+    model = gadget.decorate(gadget.build_grid(4), all_black_tiling(4)).graph
+    h0 = gadget.find_homomorphism(init.graph, model)
+    with TRACER["Tracer"]() as t:
+        result, _ = escape.run_play(q0, cs, escape.strategy_guided(model, h0),
+                                    init, 20)
+    assert (result.outcome, result.round) == (PlayOutcome.WON_FIXPOINT, 5)
+    assert t.calls["escape.run_play"] == 1
+    for name in ("rpq.evaluate", "rpq.holds", "constraints.requests",
+                 "constraints.apply_add"):
+        assert t.calls.get(name, 0) == 0, name
