@@ -16,7 +16,7 @@ from .graphs import (Edge, EndpointedGraph, LabeledGraph, UnknownVertexError,
                      chain_graph, chain_word, endpointed_from_json,
                      endpointed_to_json, graph_from_json, graph_to_json,
                      graph_union, recolor, strip_shades)
-from .rpq import evaluate, find_path, find_witness, holds
+from .rpq import evaluate, find_witness, holds
 from .constraints import (ConstraintError, ConstraintSet, RegularConstraint,
                           Request, WitnessRejectedError, apply_add,
                           fresh_names, make_arrow_set, make_arrows,
@@ -24,8 +24,8 @@ from .constraints import (ConstraintError, ConstraintSet, RegularConstraint,
 from .escape import (Caps, ExploreContext, GuidanceError, PlayOutcome,
                      PlayResult, PlayTrace, Position, ScriptExhaustedError,
                      Verdict, VerdictKind, explore, initial_position,
-                     initial_positions, run_play, scripted_from_trace, step,
-                     strategy_guided, strategy_interactive, strategy_scripted,
+                     run_play, scripted_from_trace, strategy_guided,
+                     strategy_interactive, strategy_scripted,
                      strategy_shortest, trace_from_jsonl, trace_to_jsonl)
 from .ogtp import (GridTiling, OgtpError, OgtpInstance, ReductionOutput,
                    SearchSpaceError, TilingError, Views, all_black_tiling,

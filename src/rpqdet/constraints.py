@@ -242,8 +242,7 @@ def graft_path(vertices, r: Request, w: Word, *, round_no: int,
 
     The checks come in this order: both request endpoints are vertices,
     the word is not empty, the constraint's rhs accepts it, the fresh
-    names are free.  apply_add, play_round and run_play all graft through
-    here."""
+    names are free.  apply_add and run_play both graft through here."""
     require_vertex(vertices, r.x)
     require_vertex(vertices, r.y)
     if len(w) == 0:

@@ -9,9 +9,13 @@ position with no open requests is a fixpoint and certifies a counterexample.
 A round only adds edges, so ``run_play`` keeps one ``LivePosition`` for
 the whole play and extends it from each round's new edges: its reach
 sets answer the loss test, and a ``LiveRequests`` over its out-rows
-answers the requests.  ``step`` and the bounded search ask
-``requests`` on an immutable graph instead; the search takes its grafts
-back, which the request tracker does not support.
+answers the requests.  The bounded search asks ``requests`` on an
+immutable graph instead; it takes its grafts back, which the request
+tracker does not support.
+
+A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
+witness for the open request req, the index-th (from 0) of round round_no
+(from 1) in (x, y, constraint id) order.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice
 
 from .automata import (Nfa, ProductDfa, accepts, enumerate_words, iter_words,
                        shortest_word)
@@ -116,20 +119,6 @@ def initial_position(word: Word) -> Position:
     return Position(chain_graph(_green_word(word), "a", "b"), "a", "b", 0)
 
 
-def initial_positions(q0: Nfa, cap: int) -> list[Position]:
-    """One position per word of q0 with length at most cap, shortlex order.
-
-    q0 ranges over the base alphabet; the empty word never yields a
-    position.
-    """
-    out = []
-    if cap >= 1:
-        for w in iter_words(q0, cap):
-            if w:
-                out.append(initial_position(w))
-    return out
-
-
 # --------------------------------------------------------------------------
 # Strategies
 
@@ -137,7 +126,7 @@ def initial_positions(q0: Nfa, cap: int) -> list[Position]:
 class ShortestStrategy:
     """Always answer with the shortlex-least word of the rhs language."""
 
-    def __call__(self, pos: Position, req: Request, cs: ConstraintSet) -> Word:
+    def __call__(self, round_no: int, index: int, req: Request) -> Word:
         w = shortest_word(req.constraint.rhs_nfa)
         if w is None:
             raise GuidanceError(f"constraint {req.cid} has an empty rhs language")
@@ -150,10 +139,10 @@ class ScriptedStrategy:
     def __init__(self, words):
         self._queue = deque(words)
 
-    def __call__(self, pos: Position, req: Request, cs: ConstraintSet) -> Word:
+    def __call__(self, round_no: int, index: int, req: Request) -> Word:
         if not self._queue:
             raise ScriptExhaustedError(
-                f"script ran out of words at round {pos.round + 1}, request "
+                f"script ran out of words at round {round_no}, request "
                 f"({req.x}, {req.y}, {req.cid})")
         return self._queue.popleft()
 
@@ -163,15 +152,15 @@ class GuidedStrategy:
 
     Maintains a homomorphism from the current position into the model; each
     witness is the shortest rhs path in the model between the images of the
-    request endpoints, and fresh vertices are mapped onto that path.
+    request endpoints, and the path's inner vertices become the images of
+    the fresh vertices run_play grafts for it.
     """
 
     def __init__(self, model: LabeledGraph, h0: dict[str, str]):
         self.model = model
         self.mapping = dict(h0)
-        self._pending: dict[tuple[str, str, int], tuple[str, ...]] = {}
 
-    def __call__(self, pos: Position, req: Request, cs: ConstraintSet) -> Word:
+    def __call__(self, round_no: int, index: int, req: Request) -> Word:
         hx = self.mapping.get(req.x)
         hy = self.mapping.get(req.y)
         if hx is None or hy is None:
@@ -183,19 +172,11 @@ class GuidedStrategy:
                 f"model offers no rhs path for constraint {req.cid} between "
                 f"{hx} and {hy}; it does not satisfy the constraint set")
         word, path = hit
-        self._pending[(req.x, req.y, req.cid)] = path
+        # Fresh names are never reused, and no request of the round that
+        # makes them has one as an endpoint, so they can be mapped now.
+        names = fresh_names(round_no, index, len(path) - 2)
+        self.mapping.update(zip(names, path[1:-1]))
         return word
-
-    def observe_round(self, old_pos: Position, reqs, choices, new_pos: Position):
-        round_no = old_pos.round + 1
-        for i, r in enumerate(reqs):
-            path = self._pending.pop((r.x, r.y, r.cid), None)
-            if path is None:
-                continue
-            names = fresh_names(round_no, i, len(path) - 2)
-            for name, mv in zip(names, path[1:-1]):
-                self.mapping[name] = mv
-        self._pending.clear()
 
 
 # The interactive prompt lists up to _SAMPLE_COUNT rhs words of length at
@@ -210,9 +191,9 @@ class InteractiveStrategy:
         self.input_fn = input_fn
         self.print_fn = print_fn
 
-    def __call__(self, pos: Position, req: Request, cs: ConstraintSet) -> Word:
+    def __call__(self, round_no: int, index: int, req: Request) -> Word:
         rc = req.constraint
-        self.print_fn(f"round {pos.round + 1}: request ({req.x}, {req.y}) "
+        self.print_fn(f"round {round_no}: request ({req.x}, {req.y}) "
                       f"for constraint {req.cid}: {rc.describe()}")
         samples = enumerate_words(rc.rhs_nfa, _SAMPLE_LEN)[:_SAMPLE_COUNT]
         if samples:
@@ -252,149 +233,56 @@ def strategy_interactive(**kwargs) -> InteractiveStrategy:
 # Playing
 
 
-def _graft_round(pos: Position, cs: ConstraintSet, strategy, reqs,
-                 vertices, add) -> tuple[Word, ...]:
-    """Ask the strategy for each request's witness in order and graft it
-    at once: graft_path checks it against vertices, which must grow with
-    every add(names, edges).  Returns the witnesses."""
-    round_no = pos.round + 1
-    choices: list[Word] = []
-    for i, r in enumerate(reqs):
-        w = strategy(pos, r, cs)
-        choices.append(w)
-        add(*graft_path(vertices, r, w, round_no=round_no, req_index=i))
-    return tuple(choices)
-
-
-def _close_round(pos: Position, reqs, choices: tuple[Word, ...], added,
-                 new_pos: Position, strategy) -> RoundRecord:
-    """The round's record, once the strategy has seen the round."""
-    record = RoundRecord(pos.round + 1,
-                         tuple((r.x, r.y, r.cid) for r in reqs), choices,
-                         tuple(sorted(added)))
-    hook = getattr(strategy, "observe_round", None)
-    if hook is not None:
-        hook(pos, reqs, choices, new_pos)
-    return record
-
-
-def play_round(pos: Position, cs: ConstraintSet, strategy,
-               reqs: tuple[Request, ...]) -> tuple[Position, RoundRecord]:
-    """Satisfy every open request at once with the strategy's witnesses.
-
-    The round's grafts go into one vertex set and one edge set, and the
-    new position's graph is built once from them."""
-    vertices = set(pos.graph.vertices)
-    edges = set(pos.graph.edges)
-
-    def add(names, path):
-        vertices.update(names)
-        edges.update(path)
-
-    choices = _graft_round(pos, cs, strategy, reqs, vertices, add)
-    g = LabeledGraph(frozenset(vertices), frozenset(edges))
-    new_pos = Position(g, pos.a, pos.b, pos.round + 1)
-    return new_pos, _close_round(pos, reqs, choices, g.edges - pos.graph.edges,
-                                 new_pos, strategy)
-
-
-def step(pos: Position, cs: ConstraintSet, strategy) -> Position:
-    """One move; a position with no open requests is returned unchanged."""
-    reqs = requests(cs, pos.graph)
-    if not reqs:
-        return pos
-    new_pos, _ = play_round(pos, cs, strategy, reqs)
-    return new_pos
-
-
-class _Snapshot(Position):
-    """run_play's position at the end of a round.  Its graph is built
-    only when something reads it, from the first vertices of the live
-    position and the first edges of the play's edge log: the built-in
-    strategies read only the round.
-
-    It equals, and hashes as, the Position with the same fields.  It keeps
-    Position's __init__, so dataclasses.replace gives a _Snapshot holding
-    the graph it was given, which shadows the lazy one."""
-
-    @classmethod
-    def lazy(cls, live: LivePosition, edges: list[Edge],
-             round_no: int) -> _Snapshot:
-        snap = cls.__new__(cls)
-        # Position is frozen, so its fields are set past __setattr__, as
-        # its own __init__ does.
-        object.__setattr__(snap, "a", live.a)
-        object.__setattr__(snap, "b", live.b)
-        object.__setattr__(snap, "round", round_no)
-        object.__setattr__(snap, "_cut",
-                           (live.out, len(live.out), edges, len(edges)))
-        return snap
-
-    @cached_property
-    def graph(self) -> LabeledGraph:
-        vertices, n_vertices, edges, n_edges = self._cut
-        return LabeledGraph(frozenset(islice(vertices, n_vertices)),
-                            frozenset(islice(edges, n_edges)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Position):
-            return NotImplemented
-        return ((self.graph, self.a, self.b, self.round)
-                == (other.graph, other.a, other.b, other.round))
-
-    __hash__ = Position.__hash__
-
-
 def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
              max_rounds: int) -> tuple[PlayResult, PlayTrace]:
     """Play from init until loss, fixpoint, or the round bound.
 
     q0 ranges over the base alphabet; the loss test checks its red copy
     between the endpoints after every position, the initial one included.
+    Each round asks the strategy for every open request's witness in
+    order and grafts it at once through graft_path.
 
     The play runs on one LivePosition over red q0, whose reach answers
     the loss test, and one LiveRequests over its out-rows, which answers
     the requests; both are extended from each round's new edges only, as
-    a round never takes an edge away.  After round one, the positions
-    handed to the strategy are _Snapshots, which build their graph when
-    it is first read.
+    a round never takes an edge away.
     """
     live = LivePosition(recolor_nfa(q0, Color.RED), init.graph, init.a,
                         init.b)
     tracker = LiveRequests(cs, live.out)
-    edges = list(init.graph.edges)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
-    pos = init
+    round_no = init.round
     while True:
         if live.lost():
-            result = PlayResult(PlayOutcome.LOST, pos.round)
+            outcome = PlayOutcome.LOST
             break
         reqs = tracker.requests()
         if not reqs:
-            result = PlayResult(PlayOutcome.WON_FIXPOINT, pos.round)
+            outcome = PlayOutcome.WON_FIXPOINT
             break
-        if pos.round >= max_rounds:
-            result = PlayResult(PlayOutcome.EXHAUSTED, pos.round)
+        if round_no >= max_rounds:
+            outcome = PlayOutcome.EXHAUSTED
             break
+        round_no += 1
+        choices: list[Word] = []
         names: list[str] = []
         added: list[Edge] = []
-
-        def add(fresh, path):
+        for i, r in enumerate(reqs):
+            w = strategy(round_no, i, r)
+            choices.append(w)
+            fresh, path = graft_path(live.out, r, w, round_no=round_no,
+                                     req_index=i)
             # A one-letter witness may repeat an edge; it is not added.
             new = [e for e in path if e[1:] not in live.out.get(e[0], ())]
             live.add(fresh, new)
-            names.extend(fresh)
-            added.extend(new)
-
-        choices = _graft_round(pos, cs, strategy, reqs, live.out, add)
+            names += fresh
+            added += new
         tracker.extend(names, added)
-        edges += added
-        new_pos = _Snapshot.lazy(live, edges, pos.round + 1)
-        records.append(_close_round(pos, reqs, choices, added, new_pos,
-                                    strategy))
-        pos = new_pos
-    return result, PlayTrace(init_word, tuple(records))
+        records.append(RoundRecord(round_no,
+                                   tuple((r.x, r.y, r.cid) for r in reqs),
+                                   tuple(choices), tuple(sorted(added))))
+    return PlayResult(outcome, round_no), PlayTrace(init_word, tuple(records))
 
 
 # --------------------------------------------------------------------------

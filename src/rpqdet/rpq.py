@@ -123,13 +123,6 @@ def find_witness(q: Nfa, g: LabeledGraph, x: str,
     return None
 
 
-def find_path(q: Nfa, g: LabeledGraph, x: str, y: str) -> Word | None:
-    """Shortest word that both the query accepts and some x-to-y walk
-    spells; None exactly when holds() is false."""
-    hit = find_witness(q, g, x, y)
-    return None if hit is None else hit[0]
-
-
 class LivePairs:
     """The pairs evaluate(q, g) returns, kept current while g only grows.
 

@@ -26,8 +26,9 @@ class FormatError(WorkbenchError):
 
 
 def expect(value, kind: type, what: str):
-    """value if it is an instance of kind, else FormatError naming what."""
-    if not isinstance(value, kind):
+    """value if it is an instance of kind, else FormatError naming what.
+    JSON true and false are never accepted, though bool subclasses int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise FormatError(f"{what} must be a JSON {_JSON_NAMES[kind]}, "
                           f"got {value!r}")
     return value

@@ -27,7 +27,7 @@ from rpqdet.constraints import (ConstraintSet, apply_add, make_arrow_set,
                                 recolor_nfa, requests, satisfied)
 from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
                            PlayTrace, Position, RoundRecord, Verdict,
-                           VerdictKind, initial_position)
+                           VerdictKind, initial_position, scripted_from_trace)
 from rpqdet.gadget import CounterexampleReport
 from rpqdet.graphs import LabeledGraph, chain_word
 from rpqdet.rpq import evaluate, holds
@@ -355,24 +355,21 @@ def explore_immutable(q0, cs, caps) -> Verdict:
 # extending one live position and its request tracker from the new edges.
 
 
-def play_round_immutable(pos: Position, cs: ConstraintSet, strategy,
+def play_round_immutable(pos: Position, strategy,
                          reqs) -> tuple[Position, RoundRecord]:
-    """play_round with one apply_add, so one new graph, per request."""
+    """One round of run_play with one apply_add, so one new graph, per
+    request."""
     round_no = pos.round + 1
     g = pos.graph
     choices: list[Word] = []
     for i, r in enumerate(reqs):
-        w = strategy(pos, r, cs)
+        w = strategy(round_no, i, r)
         choices.append(w)
         g = apply_add(g, r, w, round_no=round_no, req_index=i)
-    new_pos = Position(g, pos.a, pos.b, round_no)
     added = tuple(sorted(g.edges - pos.graph.edges))
     record = RoundRecord(round_no, tuple((r.x, r.y, r.cid) for r in reqs),
                          tuple(choices), added)
-    hook = getattr(strategy, "observe_round", None)
-    if hook is not None:
-        hook(pos, reqs, record.choices, new_pos)
-    return new_pos, record
+    return Position(g, pos.a, pos.b, round_no), record
 
 
 def run_play_immutable(q0, cs: ConstraintSet, strategy, init: Position,
@@ -394,9 +391,22 @@ def run_play_immutable(q0, cs: ConstraintSet, strategy, init: Position,
         if pos.round >= max_rounds:
             result = PlayResult(PlayOutcome.EXHAUSTED, pos.round)
             break
-        pos, record = play_round_immutable(pos, cs, strategy, reqs)
+        pos, record = play_round_immutable(pos, strategy, reqs)
         records.append(record)
     return result, PlayTrace(init_word, tuple(records))
+
+
+def replay_positions(cs: ConstraintSet, trace: PlayTrace) -> list[Position]:
+    """The position after each round of the trace, the initial one first:
+    its choices replayed round by round through play_round_immutable from
+    the chain of its initial word."""
+    pos = initial_position(trace.initial_word)
+    strategy = scripted_from_trace(trace)
+    out = [pos]
+    for _ in trace.rounds:
+        pos, _ = play_round_immutable(pos, strategy, requests(cs, pos.graph))
+        out.append(pos)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -16,19 +16,18 @@ from rpqdet.automata import (Lit, accepts, compile_nfa, concat_all,
 from rpqdet.constraints import (apply_add, make_arrow_set, recolor_nfa,
                                 requests, satisfied)
 from rpqdet.escape import (Caps, PlayOutcome, Position, VerdictKind, explore,
-                           initial_position, play_round, run_play,
-                           scripted_from_trace, step, strategy_guided,
-                           strategy_shortest, trace_to_jsonl)
+                           initial_position, run_play, scripted_from_trace,
+                           strategy_guided, strategy_shortest, trace_to_jsonl)
 from rpqdet.gadget import (build_grid, check_counterexample, decorate,
                            find_homomorphism, iso_shadeless,
                            verify_homomorphism)
-from rpqdet.graphs import graph_to_json
+from rpqdet.graphs import LabeledGraph, graph_to_json
 from rpqdet.ogtp import all_black_tiling, solve_bruteforce
 from rpqdet.rpq import evaluate, holds
 from rpqdet.symbols import Alphabet, Color, sym
 
 from oracles import (eval_algebraic, eval_walks, is_homomorphism, lang_upto,
-                     random_graph, random_regex)
+                     random_graph, random_regex, replay_positions)
 
 # Plays recorded for the cross-cutting criteria: (q0, constraint set,
 # trace, round bound) per completed play.
@@ -148,10 +147,8 @@ def test_criterion_02_fuzzed_chases_reach_constraint_satisfying_fixpoints():
             continue
         collected += 1
         assert result.round >= 1
-        pos = initial_position(chain)
-        strat = scripted_from_trace(trace)
-        for _ in range(result.round):
-            pos = step(pos, cs, strat)
+        pos = replay_positions(cs, trace)[-1]
+        assert pos.round == result.round
         assert not requests(cs, pos.graph)
         for rc in cs:
             assert satisfied(rc, pos.graph)
@@ -170,7 +167,11 @@ def test_criterion_04_guided_play_maintains_verified_homomorphism(
         black_reduction):
     """Guided by the all-black decorated doubled grid of size 2, the play
     from the cold alternation chain keeps a homomorphism into the model
-    that verifies after every round, and ends at fixpoint without loss."""
+    that verifies after every round, and ends at fixpoint without loss.
+
+    The mapping only grows, so checking the final one against the graph
+    after each round, rebuilt from the chain and the trace's added edges,
+    is checking it after each round."""
     t0 = monotonic()
     out = black_reduction
     cs = out.constraint_set()
@@ -184,23 +185,20 @@ def test_criterion_04_guided_play_maintains_verified_homomorphism(
     assert verify_homomorphism(init.graph, model, strat.mapping)
     assert is_homomorphism(init.graph, model, strat.mapping)
 
-    red_q0 = recolor_nfa(out.q0_nfa, Color.RED)
-    pos = init
-    rounds = 0
-    while True:
-        assert not holds(red_q0, pos.graph, pos.a, pos.b)
-        reqs = requests(cs, pos.graph)
-        if not reqs:
-            break
-        rounds += 1
-        assert rounds <= 8
-        pos, _ = play_round(pos, cs, strat, reqs)
-        assert verify_homomorphism(pos.graph, model, strat.mapping)
-        assert is_homomorphism(pos.graph, model, strat.mapping)
-
-    result, _ = run_play(out.q0_nfa, cs, strategy_guided(model, dict(h0)),
-                         init, 20)
+    result, trace = run_play(out.q0_nfa, cs, strat, init, 8)
     assert result.outcome is PlayOutcome.WON_FIXPOINT
+    assert len(trace.rounds) == result.round
+    red_q0 = recolor_nfa(out.q0_nfa, Color.RED)
+    edges = set(init.graph.edges)
+    for rec in trace.rounds:
+        edges.update(rec.added_edges)
+        g = LabeledGraph.build(
+            init.graph.vertices | {v for e in edges for v in (e[0], e[2])},
+            edges)
+        assert not holds(red_q0, g, init.a, init.b)
+        assert verify_homomorphism(g, model, strat.mapping)
+        assert is_homomorphism(g, model, strat.mapping)
+    assert not requests(cs, g)
     assert monotonic() - t0 < 10
 
 
@@ -225,10 +223,7 @@ def test_criterion_05_guided_play_forces_the_doubled_grid(black_reduction):
     assert result.round == 3
     assert len(trace.rounds) == 3
 
-    pos = init
-    strat = scripted_from_trace(trace)
-    for _ in trace.rounds:
-        pos = step(pos, cs, strat)
+    pos = replay_positions(cs, trace)[-1]
     assert len(pos.graph.vertices) == 11
     assert len(pos.graph.edges) == 28
     assert len(pos.graph.labels()) == 12
@@ -479,13 +474,7 @@ def test_criterion_09_reduction_shapes_and_q0_coverage(
 
 
 def _position_bytes(cs, trace):
-    pos = initial_position(trace.initial_word)
-    strat = scripted_from_trace(trace)
-    out = [graph_to_json(pos.graph)]
-    for _ in trace.rounds:
-        pos = step(pos, cs, strat)
-        out.append(graph_to_json(pos.graph))
-    return out
+    return [graph_to_json(pos.graph) for pos in replay_positions(cs, trace)]
 
 
 def test_criterion_10_scripted_replay_reproduces_positions_byte_identically():

@@ -392,6 +392,9 @@ def test_missing_file_exits_2(capsys):
     ("grid", {"n": 1, "h": {"0;0": "black"}, "v": {}}, "'0;0'"),
     ("grid", {"n": 1, "h": {"0,0": 5, "0,1": "black"},
               "v": {"0,0": "black", "1,0": "black"}}, "shade must be"),
+    # JSON true is no integer, though Python's bool subclasses int.
+    ("grid", {"n": True, "h": {"0,0": "black", "0,1": "black"},
+              "v": {"0,0": "black", "1,0": "black"}}, "'n'"),
 ])
 def test_malformed_loader_shapes_exit_2(files, capsys, verb, doc, where):
     path = files["root"] / "shape.json"

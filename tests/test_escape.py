@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import (classify_immutable, explore_immutable, explore_per_word,
                      forced_per_word, is_homomorphism, random_graph,
-                     random_regex, start_words_per_word)
+                     random_regex, replay_positions, start_words_per_word)
 from rpqdet.automata import (Concat, Empty, Lit, accepts, compile_nfa,
-                             parse_regex, parse_word)
+                             iter_words, parse_regex, parse_word)
 from rpqdet.constraints import Request, make_arrow_set, make_arrows, requests
 from rpqdet.escape import (
     Caps,
@@ -23,11 +23,8 @@ from rpqdet.escape import (
     VerdictKind,
     explore,
     initial_position,
-    initial_positions,
-    play_round,
     run_play,
     scripted_from_trace,
-    step,
     strategy_guided,
     strategy_interactive,
     strategy_scripted,
@@ -39,7 +36,7 @@ from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homom
 from rpqdet.graphs import LabeledGraph, chain_graph, endpointed_to_json
 from rpqdet.rpq import holds
 from rpqdet.ogtp import all_black_tiling
-from rpqdet.symbols import Alphabet, Color, sym
+from rpqdet.symbols import Alphabet, Color, FormatError, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 
@@ -67,28 +64,26 @@ def test_initial_position_rejects_red_letters_and_empty_words():
         initial_position(())
 
 
+# A play starts from the chain of a nonempty q0 word.
+
+
 def test_initial_positions_enumerates_q0_in_shortlex_order(black_reduction):
-    positions = initial_positions(black_reduction.q0_nfa, 4)
-    words = [tuple(s.base for s in _chain(p)) for p in positions]
+    words = [tuple(s.base for s in w)
+             for w in iter_words(black_reduction.q0_nfa, 4)]
     assert ("alpha", "A-H-C-black", "B-V-C-black", "omega") in words
-    assert all(len(w) <= 4 for w in words)
+    assert all(0 < len(w) <= 4 for w in words)
     lengths = [len(w) for w in words]
     assert lengths == sorted(lengths)
 
 
 def test_initial_positions_includes_warm_middle_word_at_cap_three(black_reduction):
-    words = {tuple(s.base for s in _chain(p))
-             for p in initial_positions(black_reduction.q0_nfa, 3)}
+    words = {tuple(s.base for s in w)
+             for w in iter_words(black_reduction.q0_nfa, 3)}
     assert ("alpha", "A-H-W-black", "omega") in words
 
 
 def test_initial_positions_cap_zero_is_empty(black_reduction):
-    assert initial_positions(black_reduction.q0_nfa, 0) == []
-
-
-def _chain(pos: Position):
-    from rpqdet.graphs import chain_word
-    return chain_word(pos.graph, pos.a, pos.b)
+    assert not any(iter_words(black_reduction.q0_nfa, 0))
 
 
 # --------------------------------------------------------------------------
@@ -97,26 +92,23 @@ def _chain(pos: Position):
 
 def test_shortest_strategy_prefers_shortlex_least():
     fwd, _ = make_arrows(parse_regex("alpha + beta", SPECIALS), SPECIALS)
-    pos = initial_position(parse_word("alpha", SPECIALS))
-    w = strategy_shortest()(pos, Request("a", "b", fwd), None)
+    w = strategy_shortest()(1, 0, Request("a", "b", fwd))
     assert w == (sym("R:alpha"),)
 
 
 def test_shortest_strategy_fails_on_empty_rhs():
     fwd, _ = make_arrows(Empty(), SPECIALS)
-    pos = initial_position(parse_word("alpha", SPECIALS))
     with pytest.raises(GuidanceError):
-        strategy_shortest()(pos, Request("a", "b", fwd), None)
+        strategy_shortest()(1, 0, Request("a", "b", fwd))
 
 
 def test_scripted_strategy_runs_out():
     strat = strategy_scripted([(sym("R:alpha"),)])
     fwd, _ = make_arrows(parse_regex("alpha", SPECIALS), SPECIALS)
-    pos = initial_position(parse_word("alpha", SPECIALS))
     req = Request("a", "b", fwd)
-    assert strat(pos, req, None) == (sym("R:alpha"),)
-    with pytest.raises(ScriptExhaustedError):
-        strat(pos, req, None)
+    assert strat(1, 0, req) == (sym("R:alpha"),)
+    with pytest.raises(ScriptExhaustedError, match="at round 2, request"):
+        strat(2, 0, req)
 
 
 def test_guided_strategy_errors_when_the_model_lacks_a_path():
@@ -125,16 +117,16 @@ def test_guided_strategy_errors_when_the_model_lacks_a_path():
     model = pos.graph  # all green: no red witness path anywhere
     strat = strategy_guided(model, {"a": "a", "b": "b"})
     with pytest.raises(GuidanceError):
-        strat(pos, Request("a", "b", fwd), None)
+        strat(1, 0, Request("a", "b", fwd))
 
 
 def test_interactive_strategy_reprompts_then_accepts(capsys):
     fwd, _ = make_arrows(parse_regex("alpha + beta", SPECIALS), SPECIALS)
-    pos = initial_position(parse_word("alpha", SPECIALS))
     feed = iter(["omega", "R:alpha R:alpha", "R:beta"])
     strat = strategy_interactive(input_fn=lambda _: next(feed))
-    assert strat(pos, Request("a", "b", fwd), None) == (sym("R:beta"),)
+    assert strat(3, 0, Request("a", "b", fwd)) == (sym("R:beta"),)
     out = capsys.readouterr().out
+    assert out.startswith("round 3: request (a, b) for constraint")
     assert "candidates:" in out
     assert "rejected:" in out
     assert "try again" in out
@@ -144,31 +136,34 @@ def test_interactive_strategy_eof_becomes_script_exhaustion():
     def closed(_):
         raise EOFError
     fwd, _ = make_arrows(parse_regex("alpha", SPECIALS), SPECIALS)
-    pos = initial_position(parse_word("alpha", SPECIALS))
     strat = strategy_interactive(input_fn=closed, print_fn=lambda *_: None)
     with pytest.raises(ScriptExhaustedError):
-        strat(pos, Request("a", "b", fwd), None)
+        strat(1, 0, Request("a", "b", fwd))
 
 
 # --------------------------------------------------------------------------
-# Stepping and playing
+# Playing
 
 
-def test_step_returns_fixpoint_position_unchanged():
-    from rpqdet.graphs import LabeledGraph
+def test_run_play_from_a_fixpoint_plays_no_round():
     cs = make_arrow_set([Lit(sym("omega"))], SPECIALS)
     chain = chain_graph((sym("G:omega"),), "a", "b")
     g = LabeledGraph.build(chain.vertices,
                            set(chain.edges) | {("a", sym("R:omega"), "b")})
-    pos = Position(g, "a", "b", 0)
-    assert step(pos, cs, strategy_shortest()) is pos
+    q0 = compile_nfa(parse_regex("alpha", SPECIALS), SPECIALS)
+    result, trace = run_play(q0, cs, strategy_shortest(),
+                             Position(g, "a", "b", 0), 5)
+    assert (result.outcome, result.round) == (PlayOutcome.WON_FIXPOINT, 0)
+    assert trace.rounds == ()
 
 
 def test_first_move_adds_only_red_edges(black_reduction):
     cs = black_reduction.constraint_set()
     pos = initial_position(start_word(black_reduction.alphabet))
     reqs = requests(cs, pos.graph)
-    new_pos, record = play_round(pos, cs, strategy_shortest(), reqs)
+    _, trace = run_play(black_reduction.q0_nfa, cs, strategy_shortest(), pos,
+                        1)
+    record = trace.rounds[0]
     assert record.round_no == 1
     assert record.added_edges
     assert all(s.color is Color.RED for _, s, _ in record.added_edges)
@@ -206,17 +201,10 @@ def test_guided_play_builds_the_unit_grid(black_reduction):
     assert result.outcome is PlayOutcome.WON_FIXPOINT
     assert result.round == 2
     # Replay the trace to rebuild the final position, then compare shapes.
-    pos = init
-    for rec in trace.rounds:
-        reqs = requests(cs, pos.graph)
-        pos, _ = play_round(pos, cs, scripted_from_trace_round(rec), reqs)
+    pos = replay_positions(cs, trace)[-1]
     assert iso_shadeless(pos.graph, build_grid(1).graph)
     assert verify_homomorphism(pos.graph, model, strat.mapping)
     assert is_homomorphism(pos.graph, model, strat.mapping)
-
-
-def scripted_from_trace_round(rec):
-    return strategy_scripted(list(rec.choices))
 
 
 def test_fixpoint_position_satisfies_every_constraint(black_reduction):
@@ -226,10 +214,7 @@ def test_fixpoint_position_satisfies_every_constraint(black_reduction):
     init = initial_position(start_word(black_reduction.alphabet))
     strat = strategy_guided(model, find_homomorphism(init.graph, model))
     _, trace = run_play(black_reduction.q0_nfa, cs, strat, init, 10)
-    pos = init
-    for rec in trace.rounds:
-        pos, _ = play_round(pos, cs, scripted_from_trace_round(rec),
-                            requests(cs, pos.graph))
+    pos = replay_positions(cs, trace)[-1]
     assert all(satisfied(rc, pos.graph) for rc in cs)
 
 
@@ -244,6 +229,11 @@ def test_trace_jsonl_round_trip(black_reduction):
     text = trace_to_jsonl(trace)
     assert trace_from_jsonl(text) == trace
     assert trace_to_jsonl(trace_from_jsonl(text)) == text
+    header, first = text.splitlines()[:2]
+    assert '"round":1,' in first
+    with pytest.raises(FormatError, match="'round'"):
+        trace_from_jsonl(header + "\n" + first.replace('"round":1,',
+                                                       '"round":true,'))
 
 
 def test_scripted_replay_reproduces_the_trace(black_reduction):

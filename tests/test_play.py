@@ -1,10 +1,10 @@
 """run_play on its live position against run_play_immutable, which asks
 holds() and requests() afresh on every position and grafts with
-apply_add: the same results, the same trace bytes and the same errors."""
+apply_add: the same results, the same trace bytes, the same errors and
+the same strategy calls."""
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -18,7 +18,6 @@ from rpqdet.escape import (PlayOutcome, Position, initial_position, run_play,
                            strategy_scripted, strategy_shortest,
                            trace_from_jsonl, trace_to_jsonl)
 from rpqdet.gadget import build_grid, decorate, find_homomorphism
-from rpqdet.graphs import graph_to_json
 from rpqdet.ogtp import all_black_tiling
 from rpqdet.symbols import Alphabet, WorkbenchError
 
@@ -46,25 +45,16 @@ def _same_play(q0, cs, make_strategy, init, max_rounds):
 
 
 class Watching:
-    """A strategy that keeps every position it is shown, and the positions
-    observe_round passes, and defers to an inner strategy."""
+    """A strategy that records every (round_no, index, request) it is
+    asked, and defers to an inner strategy."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.seen = []
+        self.calls = []
 
-    def __call__(self, pos, req, cs):
-        self.seen.append(pos)
-        return self.inner(pos, req, cs)
-
-    def observe_round(self, old_pos, reqs, choices, new_pos):
-        self.seen += [old_pos, new_pos]
-        hook = getattr(self.inner, "observe_round", None)
-        if hook is not None:
-            hook(old_pos, reqs, choices, new_pos)
-
-    def graphs(self):
-        return [(p.round, p.a, p.b, graph_to_json(p.graph)) for p in self.seen]
+    def __call__(self, round_no, index, req):
+        self.calls.append((round_no, index, req))
+        return self.inner(round_no, index, req)
 
 
 def _random_play(seed):
@@ -100,36 +90,17 @@ def test_run_play_matches_the_immutable_play_on_random_instances(seed):
     q0, cs, init, script, max_rounds = _random_play(seed)
     _same_play(q0, cs, strategy_shortest, init, max_rounds)
     _same_play(q0, cs, lambda: strategy_scripted(script), init, max_rounds)
-    # The positions shown to a strategy hold the graph as it stood before
-    # the round, however much later it is read.
-    got, want = _same_play(q0, cs,
-                           lambda: Watching(strategy_scripted(script)),
-                           init, max_rounds)
-    if len(got) == 3:
-        assert got[2].graphs() == want[2].graphs()
-        assert got[2].seen == want[2].seen
-        assert want[2].seen == got[2].seen
-        assert [hash(p) for p in got[2].seen] == [hash(p) for p in want[2].seen]
+    # Both plays ask the strategy the same requests in the same order,
+    # with the same round and index, up to the same failure.
+    watches = []
 
+    def watching():
+        watches.append(Watching(strategy_scripted(script)))
+        return watches[-1]
 
-def test_play_positions_replace_like_positions(black_reduction):
-    """A position run_play shows the strategy keeps dataclasses.replace
-    working: the copy holds the graph it is given and equals the Position
-    with the same fields."""
-    q0, cs = black_reduction.q0_nfa, black_reduction.constraint_set()
-    model = decorate(build_grid(2), all_black_tiling(2)).graph
-    init = _start_chain(2)
-    watch = Watching(_guided(model, init)())
-    run_play(q0, cs, watch, init, 20)
-    later = [p for p in watch.seen if type(p) is not Position]
-    assert later
-    for p in later:
-        plain = Position(p.graph, p.a, p.b, p.round)
-        assert p == plain and plain == p and hash(p) == hash(plain)
-        assert replace(p, round=7) == replace(plain, round=7)
-        assert replace(p, graph=init.graph).graph is init.graph
-        assert replace(p, graph=init.graph) == replace(plain, graph=init.graph)
-        assert p != replace(plain, b="elsewhere")
+    _same_play(q0, cs, watching, init, max_rounds)
+    got, want = watches
+    assert got.calls == want.calls
 
 
 def _start_chain(m):

@@ -10,7 +10,8 @@ from rpqdet.automata import (Epsilon, Lit, Nfa, Union, accepts, compile_nfa,
                              parse_regex)
 from rpqdet.gadget import build_grid
 from rpqdet.graphs import LabeledGraph, UnknownVertexError, chain_graph
-from rpqdet.rpq import LivePairs, edges_by_label, evaluate, find_path, holds
+from rpqdet.rpq import (LivePairs, edges_by_label, evaluate, find_witness,
+                        holds)
 from rpqdet.symbols import Alphabet, sym
 
 LABELS = [sym(n) for n in ("alpha", "beta", "omega", "A-H-C-black")]
@@ -28,7 +29,7 @@ def test_chain_matches_its_own_word():
     q = compile_nfa(parse_regex("G:alpha G:A-H-C-black G:omega", colored), colored)
     assert ("a", "b") in evaluate(q, g)
     assert holds(q, g, "a", "b")
-    assert find_path(q, g, "a", "b") == w
+    assert find_witness(q, g, "a", "b")[0] == w
 
 
 def test_green_end_marker_on_grid():
@@ -36,14 +37,14 @@ def test_green_end_marker_on_grid():
     labels = Alphabet.from_canonical(grid.labels())
     q = compile_nfa(Lit(sym("G:omega")), labels)
     assert evaluate(q, grid) == frozenset({("v_2_2", "b")})
-    assert find_path(q, grid, "v_2_2", "b") == (sym("G:omega"),)
+    assert find_witness(q, grid, "v_2_2", "b")[0] == (sym("G:omega"),)
 
 
 def test_no_path_between_disconnected_vertices():
     g = LabeledGraph.build(["a", "b", "c"], [("a", sym("alpha"), "b")])
     q = nfa("alpha")
     assert not holds(q, g, "c", "a")
-    assert find_path(q, g, "c", "a") is None
+    assert find_witness(q, g, "c", "a") is None
 
 
 def test_self_pair_needs_a_cycle_when_epsilon_free():
@@ -64,7 +65,7 @@ def test_unknown_vertex_is_an_error():
     with pytest.raises(UnknownVertexError):
         holds(nfa("alpha"), g, "a", "zzz")
     with pytest.raises(UnknownVertexError):
-        find_path(nfa("alpha"), g, "zzz", "a")
+        find_witness(nfa("alpha"), g, "zzz", "a")
 
 
 def test_cyclic_graph_terminates_and_matches_star():
@@ -81,7 +82,7 @@ def test_find_path_returns_shortlex_least_witness():
         ["a", "b"],
         [("a", sym("omega"), "b"), ("a", sym("alpha"), "b")])
     q = nfa("alpha + omega")
-    assert find_path(q, g, "a", "b") == (sym("alpha"),)
+    assert find_witness(q, g, "a", "b")[0] == (sym("alpha"),)
 
 
 def test_find_path_word_is_accepted_and_walkable():
@@ -92,9 +93,12 @@ def test_find_path_word_is_accepted_and_walkable():
         q = compile_nfa(r, ALPH)
         for x in sorted(g.vertices):
             for y in sorted(g.vertices):
-                w = find_path(q, g, x, y)
-                if w is not None:
+                hit = find_witness(q, g, x, y)
+                if hit is not None:
+                    w, path = hit
                     assert accepts(q, w)
+                    assert (path[0], path[-1]) == (x, y)
+                    assert set(zip(path, w, path[1:])) <= g.edges
 
 
 def test_eval_holds_find_path_agree():
@@ -108,7 +112,7 @@ def test_eval_holds_find_path_agree():
             for y in sorted(g.vertices):
                 inside = (x, y) in pairs
                 assert holds(q, g, x, y) == inside
-                assert (find_path(q, g, x, y) is not None) == inside
+                assert (find_witness(q, g, x, y) is not None) == inside
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -13,9 +13,10 @@ from rpqdet.escape import PlayOutcome, initial_position
 from rpqdet.ogtp import all_black_tiling
 
 # run_path compiles the file in memory: nothing is written under bench/.
-TRACER = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = runpy.run_path(str(BENCH / "tracer.py"))
 TRACED = TRACER["TRACED"]
+WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
 
 
 @pytest.mark.parametrize("module,attr", TRACED,
@@ -28,6 +29,17 @@ def test_every_traced_function_resolves(module, attr):
     else:
         fn = getattr(home, attr)
     assert callable(fn)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_runs_one_checked_op(name):
+    """The benchmark's calls into rpqdet still work: one op of each
+    workload, on the first input of seed 1, passes its check."""
+    workload = WORKLOADS[name]
+    inputs = workload.inputs(1)
+    ready = workload.setup(inputs)
+    got = workload.op(ready, inputs[0])
+    assert workload.check(ready, inputs[0], got) is None
 
 
 def test_tracer_charges_the_rpq_layers(black_reduction):
