@@ -34,6 +34,7 @@ from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import find_witness
+from .summary import Rows, SummaryGraph, as_rows, relation
 from .symbols import (Color, Symbol, Word, WorkbenchError, expect, expect_items,
                       expect_key, format_word)
 
@@ -414,7 +415,8 @@ class ExploreContext:
         self.caps = caps
         self.red_q0 = recolor_nfa(q0, Color.RED)
         self._candidates: dict[int, tuple[Word, ...]] = {}
-        self._minimal: dict[int, tuple[Word, ...]] = {}
+        self._minimal: dict[int, tuple[tuple[Word, ...],
+                                       tuple[Rows, ...]]] = {}
         self._forcing: dict[int, bool] = {}
 
     def candidates(self, rc: RegularConstraint) -> tuple[Word, ...]:
@@ -448,13 +450,19 @@ class ExploreContext:
         A word's relation is {(p, q) : q in δ*(p, w)} on red_q0: all the
         loss test can see of a path spelling it (see _search).
         """
+        return self._minimal_with_rows(rc)[0]
+
+    def _minimal_with_rows(self, rc: RegularConstraint):
+        """minimal(rc), and each word's relation as rows {p: (q, ...)}."""
         got = self._minimal.get(rc.cid)
         if got is None:
             firsts: dict[frozenset[tuple[int, int]], Word] = {}
             for w in self.candidates(rc):
-                firsts.setdefault(_relation(self.red_q0, w), w)
-            got = tuple(w for rel, w in firsts.items()
-                        if not any(other < rel for other in firsts))
+                firsts.setdefault(relation(self.red_q0, w), w)
+            kept = [(w, rel) for rel, w in firsts.items()
+                    if not any(other < rel for other in firsts)]
+            got = (tuple(w for w, _ in kept),
+                   tuple(as_rows(rel) for _, rel in kept))
             self._minimal[rc.cid] = got
         return got
 
@@ -547,9 +555,20 @@ class ExploreContext:
         algorithms; De Wulf, Doyen, Henzinger and Raskin, CAV 2006).  A
         request that loses under each of its candidates alone makes every
         combination lose, the minimal ones included, so this check also
-        covers that case.  Nothing is claimed about wins: when some
-        minimal combination survives, every combination is searched in
-        order, as if the check were not there.
+        covers that case.
+
+        The same argument makes the check cheap: each grafted path is one
+        macro edge from x to y that steps by its word's relation, so the
+        minimal combinations are tested on a SummaryGraph of the node,
+        nothing grafted, and a losing walk loses in every combination
+        that agrees with the choices it crosses (its nogood; fresh names
+        depend on the round and request index alone, not on the pick).
+        SummaryGraph.all_lose searches the combinations by
+        conflict-directed backjumping over these nogoods.
+
+        Nothing is claimed about wins: when some minimal combination
+        survives, every combination is searched in order, as if the check
+        were not there.
         """
         if live.lost():
             return _ALL_LOST, None
@@ -562,12 +581,10 @@ class ExploreContext:
         cand_lists = [self.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
-        round_no += 1
-        minimal = [self.minimal(r.constraint) for r in reqs]
-        # all() stops at the first surviving combination; dropping the
-        # walk then undoes its grafts.
-        if all(live.lost() for _ in _graft_each(live, reqs, minimal, round_no)):
+        rows = [self._minimal_with_rows(r.constraint)[1] for r in reqs]
+        if SummaryGraph(live, reqs, rows).all_lose():
             return _ALL_LOST, None
+        round_no += 1
         any_undecided = False
         for _ in _graft_each(live, reqs, cand_lists, round_no):
             kind, win = self._search(live, round_no)
@@ -578,19 +595,10 @@ class ExploreContext:
         return (_UNDECIDED if any_undecided else _ALL_LOST), None
 
 
-def _relation(nfa: Nfa, w: Word) -> frozenset[tuple[int, int]]:
-    """{(p, q) : q in δ*(p, w)} over the states of nfa."""
-    delta = nfa.delta
-    pairs = {(p, p) for p in range(nfa.n_states)}
-    for s in w:
-        pairs = {(p, r) for p, q in pairs
-                 for r in delta.get(q, {}).get(s, ())}
-    return frozenset(pairs)
-
-
 def _graft_each(live: LivePosition, reqs, cand_lists, round_no: int):
     """Put each combination of one candidate per request in place on live,
-    in the order of itertools.product, and yield once it is.
+    in the order of itertools.product, and yield once it is: the full
+    search of a node that the summary graph did not decide.
 
     Combinations that share a prefix share its grafts, so moving to the
     next one undoes and grafts only the requests past the common prefix.

@@ -1,0 +1,179 @@
+"""The all-lost check of a search node, decided on its summary graph.
+
+The bounded search (escape.ExploreContext._search) first asks whether
+every combination of one ⊆-minimal candidate per request loses.  A
+grafted path is crossed whole by any losing walk, and the walk sees of it
+only its word's relation on red q0, so the check needs no graft: each
+request becomes one macro edge that steps by that relation, and the
+combinations are searched by conflict-directed backjumping over the
+choices a losing walk crosses.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .automata import Nfa
+    from .constraints import Request
+    from .escape import LivePosition
+    from .symbols import Word
+
+
+# A relation as rows: p -> the states q in δ*(p, w), in order.
+Rows = dict[int, tuple[int, ...]]
+
+
+def relation(nfa: Nfa, w: Word) -> frozenset[tuple[int, int]]:
+    """{(p, q) : q in δ*(p, w)} over the states of nfa."""
+    delta = nfa.delta
+    pairs = {(p, p) for p in range(nfa.n_states)}
+    for s in w:
+        pairs = {(p, r) for p, q in pairs
+                 for r in delta.get(q, {}).get(s, ())}
+    return frozenset(pairs)
+
+
+def as_rows(rel: frozenset[tuple[int, int]]) -> Rows:
+    """rel as Rows, for a walk to step by."""
+    rows: dict[int, list[int]] = {}
+    for p, q in sorted(rel):
+        rows.setdefault(p, []).append(q)
+    return {p: tuple(qs) for p, qs in rows.items()}
+
+
+class SummaryGraph:
+    """The loss test of one search node under any pick of one minimal
+    candidate per request, without grafting (see
+    escape.ExploreContext._search).
+
+    Its walks are those of red q0 over (vertex, state) pairs: the
+    position's edges, and one macro edge x -> y per request that steps by
+    the relation rows of the request's pick.  A request with one minimal
+    candidate is fixed; one with more is a choice, and a pick for it is
+    the literal (request index, pick).  Choice macro edges cost 1 and
+    every other edge 0, so a 0-1 BFS finds a losing walk that crosses the
+    fewest choices; the literals it crosses are its nogood.
+    """
+
+    def __init__(self, live: LivePosition, reqs: list[Request],
+                 rows: list[tuple[Rows, ...]]):
+        self.live = live
+        self.rows = rows
+        self.goals = [(live.b, f) for f in sorted(live.nfa.accepting)]
+        self.fixed: dict[str, list[tuple[str, Rows]]] = {}
+        self.choice: dict[str, list[tuple[int, str]]] = {}
+        for i, r in enumerate(reqs):
+            if len(rows[i]) == 1:
+                self.fixed.setdefault(r.x, []).append((r.y, rows[i][0]))
+            else:
+                self.choice.setdefault(r.x, []).append((i, r.y))
+        # Layer 0, the same at every leaf: what the position and the fixed
+        # requests reach.  The position's reach is closed under its edges
+        # and has no predecessor to record.
+        self.base: dict[tuple[str, int], object] = {
+            (v, q): None for v, states in live.reach.items() for q in states}
+        self.base_layer = list(self.base)
+        self._close(self.base_layer, self.base)
+
+    def _close(self, layer: list, pred: dict) -> None:
+        """Extend layer, in place, by every pair its pairs reach over 0-cost
+        edges, recording each new pair's predecessor in pred."""
+        delta = self.live.nfa.delta
+        out = self.live.out
+        fixed = self.fixed
+        k = 0
+        while k < len(layer):
+            pair = layer[k]
+            k += 1
+            v, q = pair
+            row = delta.get(q)
+            if row:
+                for s, dst in out[v]:
+                    for t in row.get(s, ()):
+                        if (dst, t) not in pred:
+                            pred[dst, t] = (pair, None)
+                            layer.append((dst, t))
+            for y, rows in fixed.get(v, ()):
+                for t in rows.get(q, ()):
+                    if (y, t) not in pred:
+                        pred[y, t] = (pair, None)
+                        layer.append((y, t))
+
+    def nogood(self, picks: list[int]) -> set[tuple[int, int]] | None:
+        """The literals of a fewest-choice losing walk under picks, or None
+        when no walk loses."""
+        pred = dict(self.base)
+        layer = self.base_layer
+        choice = self.choice
+        rows = self.rows
+        while True:
+            for goal in self.goals:
+                if goal in pred:
+                    return _crossed(pred, goal)
+            # The next layer: one choice macro edge past this one.
+            nxt = []
+            for pair in layer:
+                v, q = pair
+                for i, y in choice.get(v, ()):
+                    for t in rows[i][picks[i]].get(q, ()):
+                        if (y, t) not in pred:
+                            pred[y, t] = (pair, (i, picks[i]))
+                            nxt.append((y, t))
+            if not nxt:
+                return None
+            self._close(nxt, pred)
+            layer = nxt
+
+    def all_lose(self) -> bool:
+        """Whether every pick loses: conflict-directed backjumping (Prosser,
+        Computational Intelligence 1993) over the choice requests, in
+        request order, learning each leaf's nogood as in GRASP
+        (Marques-Silva and Sakallah, 1999).
+
+        A nogood refutes every pick that agrees with it.  A choice that a
+        child's nogood does not mention is jumped past with that nogood;
+        once each of a choice's values is refuted, the union of their
+        nogoods without the choice refutes the parent's picks.  The empty
+        nogood refutes them all.
+        """
+        choices = [i for i, r in enumerate(self.rows) if len(r) > 1]
+        picks = [0] * len(self.rows)
+        learned: list[set[tuple[int, int]]] = [set() for _ in choices]
+        while True:
+            nogood = self.nogood(picks)
+            if nogood is None:
+                return False
+            # Up from the leaf: resolve the nogood on each choice it
+            # names, and jump past each choice it does not.
+            depth = len(choices)
+            while True:
+                depth -= 1
+                if depth < 0:
+                    return True
+                i = choices[depth]
+                lit = (i, picks[i])
+                if lit not in nogood:
+                    continue
+                nogood.discard(lit)
+                learned[depth] |= nogood
+                picks[i] += 1
+                if picks[i] < len(self.rows[i]):
+                    break
+                nogood = learned[depth]
+            # Down to the next leaf: the choices below restart at pick 0.
+            for d in range(depth + 1, len(choices)):
+                picks[choices[d]] = 0
+                learned[d] = set()
+
+
+def _crossed(pred: dict, pair) -> set[tuple[int, int]]:
+    """The choice literals on the recorded walk that ends at pair."""
+    lits = set()
+    step = pred[pair]
+    while step is not None:
+        pair, lit = step
+        if lit is not None:
+            lits.add(lit)
+        step = pred[pair]
+    return lits

@@ -27,7 +27,8 @@ from rpqdet.constraints import (ConstraintSet, apply_add, make_arrow_set,
                                 recolor_nfa, requests, satisfied)
 from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
                            PlayTrace, Position, RoundRecord, Verdict,
-                           VerdictKind, initial_position, scripted_from_trace)
+                           VerdictKind, _graft_each, initial_position,
+                           scripted_from_trace)
 from rpqdet.gadget import CounterexampleReport
 from rpqdet.graphs import LabeledGraph, chain_word
 from rpqdet.rpq import evaluate, holds
@@ -516,3 +517,25 @@ def random_batches(rng: random.Random, g: LabeledGraph):
         new_edges = rng.sample(ready, rng.randint(0, len(ready)))
         pending = [e for e in pending if e not in new_edges]
         yield new_vertices, new_edges
+
+
+# --------------------------------------------------------------------------
+# The all-lost check of a search node, by grafting: every combination of
+# one minimal candidate per request is put on the live position in turn,
+# instead of walking a summary graph with backjumping.
+
+
+def all_minimal_lose_odometer(ctx: ExploreContext, live, reqs,
+                              nogood=()) -> bool:
+    """Whether every combination of minimal candidates that agrees with
+    nogood, a set of (request index, pick) literals, loses on live.
+
+    The grafts use round caps.max_rounds + 1, which no search position
+    reaches, so their fresh names are free; the loss test does not see
+    names."""
+    picked = dict(nogood)
+    minimal = [ctx.minimal(r.constraint) for r in reqs]
+    lists = [(m[picked[i]],) if i in picked else m
+             for i, m in enumerate(minimal)]
+    return all(live.lost() for _ in _graft_each(live, reqs, lists,
+                                                 ctx.caps.max_rounds + 1))

@@ -245,6 +245,24 @@ def test_search_two_shade_at_the_default_caps(files, two_shade_instance,
     assert capsys.readouterr().out.strip() == "OK"
 
 
+@pytest.mark.parametrize("name", ["two_shade", "blocked"])
+def test_search_at_initial_length_twelve(files, name, request, capsys):
+    # Every survivor here is decided without grafting, on the summary graph
+    # of its start position; grafting each minimal combination took 117 s
+    # on two-shade and 45 s on blocked.
+    tiling = files["root"] / f"{name}_frontier.json"
+    tiling.write_text(instance_to_json(
+        request.getfixturevalue(f"{name}_instance")))
+    reduced = files["root"] / f"{name}_frontier_instance.json"
+    assert main(["reduce", str(tiling), "--out", str(reduced)]) == 0
+    capsys.readouterr()
+    start = monotonic()
+    code = main(["search", str(reduced), "--max-initial-len", "12"])
+    assert monotonic() - start < 30
+    assert code == 1
+    assert capsys.readouterr().out == "ALL_PLAYS_LOSE\n"
+
+
 def test_verify_reports_the_failing_condition(files, capsys):
     doc = json.loads(files["model2"].read_text())
     doc["edges"] = [e for e in doc["edges"] if e["label"] != "G:omega"]

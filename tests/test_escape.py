@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (classify_immutable, explore_immutable, explore_per_word,
-                     forced_per_word, is_homomorphism, random_graph,
-                     random_regex, replay_positions, start_words_per_word)
+from oracles import (all_minimal_lose_odometer, classify_immutable,
+                     explore_immutable, explore_per_word, forced_per_word,
+                     is_homomorphism, random_graph, random_regex,
+                     replay_positions, start_words_per_word)
 from rpqdet.automata import (Concat, Empty, Lit, accepts, compile_nfa,
                              iter_words, parse_regex, parse_word)
+from rpqdet import escape
 from rpqdet.constraints import Request, make_arrow_set, make_arrows, requests
 from rpqdet.escape import (
     Caps,
@@ -521,6 +523,125 @@ def test_classify_word_matches_the_immutable_search_on_random_instances(seed):
         ctx = ExploreContext(q0, cs, search_caps)
         for w in ctx.start_words():
             _same_outcome(ctx.classify_word(w), classify_immutable(ctx, w))
+
+
+# --------------------------------------------------------------------------
+# The all-lost check by backjumping against grafting every minimal
+# combination
+
+
+class _Seen:
+    """What the all-lost checks saw: each node's decision, each leaf's
+    nogood (None for a surviving leaf), and the classify_word outcomes."""
+
+    def __init__(self):
+        self.nodes = []
+        self.leaves = []
+        self.outcomes = []
+
+
+def _classify_watched(ctx, words, on_leaf=None, odometer=False):
+    """Classify each word and return what its all-lost checks saw.
+
+    on_leaf(summary, nogood) runs on every losing leaf while live still
+    holds the node's position; with odometer, every node asserts that the
+    backjumping check decides as grafting every minimal combination."""
+    seen = _Seen()
+
+    class Watched(escape.SummaryGraph):
+        def __init__(self, live, reqs, rows):
+            super().__init__(live, reqs, rows)
+            self.reqs = reqs
+
+        def nogood(self, picks):
+            got = super().nogood(picks)
+            seen.leaves.append(None if got is None else frozenset(got))
+            if got is not None and on_leaf is not None:
+                on_leaf(self, got)
+            return got
+
+        def all_lose(self):
+            got = super().all_lose()
+            if odometer:
+                assert got == all_minimal_lose_odometer(ctx, self.live,
+                                                        self.reqs)
+            seen.nodes.append(got)
+            return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(escape, "SummaryGraph", Watched)
+        seen.outcomes = [ctx.classify_word(w) for w in words]
+    return seen
+
+
+def _assert_nogood_sound(ctx):
+    """on_leaf: every minimal combination that agrees with the nogood
+    loses, each grafted on the live position."""
+    def check(summary, nogood):
+        assert all_minimal_lose_odometer(ctx, summary.live, summary.reqs,
+                                         nogood)
+    return check
+
+
+@pytest.mark.parametrize("name", ["two_shade", "blocked"])
+@pytest.mark.parametrize("caps", [Caps(8, 3, 6, 4), Caps(8, 3, 6, 3)])
+def test_all_lost_check_matches_the_odometer(name, caps, request):
+    out = request.getfixturevalue(f"{name}_reduction")
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
+    seen = _classify_watched(ctx, ctx.start_words(), odometer=True)
+    assert any(seen.nodes)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_all_lost_check_matches_the_odometer_on_random_instances(seed):
+    q0, cs, caps = _random_instance(seed)
+    for search_caps in (Caps(min(caps.max_initial_len, 4), 1, 3, 2),
+                        Caps(min(caps.max_initial_len, 3), 2, 1, 2)):
+        ctx = ExploreContext(q0, cs, search_caps)
+        _classify_watched(ctx, ctx.start_words(), _assert_nogood_sound(ctx),
+                          odometer=True)
+
+
+def test_learned_nogoods_are_sound_on_blocked(blocked_reduction):
+    out = blocked_reduction
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(10, 3, 6, 4))
+    seen = _classify_watched(ctx, ctx.start_words(),
+                             _assert_nogood_sound(ctx))
+    assert {len(n) for n in seen.leaves} == {2, 3, 4, 5}
+
+
+def test_a_two_shade_survivor_is_decided_in_two_one_literal_leaves(
+        two_shade_reduction):
+    # One request loses under each of its two minimal candidates, whatever
+    # the others get: a walk that crosses the fewest choices crosses that
+    # one alone.  A walk that crosses more would send the search through
+    # further leaves.
+    out = two_shade_reduction
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(8, 3, 6, 4))
+    word = next(w for w in ctx.start_words() if len(w) == 8)
+    seen = _classify_watched(ctx, [word])
+    assert seen.outcomes == [("all_lost", None)]
+    assert seen.nodes == [True]
+    assert [len(n) for n in seen.leaves] == [1, 1]
+    (i, first), (j, second) = (next(iter(n)) for n in seen.leaves)
+    assert i == j and first != second
+
+
+def test_a_node_decided_at_the_root_grafts_nothing(two_shade_reduction,
+                                                   monkeypatch):
+    out = two_shade_reduction
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(6, 3, 6, 3))
+    grafts = []
+    real = LivePosition.graft
+
+    def counted(self, *args):
+        grafts.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(LivePosition, "graft", counted)
+    word = _two_shade_word(("black",) * 4)
+    assert ctx.classify_word(word) == ("all_lost", None)
+    assert grafts == []
 
 
 def _reach_from_scratch(nfa, g, a):
