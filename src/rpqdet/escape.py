@@ -9,9 +9,10 @@ position with no open requests is a fixpoint and certifies a counterexample.
 A round only adds edges, so ``run_play`` keeps one ``LivePosition`` for
 the whole play and extends it from each round's new edges: its reach
 sets answer the loss test, and a ``LiveRequests`` over its out-rows
-answers the requests.  The bounded search asks ``requests`` on an
-immutable graph instead; it takes its grafts back, which the request
-tracker does not support.
+answers the requests.  The bounded search grafts onto a ``LivePosition``
+as well and takes its grafts back with ``undo``, so it asks ``requests``
+on an immutable graph: the request tracker cannot take edges back.  Both
+graft through ``LivePosition.graft``, and so through ``graft_path``.
 
 A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
 witness for the open request req, the index-th (from 0) of round round_no
@@ -25,12 +26,13 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import product
 
 from .automata import (Nfa, ProductDfa, accepts, enumerate_words, iter_words,
                        shortest_word)
 from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
-                          Request, WitnessRejectedError, check_witness,
-                          fresh_names, graft_path, recolor_nfa, requests)
+                          Request, fresh_names, graft_path, recolor_nfa,
+                          requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import find_witness
@@ -241,7 +243,7 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
     q0 ranges over the base alphabet; the loss test checks its red copy
     between the endpoints after every position, the initial one included.
     Each round asks the strategy for every open request's witness in
-    order and grafts it at once through graft_path.
+    order and grafts it at once through LivePosition.graft.
 
     The play runs on one LivePosition over red q0, whose reach answers
     the loss test, and one LiveRequests over its out-rows, which answers
@@ -272,11 +274,7 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
         for i, r in enumerate(reqs):
             w = strategy(round_no, i, r)
             choices.append(w)
-            fresh, path = graft_path(live.out, r, w, round_no=round_no,
-                                     req_index=i)
-            # A one-letter witness may repeat an edge; it is not added.
-            new = [e for e in path if e[1:] not in live.out.get(e[0], ())]
-            live.add(fresh, new)
+            fresh, new, _ = live.graft(r, w, round_no, i)
             names += fresh
             added += new
         tracker.extend(names, added)
@@ -307,8 +305,8 @@ _WIN, _ALL_LOST, _UNDECIDED = "win", "all_lost", "undecided"
 
 
 class LivePosition:
-    """One mutable search position and the automaton states its walks
-    from a reach.
+    """One mutable position, of a play or of a search, and the automaton
+    states its walks from a reach.
 
     ``reach[v]`` holds every state of nfa that some walk from a, read
     from nfa.start, ends in at v; the play is lost when one of b's is
@@ -331,7 +329,7 @@ class LivePosition:
             v: [] for v in graph.vertices}
         self.reach: dict[str, set[int]] = {v: set() for v in graph.vertices}
         self.reach[a].add(nfa.start)
-        self._add_edges(graph.edges, [], [])
+        self._add_edges(graph.edges, [])
 
     def lost(self) -> bool:
         return not self.reach[self.b].isdisjoint(self.nfa.accepting)
@@ -343,52 +341,41 @@ class LivePosition:
                                       for s, dst in row))
 
     def graft(self, r: Request, w: Word, round_no: int, req_index: int):
-        """Add a fresh path from r.x to r.y spelling w, with the vertex
-        names apply_add gives it; returns the undo record.
+        """Graft a fresh path from r.x to r.y spelling w, with the names
+        and checks of graft_path; returns the undo record (names,
+        added_edges, pairs).
 
-        The search checks its candidates once (ExploreContext.candidates),
-        so it grafts here without graft_path: building the path through
-        graft_path's lists made game search 4-8 % slower."""
-        if not w:
-            raise WitnessRejectedError("witness word is empty")
-        names = fresh_names(round_no, req_index, len(w) - 1)
-        clash = self.out.keys() & names
-        if clash:
-            raise ValueError(f"fresh vertex names already taken: {sorted(clash)}")
-        stops = [r.x, *names, r.y]
-        return self.add(names, zip(stops, w, stops[1:]))
-
-    def add(self, names, edges):
-        """Add the new vertices, then the edges; returns the undo record."""
+        An edge already present is left out of added_edges; only a
+        one-letter witness can repeat one."""
+        names, path = graft_path(self.out, r, w, round_no=round_no,
+                                 req_index=req_index)
         for v in names:
             self.out[v] = []
             self.reach[v] = set()
-        sources: list[str] = []
+        added = [e for e in path if e[1:] not in self.out[e[0]]]
         pairs: list[tuple[str, int]] = []
-        self._add_edges(edges, sources, pairs)
-        return names, sources, pairs
+        self._add_edges(added, pairs)
+        return names, added, pairs
 
     def undo(self, record) -> None:
-        names, sources, pairs = record
+        names, added, pairs = record
         for v, t in pairs:
             self.reach[v].discard(t)
-        for v in reversed(sources):
-            self.out[v].pop()
+        for src, _, _ in reversed(added):
+            self.out[src].pop()
         for v in names:
             del self.out[v]
             del self.reach[v]
 
-    def _add_edges(self, new, sources: list, pairs: list) -> None:
-        """Add the edges, appending the source of each to sources and every
-        (vertex, state) pair they make reachable to pairs.  An edge already
-        present is listed twice, which graph() folds and reach ignores."""
+    def _add_edges(self, new, pairs: list) -> None:
+        """Add the edges, none of them present yet, appending every
+        (vertex, state) pair they make reachable to pairs."""
         delta = self.nfa.delta
         reach = self.reach
         out = self.out
         queue: list[tuple[str, int]] = []
         for src, s, dst in new:
             out[src].append((s, dst))
-            sources.append(src)
             queue.extend((src, q) for q in reach[src])
         while queue:
             v, q = queue.pop()
@@ -422,8 +409,7 @@ class ExploreContext:
     def candidates(self, rc: RegularConstraint) -> tuple[Word, ...]:
         """Witness words for one request: the first max_branches words of
         the rhs language within max_witness_len, shortlex; when none fit,
-        the single shortest rhs word, so bounded play never gets stuck.
-        Each is checked against the rhs once here, so grafts need not."""
+        the single shortest rhs word, so bounded play never gets stuck."""
         got = self._candidates.get(rc.cid)
         if got is None:
             out = []
@@ -437,8 +423,6 @@ class ExploreContext:
                 w = shortest_word(rc.rhs_nfa)
                 if w is not None:
                     out.append(w)
-            for w in out:
-                check_witness(rc, w)
             got = tuple(out)
             self._candidates[rc.cid] = got
         return got
@@ -510,13 +494,13 @@ class ExploreContext:
         """
         # _green_word rejects what initial_position rejects, before the
         # automaton reads the word's base symbols.
-        base = tuple(s.uncolored() for s in _green_word(word))
+        green = _green_word(word)
+        base = tuple(s.uncolored() for s in green)
         dfa = self.start_automaton
         if _forced_to_lose(dfa.flags[dfa.run(base)]):
             return _ALL_LOST, None
-        pos = initial_position(word)
-        return self._search(LivePosition(self.red_q0, pos.graph, pos.a, pos.b),
-                            pos.round)
+        live = LivePosition(self.red_q0, chain_graph(green, "a", "b"), "a", "b")
+        return self._search(live, 0)
 
     def verdict(self, outcomes) -> Verdict:
         """Fold the classify_word outcomes of start_words, in that order,
@@ -541,8 +525,9 @@ class ExploreContext:
         return Verdict(VerdictKind.ALL_PLAYS_LOSE, self.caps)
 
     def _search(self, live: LivePosition, round_no: int):
-        """Search every bounded play from the live position, which is left
-        as it was found; a win carries its fixpoint as a Position.
+        """Search every bounded play from the live position; a win carries
+        its fixpoint as a Position.  Live is left as it was found, except
+        after a win.
 
         A node is decided all-lost over the minimal candidates first.  A
         fresh path's inner vertices have one in-edge and one out-edge, and
@@ -567,8 +552,10 @@ class ExploreContext:
         conflict-directed backjumping over these nogoods.
 
         Nothing is claimed about wins: when some minimal combination
-        survives, every combination is searched in order, as if the check
-        were not there.
+        survives, every combination is searched in itertools.product
+        order, as if the check were not there.  Each is grafted whole,
+        searched, and undone in reverse, except after a win: live then
+        stays grafted, at the fixpoint it returns.
         """
         if live.lost():
             return _ALL_LOST, None
@@ -586,46 +573,17 @@ class ExploreContext:
             return _ALL_LOST, None
         round_no += 1
         any_undecided = False
-        for _ in _graft_each(live, reqs, cand_lists, round_no):
+        for picks in product(*cand_lists):
+            records = [live.graft(r, w, round_no, i)
+                       for i, (r, w) in enumerate(zip(reqs, picks))]
             kind, win = self._search(live, round_no)
             if kind == _WIN:
                 return kind, win
             if kind == _UNDECIDED:
                 any_undecided = True
+            for record in reversed(records):
+                live.undo(record)
         return (_UNDECIDED if any_undecided else _ALL_LOST), None
-
-
-def _graft_each(live: LivePosition, reqs, cand_lists, round_no: int):
-    """Put each combination of one candidate per request in place on live,
-    in the order of itertools.product, and yield once it is: the full
-    search of a node that the summary graph did not decide.
-
-    Combinations that share a prefix share its grafts, so moving to the
-    next one undoes and grafts only the requests past the common prefix.
-    Live is as it was found when the walk ends or is closed early.
-    """
-    n = len(reqs)
-    picks = [0] * n
-    records = []
-    try:
-        while True:
-            for k in range(len(records), n):
-                records.append(live.graft(reqs[k], cand_lists[k][picks[k]],
-                                          round_no, k))
-            yield
-            k = n - 1
-            while True:
-                live.undo(records.pop())
-                picks[k] += 1
-                if picks[k] < len(cand_lists[k]):
-                    break
-                picks[k] = 0
-                k -= 1
-                if k < 0:
-                    return
-    finally:
-        while records:
-            live.undo(records.pop())
 
 
 def _green_symbol(s: Symbol) -> Symbol:

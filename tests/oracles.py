@@ -27,8 +27,7 @@ from rpqdet.constraints import (ConstraintSet, apply_add, make_arrow_set,
                                 recolor_nfa, requests, satisfied)
 from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
                            PlayTrace, Position, RoundRecord, Verdict,
-                           VerdictKind, _graft_each, initial_position,
-                           scripted_from_trace)
+                           VerdictKind, initial_position, scripted_from_trace)
 from rpqdet.gadget import CounterexampleReport
 from rpqdet.graphs import LabeledGraph, chain_word
 from rpqdet.rpq import evaluate, holds
@@ -532,10 +531,19 @@ def all_minimal_lose_odometer(ctx: ExploreContext, live, reqs,
 
     The grafts use round caps.max_rounds + 1, which no search position
     reaches, so their fresh names are free; the loss test does not see
-    names."""
+    names.  Each combination is grafted whole and undone in reverse, and
+    live is left as it was found."""
     picked = dict(nogood)
     minimal = [ctx.minimal(r.constraint) for r in reqs]
     lists = [(m[picked[i]],) if i in picked else m
              for i, m in enumerate(minimal)]
-    return all(live.lost() for _ in _graft_each(live, reqs, lists,
-                                                 ctx.caps.max_rounds + 1))
+    round_no = ctx.caps.max_rounds + 1
+    for picks in product(*lists):
+        records = [live.graft(r, w, round_no, i)
+                   for i, (r, w) in enumerate(zip(reqs, picks))]
+        lost = live.lost()
+        for record in reversed(records):
+            live.undo(record)
+        if not lost:
+            return False
+    return True

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -10,10 +11,13 @@ from oracles import (all_minimal_lose_odometer, classify_immutable,
                      explore_immutable, explore_per_word, forced_per_word,
                      is_homomorphism, random_graph, random_regex,
                      replay_positions, start_words_per_word)
-from rpqdet.automata import (Concat, Empty, Lit, accepts, compile_nfa,
+from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, accepts,
+                             compile_nfa,
                              iter_words, parse_regex, parse_word)
 from rpqdet import escape
-from rpqdet.constraints import Request, make_arrow_set, make_arrows, requests
+from rpqdet.constraints import (ConstraintSet, RegularConstraint, Request,
+                                graft_path, make_arrow_set, make_arrows,
+                                requests)
 from rpqdet.escape import (
     Caps,
     ExploreContext,
@@ -644,6 +648,79 @@ def test_a_node_decided_at_the_root_grafts_nothing(two_shade_reduction,
     assert grafts == []
 
 
+_EVERY_LABEL_PLUS = Plus(Class(frozenset(SPECIALS.colored().symbols)))
+
+
+def _colored_constraint(cid, lhs, rhs):
+    """lhs -> rhs over the colored SPECIALS; each side is a regex or its
+    text."""
+    colored = SPECIALS.colored()
+    lhs, rhs = (parse_regex(x, colored) if isinstance(x, str) else x
+                for x in (lhs, rhs))
+    return RegularConstraint(lhs, rhs, cid, colored, compile_nfa(lhs, colored),
+                             compile_nfa(rhs, colored))
+
+
+def _rows(live):
+    return {v: list(row) for v, row in live.out.items()}
+
+
+def test_a_graft_that_repeats_an_edge_adds_nothing_and_undo_keeps_the_edge():
+    rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
+    g = LabeledGraph.build(["a", "m", "b"], [("a", sym("G:alpha"), "m"),
+                                             ("m", sym("G:omega"), "b")])
+    live = LivePosition(rc.rhs_nfa, g, "a", "b")
+    start = _rows(live), {v: set(got) for v, got in live.reach.items()}
+    first = live.graft(Request("a", "b", rc), (sym("R:beta"),), 1, 0)
+    assert first[:2] == ([], [("a", sym("R:beta"), "b")])
+    grafted = _rows(live)
+    repeat = live.graft(Request("a", "m", rc), (sym("G:alpha"),), 1, 1)
+    assert repeat == ([], [], [])
+    assert _rows(live) == grafted
+    live.undo(repeat)
+    assert _rows(live) == grafted
+    assert (sym("G:alpha"), "m") in live.out["a"]
+    live.undo(first)
+    assert (_rows(live), live.reach) == start
+    assert live.graph() == g
+
+
+def test_run_play_lists_a_repeated_witness_but_adds_its_edge_once():
+    # Two constraints open a request on the same pair; the first graft
+    # makes the edge that the second one's witness repeats.
+    cs = ConstraintSet((_colored_constraint(0, "G:alpha", "R:alpha"),
+                        _colored_constraint(1, "G:alpha", "R:alpha + R:beta")),
+                       SPECIALS.colored())
+    q0 = compile_nfa(parse_regex("beta", SPECIALS), SPECIALS)
+    init = Position(chain_graph((sym("G:alpha"),), "a", "b"), "a", "b", 0)
+    result, trace = run_play(q0, cs, strategy_shortest(), init, 3)
+    assert result.outcome is PlayOutcome.WON_FIXPOINT
+    (rec,) = trace.rounds
+    assert rec.requests == (("a", "b", 0), ("a", "b", 1))
+    assert rec.choices == ((sym("R:alpha"),), (sym("R:alpha"),))
+    assert rec.added_edges == (("a", sym("R:alpha"), "b"),)
+
+
+@pytest.mark.parametrize("x, y, rhs, word", [
+    ("a", "nowhere", _EVERY_LABEL_PLUS, "R:alpha"),
+    ("a", "b", _EVERY_LABEL_PLUS, ""),
+    ("a", "b", "R:alpha", "G:alpha"),
+    ("a", "b", _EVERY_LABEL_PLUS, "R:alpha R:beta"),
+], ids=["unknown-endpoint", "empty-word", "not-in-rhs", "fresh-name-clash"])
+def test_live_graft_refuses_what_graft_path_refuses_with_its_message(
+        x, y, rhs, word):
+    rc = _colored_constraint(0, "G:alpha", rhs)
+    g = LabeledGraph.build(["a", "b", "n1_0_1"], [("a", sym("G:alpha"), "b")])
+    live = LivePosition(rc.rhs_nfa, g, "a", "b")
+    r, w = Request(x, y, rc), tuple(sym(tok) for tok in word.split())
+    with pytest.raises(Exception) as want:
+        graft_path(g.vertices, r, w, round_no=1, req_index=0)
+    before = _rows(live), {v: set(got) for v, got in live.reach.items()}
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        live.graft(r, w, 1, 0)
+    assert (_rows(live), live.reach) == before
+
+
 def _reach_from_scratch(nfa, g, a):
     """Per vertex, the states some walk from a reaches there: one holds()
     search per (vertex, state) pair."""
@@ -665,7 +742,8 @@ def test_live_reach_matches_a_fresh_search_through_grafts_and_undos(seed):
     nfa = compile_nfa(random_regex(rng, labels, depth=3), colored)
     g = random_graph(rng, labels, max_vertices=5, max_edges=8)
     a, b = rng.choice(sorted(g.vertices)), rng.choice(sorted(g.vertices))
-    rc = make_arrows(Lit(sym("alpha")), SPECIALS)[0]
+    # Grafts check their words against the rhs, so it accepts them all.
+    rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
     live = LivePosition(nfa, g, a, b)
     stack = []
     for step_no in range(1, 13):
