@@ -6,7 +6,7 @@ counterexamples, and verify them.
 """
 
 from .symbols import (Alphabet, Color, FormatError, Symbol, SymbolError, Word,
-                      WorkbenchError, format_word, sym, word_colored)
+                      WorkbenchError, format_word, sym)
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus,
                        ProductDfa, Regex, RegexSyntaxError, Star, Union,
                        accepts, compile_nfa, concat_all, enumerate_words,
@@ -15,7 +15,7 @@ from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus,
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, UnknownVertexError,
                      chain_graph, chain_word, endpointed_from_json,
                      endpointed_to_json, graph_from_json, graph_to_json,
-                     graph_union, recolor, strip_shades)
+                     graph_union, strip_shades)
 from .rpq import evaluate, find_witness, holds
 from .constraints import (ConstraintError, ConstraintSet, RegularConstraint,
                           Request, WitnessRejectedError, apply_add,

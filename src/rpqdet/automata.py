@@ -664,7 +664,8 @@ class ProductDfa:
     the guide accepts and ``accept`` holds of the tuple of every
     component's acceptance flag.  States are ints, 0 is the start; the row
     of a state's successors, one per alphabet symbol in order, is built
-    the first time it is needed.
+    the first time it is needed.  A state keeps only whether it accepts
+    (``accepting``): ``accept`` sees its flags once, when the state is made.
     """
 
     def __init__(self, alphabet: Alphabet, components, accept):
@@ -677,7 +678,6 @@ class ProductDfa:
         self._keys: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[list[int] | None] = []
-        self.flags: list[tuple[bool, ...]] = []
         self.accepting: list[bool] = []
         self._intern((0,) * len(self._dfas))
 
@@ -689,7 +689,6 @@ class ProductDfa:
             self._ids[key] = got
             self._rows.append(None)
             flags = tuple(d.accepting[q] for d, q in zip(self._dfas, key))
-            self.flags.append(flags)
             self.accepting.append(flags[0] and self._accept(flags))
         return got
 
@@ -703,14 +702,6 @@ class ProductDfa:
                    for k in range(len(self.alphabet))]
             self._rows[q] = got
         return got
-
-    def run(self, word: Word) -> int:
-        """The state the word leads to; symbols outside the alphabet raise."""
-        q = 0
-        index = self.alphabet.index
-        for s in word:
-            q = self.row(q)[index(s)]
-        return q
 
     def _distances(self, max_len: int) -> list[int]:
         """Per state, the least word length to acceptance within reach of

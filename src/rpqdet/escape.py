@@ -427,17 +427,15 @@ class ExploreContext:
             self._candidates[rc.cid] = got
         return got
 
-    def minimal(self, rc: RegularConstraint) -> tuple[Word, ...]:
-        """The candidates of rc whose red q0 relations are ⊆-minimal, in
-        candidate order, one word per distinct relation (the first).
+    def minimal(self, rc: RegularConstraint) -> tuple[tuple[Word, ...],
+                                                      tuple[Rows, ...]]:
+        """(words, rows): the candidates of rc whose red q0 relations are
+        ⊆-minimal, in candidate order, one word per distinct relation (the
+        first), and each word's relation as rows {p: (q, ...)}.
 
         A word's relation is {(p, q) : q in δ*(p, w)} on red_q0: all the
         loss test can see of a path spelling it (see _search).
         """
-        return self._minimal_with_rows(rc)[0]
-
-    def _minimal_with_rows(self, rc: RegularConstraint):
-        """minimal(rc), and each word's relation as rows {p: (q, ...)}."""
         got = self._minimal.get(rc.cid)
         if got is None:
             firsts: dict[frozenset[tuple[int, int]], Word] = {}
@@ -491,14 +489,17 @@ class ExploreContext:
 
         Returns (kind, position) with kind one of win / all_lost /
         undecided; the position is the fixpoint reached on a win.
+
+        The forcing rule is not run here: start_words only prunes the
+        enumeration with it.  A word it kills opens an a-to-b request
+        whose minimal candidates are all red q0 words, so _search decides
+        it all-lost at the root, with nothing grafted.  An empty or red
+        word raises ValueError, and a symbol outside q0's alphabet
+        SymbolError.
         """
-        # _green_word rejects what initial_position rejects, before the
-        # automaton reads the word's base symbols.
         green = _green_word(word)
-        base = tuple(s.uncolored() for s in green)
-        dfa = self.start_automaton
-        if _forced_to_lose(dfa.flags[dfa.run(base)]):
-            return _ALL_LOST, None
+        for s in green:
+            self.q0.alphabet.index(s.uncolored())
         live = LivePosition(self.red_q0, chain_graph(green, "a", "b"), "a", "b")
         return self._search(live, 0)
 
@@ -551,6 +552,11 @@ class ExploreContext:
         SummaryGraph.all_lose searches the combinations by
         conflict-directed backjumping over these nogoods.
 
+        A request with no candidate returns undecided before that check,
+        even where another request alone would lose.  Only a constraint
+        with a nonempty lhs and an empty rhs has no candidate, and neither
+        make_arrows nor constraint_set_from_json builds one.
+
         Nothing is claimed about wins: when some minimal combination
         survives, every combination is searched in itertools.product
         order, as if the check were not there.  Each is grafted whole,
@@ -568,7 +574,7 @@ class ExploreContext:
         cand_lists = [self.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
-        rows = [self._minimal_with_rows(r.constraint)[1] for r in reqs]
+        rows = [self.minimal(r.constraint)[1] for r in reqs]
         if SummaryGraph(live, reqs, rows).all_lose():
             return _ALL_LOST, None
         round_no += 1

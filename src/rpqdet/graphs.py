@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .symbols import (Color, Symbol, Word, WorkbenchError, expect,
-                      expect_key)
+from .symbols import Symbol, Word, WorkbenchError, expect, expect_key
 
 Edge = tuple[str, Symbol, str]
 
@@ -97,13 +96,6 @@ def chain_graph(word: Word, x: str, y: str) -> LabeledGraph:
         raise ValueError("chain vertex names collide")
     edges = [(stops[k], word[k], stops[k + 1]) for k in range(n)]
     return LabeledGraph.build(stops, edges)
-
-
-def recolor(g: LabeledGraph, color: Color) -> LabeledGraph:
-    """Repaint every edge label with one color."""
-    return LabeledGraph(g.vertices,
-                        frozenset((src, s.colored(color), dst)
-                                  for src, s, dst in g.edges))
 
 
 def graph_union(graphs: Iterable[LabeledGraph]) -> LabeledGraph:

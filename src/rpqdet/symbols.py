@@ -137,10 +137,6 @@ def format_word(word: Word) -> str:
     return " ".join(word)
 
 
-def word_colored(word: Word, color: Color) -> Word:
-    return tuple(s.colored(color) for s in word)
-
-
 def _canonical_key(s: Symbol) -> tuple:
     color_rank = {None: 0, Color.GREEN: 1, Color.RED: 2}[s.color]
     if s.is_sigma0:
@@ -204,13 +200,6 @@ class Alphabet:
         """The four-field fragment, optionally restricted to one color."""
         return tuple(s for s in self.symbols
                      if s.is_sigma0 and (color is None or s.color is color))
-
-    def shades(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for s in self.symbols:
-            if s.shade is not None and s.shade not in out:
-                out.append(s.shade)
-        return tuple(out)
 
     def colored(self) -> "Alphabet":
         """Green copies of every symbol, then red copies, in base order;

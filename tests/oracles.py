@@ -534,7 +534,7 @@ def all_minimal_lose_odometer(ctx: ExploreContext, live, reqs,
     names.  Each combination is grafted whole and undone in reverse, and
     live is left as it was found."""
     picked = dict(nogood)
-    minimal = [ctx.minimal(r.constraint) for r in reqs]
+    minimal = [ctx.minimal(r.constraint)[0] for r in reqs]
     lists = [(m[picked[i]],) if i in picked else m
              for i, m in enumerate(minimal)]
     round_no = ctx.caps.max_rounds + 1

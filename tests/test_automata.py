@@ -384,13 +384,14 @@ def test_product_relabels_into_a_colored_component():
     green = compile_nfa(parse_regex("G:alpha G:beta*", colored), colored)
     base = compile_nfa(parse_regex("(alpha + beta)(beta + omega)", SPECIALS),
                        SPECIALS)
-    dfa = ProductDfa(SPECIALS, [(base, None),
-                                (green, lambda s: s.colored(Color.GREEN))],
-                     lambda flags: flags[1])
+    components = [(base, None), (green, lambda s: s.colored(Color.GREEN))]
+    dfa = ProductDfa(SPECIALS, components, lambda flags: flags[1])
     assert list(dfa.words(3)) == [(sym("alpha"), sym("beta"))]
-    q = dfa.run((sym("alpha"), sym("omega")))
-    assert dfa.flags[q] == (True, False)
-    assert not dfa.accepting[q]
+    # The guide words that the green component rejects: flags (True, False).
+    rejected = ProductDfa(SPECIALS, components, lambda flags: not flags[1])
+    assert list(rejected.words(3)) == [(sym("alpha"), sym("omega")),
+                                       (sym("beta"), sym("beta")),
+                                       (sym("beta"), sym("omega"))]
 
 
 def test_product_words_respect_the_length_cap_and_an_empty_guide():
@@ -413,4 +414,4 @@ def test_product_builds_no_state_past_a_dead_guide():
     dfa = ProductDfa(SPECIALS, [(guide, None), (other, None)],
                      lambda flags: True)
     assert list(dfa.words(6)) == [(sym("alpha"), sym("beta"))]
-    assert len(dfa.flags) <= 1 + 3 * len(SPECIALS)
+    assert len(dfa.accepting) <= 1 + 3 * len(SPECIALS)

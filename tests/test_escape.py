@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -42,7 +43,7 @@ from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homom
 from rpqdet.graphs import LabeledGraph, chain_graph, endpointed_to_json
 from rpqdet.rpq import holds
 from rpqdet.ogtp import all_black_tiling
-from rpqdet.symbols import Alphabet, Color, FormatError, sym
+from rpqdet.symbols import Alphabet, Color, FormatError, SymbolError, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 
@@ -350,15 +351,71 @@ def test_explore_matches_the_per_word_search(name, caps, request):
                 == endpointed_to_json(want.certificate))
 
 
-def test_classify_word_kills_forced_words_without_game_search(
-        black_reduction):
+@contextmanager
+def _counted_grafts():
+    """The argument tuples of every LivePosition.graft call made inside."""
+    grafts = []
+    real = LivePosition.graft
+
+    def counted(self, *args):
+        grafts.append(args)
+        return real(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LivePosition, "graft", counted)
+        yield grafts
+
+
+def _assert_forced_words_decided_at_the_root(ctx):
+    """Every nonempty q0 word within max_initial_len that the per-word
+    forcing rule kills classifies all_lost with nothing grafted, and the
+    start automaton is never built; returns those words."""
+    forced = [w for w in iter_words(ctx.q0, ctx.caps.max_initial_len)
+              if w and forced_per_word(ctx, w)]
+    with _counted_grafts() as grafts:
+        for w in forced:
+            assert ctx.classify_word(w) == ("all_lost", None), w
+    assert grafts == []
+    assert "start_automaton" not in ctx.__dict__
+    return forced
+
+
+def test_classify_word_decides_a_forced_word_at_the_root(black_reduction):
     ctx = ExploreContext(black_reduction.q0_nfa,
                          black_reduction.constraint_set(), Caps(3, 3, 6, 4))
     warm = parse_word("alpha A-H-W-black omega", black_reduction.alphabet)
-    assert forced_per_word(ctx, warm)
-    assert ctx.classify_word(warm) == ("all_lost", None)
+    assert warm in _assert_forced_words_decided_at_the_root(ctx)
     with pytest.raises(ValueError):
         ctx.classify_word(())
+    with pytest.raises(ValueError):
+        ctx.classify_word((sym("R:alpha"), sym("omega")))
+
+
+@pytest.mark.parametrize("token", ["A-H-C-grey", "G:A-H-C-grey"])
+def test_classify_word_refuses_a_symbol_outside_q0s_alphabet(token,
+                                                             black_reduction):
+    ctx = ExploreContext(black_reduction.q0_nfa,
+                         black_reduction.constraint_set(), Caps(4, 3, 6, 4))
+    word = tuple(map(sym, ["alpha", token, "B-V-C-black", "omega"]))
+    with pytest.raises(SymbolError,
+                       match=r"\Asymbol 'A-H-C-grey' not in alphabet\Z"):
+        ctx.classify_word(word)
+
+
+@pytest.mark.parametrize("name, max_initial_len", [
+    ("black", 5), ("blocked", 5), ("two_shade", 4)])
+def test_every_forced_word_is_decided_at_the_root(name, max_initial_len,
+                                                  request):
+    out = request.getfixturevalue(f"{name}_reduction")
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(),
+                         Caps(max_initial_len, 3, 6, 4))
+    assert _assert_forced_words_decided_at_the_root(ctx)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_every_forced_word_is_decided_at_the_root_on_random_instances(seed):
+    q0, cs, caps = _random_instance(seed)
+    _assert_forced_words_decided_at_the_root(ExploreContext(q0, cs, caps))
 
 
 def _single_view_instance(q0_text, view_text):
@@ -477,7 +534,7 @@ def test_a_win_through_a_non_minimal_candidate_is_found_by_the_fallback():
     rc = cs.by_id(0)
     r_beta, r_beta_omega = (sym("R:beta"),), (sym("R:beta"), sym("R:omega"))
     assert ctx.candidates(rc) == (r_beta, r_beta_omega)
-    assert ctx.minimal(rc) == (r_beta_omega,)
+    assert ctx.minimal(rc)[0] == (r_beta_omega,)
     word = (sym("beta"), sym("alpha"))
     kind, pos = ctx.classify_word(word)
     assert (kind, pos.round) == ("win", 1)
@@ -509,7 +566,7 @@ def test_minimal_keeps_the_first_word_of_each_minimal_relation(seed):
         want = [w for i, w in enumerate(cands)
                 if rel[w] not in {rel[u] for u in cands[:i]}
                 and not any(rel[u] < rel[w] for u in cands)]
-        assert list(ctx.minimal(rc)) == want
+        assert list(ctx.minimal(rc)[0]) == want
         for w in cands:
             assert any(rel[m] <= rel[w] for m in want)
 
@@ -631,20 +688,12 @@ def test_a_two_shade_survivor_is_decided_in_two_one_literal_leaves(
     assert i == j and first != second
 
 
-def test_a_node_decided_at_the_root_grafts_nothing(two_shade_reduction,
-                                                   monkeypatch):
+def test_a_node_decided_at_the_root_grafts_nothing(two_shade_reduction):
     out = two_shade_reduction
     ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(6, 3, 6, 3))
-    grafts = []
-    real = LivePosition.graft
-
-    def counted(self, *args):
-        grafts.append(args)
-        return real(self, *args)
-
-    monkeypatch.setattr(LivePosition, "graft", counted)
     word = _two_shade_word(("black",) * 4)
-    assert ctx.classify_word(word) == ("all_lost", None)
+    with _counted_grafts() as grafts:
+        assert ctx.classify_word(word) == ("all_lost", None)
     assert grafts == []
 
 

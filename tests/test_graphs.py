@@ -15,10 +15,9 @@ from rpqdet.graphs import (
     graph_from_json,
     graph_to_json,
     graph_union,
-    recolor,
     strip_shades,
 )
-from rpqdet.symbols import Color, sym
+from rpqdet.symbols import sym
 
 
 def g_of(*edges, extra=()):
@@ -75,20 +74,6 @@ def test_endpointed_requires_member_vertices():
     g = g_of(("a", "G:alpha", "b"))
     with pytest.raises(Exception):
         EndpointedGraph(g, "a", "zzz")
-
-
-def test_recolor_single_edge():
-    g = g_of(("a", "R:omega", "b"))
-    out = recolor(g, Color.GREEN)
-    assert out.edges == frozenset({("a", sym("G:omega"), "b")})
-
-
-def test_recolor_is_idempotent_and_size_preserving():
-    g = g_of(("a", "G:alpha", "b"), ("b", "R:A-H-W-black", "c"))
-    once = recolor(g, Color.RED)
-    assert recolor(once, Color.RED) == once
-    assert len(once.vertices) == len(g.vertices)
-    assert len(once.edges) == len(g.edges)
 
 
 def test_union_idempotent_commutative():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rpqdet.symbols import Alphabet, Color, Symbol, SymbolError, format_word, sym, word_colored
+from rpqdet.symbols import Alphabet, Color, Symbol, SymbolError, format_word, sym
 
 
 def test_special_tokens_parse():
@@ -132,13 +132,14 @@ def test_colored_alphabet_is_built_once():
 def test_sigma0_and_shades():
     a = Alphabet(["alpha", "A-H-W-black", "A-H-W-grey", "B-V-C-black"])
     assert len(a.sigma0()) == 3
-    assert a.shades() == ("black", "grey")
+    assert [s.shade for s in a.sigma0()] == ["black", "grey", "black"]
 
 
 def test_format_and_recolor_word():
     w = (sym("alpha"), sym("A-H-C-black"))
     assert format_word(w) == "alpha A-H-C-black"
-    assert format_word(word_colored(w, Color.RED)) == "R:alpha R:A-H-C-black"
+    red = tuple(s.colored(Color.RED) for s in w)
+    assert format_word(red) == "R:alpha R:A-H-C-black"
 
 
 @given(st.sampled_from("AB"), st.sampled_from("HV"), st.sampled_from("WC"),

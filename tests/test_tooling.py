@@ -42,6 +42,26 @@ def test_every_workload_runs_one_checked_op(name):
     assert workload.check(ready, inputs[0], got) is None
 
 
+def test_search_game_op_builds_no_start_automaton(monkeypatch):
+    """search-game times the search from the root: requests, minimal
+    tables and the summary check.  Its op calls classify_word alone, so
+    it must build no ProductDfa; the forcing rule only prunes start_words."""
+    built = []
+    product_dfa = escape.ProductDfa
+
+    def counted(*args):
+        built.append(args)
+        return product_dfa(*args)
+
+    monkeypatch.setattr(escape, "ProductDfa", counted)
+    workload = WORKLOADS["search-game"]
+    inputs = workload.inputs(1)
+    ready = workload.setup(inputs)
+    got = workload.op(ready, inputs[0])
+    assert workload.check(ready, inputs[0], got) is None
+    assert built == []
+
+
 def test_tracer_charges_the_rpq_layers(black_reduction):
     """requests and check_counterexample reach evaluate and holds through
     the module names the tracer rebinds."""
