@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain, islice
 from multiprocessing import Pool
 
 from .automata import accepts, compile_nfa, iter_words, parse_regex, parse_word
@@ -123,6 +124,11 @@ def cmd_play(args) -> int:
 
 _SEARCH_CTX: ExploreContext | None = None
 
+# Start words sent to a search worker at a time.  Most words are decided
+# at the root in well under a millisecond, so one word per task costs more
+# in inter-process traffic than in search.
+_SEARCH_BATCH = 64
+
 
 def _search_init(instance_text: str, caps: Caps) -> None:
     global _SEARCH_CTX
@@ -130,8 +136,23 @@ def _search_init(instance_text: str, caps: Caps) -> None:
     _SEARCH_CTX = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
 
 
-def _search_worker(word):
-    return _SEARCH_CTX.classify_word(word)
+def _search_worker(words):
+    """The outcomes of a batch of start words, in order, up to the first
+    win: the verdict reads no further, and a later word of the batch may
+    take far longer than the win did."""
+    out = []
+    for w in words:
+        kind, pos = _SEARCH_CTX.classify_word(w)
+        out.append((kind, pos))
+        if pos is not None:  # a win
+            break
+    return out
+
+
+def _batches(words, size: int):
+    it = iter(words)
+    while batch := list(islice(it, size)):
+        yield batch
 
 
 def cmd_search(args) -> int:
@@ -145,7 +166,9 @@ def cmd_search(args) -> int:
         ctx = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
         with Pool(args.jobs, initializer=_search_init,
                   initargs=(text, caps)) as pool:
-            verdict = ctx.verdict(pool.imap(_search_worker, ctx.start_words()))
+            batches = _batches(ctx.start_words(), _SEARCH_BATCH)
+            verdict = ctx.verdict(chain.from_iterable(
+                pool.imap(_search_worker, batches)))
     else:
         verdict = explore(out.q0_nfa, out.constraint_set(), caps)
     print(verdict.kind.value)

@@ -7,21 +7,23 @@ satisfying both carries a red twin of every green L-connection and vice
 versa.  The pair shares its two automata, recolorings of the one compiled
 for L, so ``requests`` evaluates each of them once per graph, and
 ``LiveRequests`` keeps one pair set for each while a play's graph grows.
+
+An instance's constraint set is the tuple of these pairs, one pair per
+view language in declaration order, and a constraint's id is its index
+there.  ``make_arrow_set`` builds it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
 
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus, Regex,
                        Star, Union, accepts, compile_nfa, literals_used,
-                       parse_regex, render_regex, shortest_word)
+                       render_regex)
 from .graphs import Edge, LabeledGraph, require_vertex
 from .rpq import LivePairs, edges_by_label, evaluate
-from .symbols import (Alphabet, Color, Symbol, Word, WorkbenchError, expect,
-                      expect_key)
+from .symbols import Alphabet, Color, Symbol, Word, WorkbenchError
 
 
 class ConstraintError(WorkbenchError):
@@ -92,19 +94,8 @@ class RegularConstraint:
                 f"{render_regex(self.rhs, self.alphabet)}")
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    constraints: tuple[RegularConstraint, ...]
-    alphabet: Alphabet
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def by_id(self, cid: int) -> RegularConstraint:
-        return self.constraints[cid]
+# Constraints in id order, so that cs[rc.cid] is rc.
+ConstraintSet = tuple[RegularConstraint, ...]
 
 
 def _check_language(l: Regex, base_alphabet: Alphabet) -> Nfa:
@@ -145,7 +136,7 @@ def make_arrow_set(languages, base_alphabet: Alphabet) -> ConstraintSet:
     for l in languages:
         fwd, back = make_arrows(l, base_alphabet, first_id=len(out))
         out += [fwd, back]
-    return ConstraintSet(tuple(out), base_alphabet.colored())
+    return tuple(out)
 
 
 def satisfied(rc: RegularConstraint, g: LabeledGraph) -> bool:
@@ -272,34 +263,3 @@ def check_witness(rc: RegularConstraint, w: Word) -> None:
             f"witness {' '.join(s.name for s in w)!r} not in the rhs language "
             f"of constraint {rc.cid}")
 
-
-# --------------------------------------------------------------------------
-# JSON form: {"constraints": [{"lhs": "...", "rhs": "..."}]} over colored
-# symbol tokens.
-
-
-def constraint_set_to_json(cs: ConstraintSet) -> str:
-    obj = {"constraints": [{"lhs": render_regex(rc.lhs, cs.alphabet),
-                            "rhs": render_regex(rc.rhs, cs.alphabet)}
-                           for rc in cs]}
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def constraint_set_from_json(text: str, base_alphabet: Alphabet) -> ConstraintSet:
-    """Inverse of constraint_set_to_json; a wrong shape raises FormatError."""
-    colored = base_alphabet.colored()
-    obj = expect(json.loads(text), dict, "constraint set")
-    out: list[RegularConstraint] = []
-    for i, entry in enumerate(expect_key(obj, "constraints", list,
-                                         "constraint set")):
-        expect(entry, dict, "constraint")
-        lhs = parse_regex(expect_key(entry, "lhs", str, "constraint"), colored)
-        rhs = parse_regex(expect_key(entry, "rhs", str, "constraint"), colored)
-        rc = RegularConstraint(lhs, rhs, i, colored, compile_nfa(lhs, colored),
-                               compile_nfa(rhs, colored))
-        if accepts(rc.rhs_nfa, ()):
-            raise ConstraintError(f"constraint {i}: rhs contains the empty word")
-        if shortest_word(rc.rhs_nfa) is None and shortest_word(rc.lhs_nfa) is not None:
-            raise ConstraintError(f"constraint {i}: rhs is empty but lhs is not")
-        out.append(rc)
-    return ConstraintSet(tuple(out), colored)

@@ -554,8 +554,9 @@ class ExploreContext:
 
         A request with no candidate returns undecided before that check,
         even where another request alone would lose.  Only a constraint
-        with a nonempty lhs and an empty rhs has no candidate, and neither
-        make_arrows nor constraint_set_from_json builds one.
+        with a nonempty lhs and an empty rhs has no candidate.  make_arrows
+        never builds one, since both arrows of a view share its language,
+        so only a constraint set built by hand reaches this branch.
 
         Nothing is claimed about wins: when some minimal combination
         survives, every combination is searched in itertools.product

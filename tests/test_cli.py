@@ -4,8 +4,8 @@ from time import monotonic
 import pytest
 
 from oracles import explore_immutable
-from rpqdet.cli import main
-from rpqdet.escape import Caps
+from rpqdet.cli import _SEARCH_BATCH, main
+from rpqdet.escape import Caps, ExploreContext
 from rpqdet.gadget import build_grid, decorate
 from rpqdet.graphs import endpointed_to_json, graph_from_json
 from rpqdet.ogtp import (
@@ -186,7 +186,7 @@ def test_search_finds_and_verify_accepts_a_certificate(files, capsys):
     assert capsys.readouterr().out.strip() == "OK"
 
 
-def test_search_parallel_matches_serial(files, capsys):
+def test_search_parallel_matches_serial(files, capsys, two_shade_reduction):
     cert = files["root"] / "cert_serial.json"
     assert main(["search", str(files["instance"]), "--max-initial-len", "4",
                  "--out", str(cert)]) == 0
@@ -194,7 +194,23 @@ def test_search_parallel_matches_serial(files, capsys):
     assert main(["search", str(files["instance"]), "--max-initial-len", "4",
                  "--jobs", "2", "--out", str(cert2)]) == 0
     assert cert2.read_text() == cert.read_text()
+    # The first start word wins in milliseconds, and the fourth runs for
+    # minutes: the worker stops its batch at the win.
+    cert3 = files["root"] / "cert_jobs_long.json"
+    assert main(["search", str(files["instance"]), "--max-initial-len", "10",
+                 "--jobs", "2", "--out", str(cert3)]) == 0
+    assert cert3.read_text() == cert.read_text()
     capsys.readouterr()
+    # Two-shade at length 10 has 340 surviving start words: several
+    # batches per worker.
+    two_shade = files["root"] / "two_shade_instance.json"
+    two_shade.write_text(reduction_to_json(two_shade_reduction))
+    ctx = ExploreContext(two_shade_reduction.q0_nfa,
+                         two_shade_reduction.constraint_set(), Caps(10, 3, 6, 4))
+    assert len(list(ctx.start_words())) > 4 * _SEARCH_BATCH
+    assert main(["search", str(two_shade), "--max-initial-len", "10",
+                 "--jobs", "2"]) == 1
+    assert capsys.readouterr().out == "ALL_PLAYS_LOSE\n"
 
 
 def test_search_prints_the_certificate_it_would_write(files, capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -13,8 +14,6 @@ from rpqdet.constraints import (
     Request,
     WitnessRejectedError,
     apply_add,
-    constraint_set_from_json,
-    constraint_set_to_json,
     fresh_names,
     make_arrow_set,
     make_arrows,
@@ -27,7 +26,7 @@ from rpqdet.escape import initial_position
 from rpqdet.graphs import LabeledGraph, chain_graph
 from rpqdet.ogtp import reduction_alphabet
 from rpqdet.rpq import holds
-from rpqdet.symbols import Alphabet, Color, FormatError, sym
+from rpqdet.symbols import Alphabet, Color, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 BLACK = reduction_alphabet(("black",))
@@ -100,10 +99,12 @@ def test_reduction_arrows_share_their_automata(black_reduction,
     for reduction in (black_reduction, blocked_reduction,
                       two_shade_reduction):
         cs = reduction.constraint_set()
-        for fwd, back in zip(cs.constraints[::2], cs.constraints[1::2]):
+        colored = reduction.alphabet.colored()
+        assert all(cs[rc.cid] is rc for rc in cs)
+        for fwd, back in zip(cs[::2], cs[1::2]):
             assert back.lhs_nfa is fwd.rhs_nfa and back.rhs_nfa is fwd.lhs_nfa
-            assert fwd.lhs_nfa == compile_nfa(fwd.lhs, cs.alphabet)
-            assert fwd.rhs_nfa == compile_nfa(fwd.rhs, cs.alphabet)
+            assert fwd.lhs_nfa == compile_nfa(fwd.lhs, colored)
+            assert fwd.rhs_nfa == compile_nfa(fwd.rhs, colored)
 
 
 def test_make_arrows_returns_both_directions():
@@ -139,7 +140,7 @@ def test_arrow_set_counts_and_ids():
     cs = make_arrow_set(langs, SPECIALS)
     assert len(cs) == 6
     assert [rc.cid for rc in cs] == list(range(6))
-    assert cs.by_id(2).describe() == "G:beta -> R:beta"
+    assert cs[2].describe() == "G:beta -> R:beta"
 
 
 def test_reduction_constraint_counts(black_reduction, two_shade_reduction,
@@ -158,8 +159,8 @@ def test_initial_chain_violates_the_boundary_view(black_reduction):
     cs = black_reduction.constraint_set()
     g = chain_m1()
     # cid 2 is the green-to-red arrow of the two-letter start/end language.
-    assert cs.by_id(2).describe().startswith("G:alpha + G:beta")
-    assert not satisfied(cs.by_id(2), g)
+    assert cs[2].describe().startswith("G:alpha + G:beta")
+    assert not satisfied(cs[2], g)
 
 
 def test_request_set_on_the_short_diagonal_chain(black_reduction):
@@ -184,37 +185,40 @@ def test_requests_empty_iff_all_satisfied(black_reduction):
 
 @pytest.fixture(scope="module")
 def arrow_sets(black_reduction, two_shade_reduction):
-    """Per reduction, its arrow set and the same set read back from JSON,
-    whose arrows share no automaton."""
+    """Per reduction, its colored alphabet, its arrow set, and the same
+    arrows with each side compiled on its own, so no automaton is shared."""
     out = {}
     for name, reduction in (("black", black_reduction),
                             ("two_shade", two_shade_reduction)):
+        colored = reduction.alphabet.colored()
         cs = reduction.constraint_set()
-        out[name] = (cs, constraint_set_from_json(constraint_set_to_json(cs),
-                                                  reduction.alphabet))
+        unshared = tuple(replace(rc, lhs_nfa=compile_nfa(rc.lhs, colored),
+                                 rhs_nfa=compile_nfa(rc.rhs, colored))
+                         for rc in cs)
+        out[name] = (colored, cs, unshared)
     return out
 
 
 @pytest.mark.parametrize("name", ["black", "two_shade"])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_requests_match_the_per_constraint_loop(name, seed, arrow_sets):
-    """requests evaluates each shared automaton once; the set read back
-    from JSON must give the same requests."""
-    cs, loaded = arrow_sets[name]
-    g = random_graph(random.Random(seed), list(cs.alphabet.symbols),
+    """requests evaluates each shared automaton once; the same arrows
+    with unshared automata must give the same requests."""
+    colored, cs, unshared = arrow_sets[name]
+    g = random_graph(random.Random(seed), list(colored.symbols),
                      max_vertices=6, max_edges=20)
     want = requests_per_constraint(cs, g)
     assert [(r.x, r.y, r.cid) for r in requests(cs, g)] == want
-    assert [(r.x, r.y, r.cid) for r in requests(loaded, g)] == want
+    assert [(r.x, r.y, r.cid) for r in requests(unshared, g)] == want
 
 
 @pytest.mark.parametrize("name", ["black", "two_shade"])
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_live_requests_match_requests_after_every_batch(name, seed,
                                                         arrow_sets):
-    cs, _ = arrow_sets[name]
+    colored, cs, _ = arrow_sets[name]
     rng = random.Random(seed)
-    g = random_graph(rng, list(cs.alphabet.symbols), max_vertices=6,
+    g = random_graph(rng, list(colored.symbols), max_vertices=6,
                      max_edges=20)
     batches = random_batches(rng, g)
     # The tracker walks the rows it is given at once, then each batch.
@@ -304,25 +308,3 @@ def test_apply_add_monotone_growth_fuzz():
                         round_no=1, req_index=i)
         assert g.vertices <= out.vertices
         assert g.edges <= out.edges
-
-
-def test_constraint_set_json_round_trip(black_reduction):
-    cs = black_reduction.constraint_set()
-    text = constraint_set_to_json(cs)
-    back = constraint_set_from_json(text, black_reduction.alphabet)
-    assert len(back) == len(cs)
-    assert [rc.describe() for rc in back] == [rc.describe() for rc in cs]
-    # Each side read back is compiled on its own: no automaton is shared.
-    nfas = [n for rc in back for n in (rc.lhs_nfa, rc.rhs_nfa)]
-    assert len({id(n) for n in nfas}) == len(nfas)
-
-
-@pytest.mark.parametrize("text", [
-    '[1]',
-    '{}',
-    '{"constraints": [1]}',
-    '{"constraints": [{"lhs": 1, "rhs": "R:alpha"}]}',
-])
-def test_constraint_set_json_of_the_wrong_shape_is_a_format_error(text):
-    with pytest.raises(FormatError):
-        constraint_set_from_json(text, Alphabet(["alpha"]))

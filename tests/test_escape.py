@@ -16,9 +16,8 @@ from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, accepts,
                              compile_nfa,
                              iter_words, parse_regex, parse_word)
 from rpqdet import escape
-from rpqdet.constraints import (ConstraintSet, RegularConstraint, Request,
-                                graft_path, make_arrow_set, make_arrows,
-                                requests)
+from rpqdet.constraints import (RegularConstraint, Request, graft_path,
+                                make_arrow_set, make_arrows, requests)
 from rpqdet.escape import (
     Caps,
     ExploreContext,
@@ -531,7 +530,7 @@ def test_a_win_through_a_non_minimal_candidate_is_found_by_the_fallback():
     q0, cs = _single_view_instance("beta alpha", "beta + beta omega")
     caps = Caps(2, 2, 3, 2)
     ctx = ExploreContext(q0, cs, caps)
-    rc = cs.by_id(0)
+    rc = cs[0]
     r_beta, r_beta_omega = (sym("R:beta"),), (sym("R:beta"), sym("R:omega"))
     assert ctx.candidates(rc) == (r_beta, r_beta_omega)
     assert ctx.minimal(rc)[0] == (r_beta_omega,)
@@ -644,6 +643,27 @@ def _assert_nogood_sound(ctx):
     return check
 
 
+def _assert_nogood_loses_alone(ctx):
+    """on_leaf: the live position loses with only the nogood's picks and
+    the one minimal candidate of each fixed request grafted, at the
+    odometer's round.  Grafts only add edges, so every minimal
+    combination that agrees with the nogood loses too."""
+    def check(summary, nogood):
+        picked = dict(nogood)
+        live, round_no = summary.live, ctx.caps.max_rounds + 1
+        records = []
+        for i, r in enumerate(summary.reqs):
+            words = ctx.minimal(r.constraint)[0]
+            if i in picked or len(words) == 1:
+                records.append(live.graft(r, words[picked.get(i, 0)],
+                                          round_no, i))
+        lost = live.lost()
+        for record in reversed(records):
+            live.undo(record)
+        assert lost
+    return check
+
+
 @pytest.mark.parametrize("name", ["two_shade", "blocked"])
 @pytest.mark.parametrize("caps", [Caps(8, 3, 6, 4), Caps(8, 3, 6, 3)])
 def test_all_lost_check_matches_the_odometer(name, caps, request):
@@ -667,7 +687,7 @@ def test_learned_nogoods_are_sound_on_blocked(blocked_reduction):
     out = blocked_reduction
     ctx = ExploreContext(out.q0_nfa, out.constraint_set(), Caps(10, 3, 6, 4))
     seen = _classify_watched(ctx, ctx.start_words(),
-                             _assert_nogood_sound(ctx))
+                             _assert_nogood_loses_alone(ctx))
     assert {len(n) for n in seen.leaves} == {2, 3, 4, 5}
 
 
@@ -737,9 +757,8 @@ def test_a_graft_that_repeats_an_edge_adds_nothing_and_undo_keeps_the_edge():
 def test_run_play_lists_a_repeated_witness_but_adds_its_edge_once():
     # Two constraints open a request on the same pair; the first graft
     # makes the edge that the second one's witness repeats.
-    cs = ConstraintSet((_colored_constraint(0, "G:alpha", "R:alpha"),
-                        _colored_constraint(1, "G:alpha", "R:alpha + R:beta")),
-                       SPECIALS.colored())
+    cs = (_colored_constraint(0, "G:alpha", "R:alpha"),
+          _colored_constraint(1, "G:alpha", "R:alpha + R:beta"))
     q0 = compile_nfa(parse_regex("beta", SPECIALS), SPECIALS)
     init = Position(chain_graph((sym("G:alpha"),), "a", "b"), "a", "b", 0)
     result, trace = run_play(q0, cs, strategy_shortest(), init, 3)
@@ -748,6 +767,17 @@ def test_run_play_lists_a_repeated_witness_but_adds_its_edge_once():
     assert rec.requests == (("a", "b", 0), ("a", "b", 1))
     assert rec.choices == ((sym("R:alpha"),), (sym("R:alpha"),))
     assert rec.added_edges == (("a", sym("R:alpha"), "b"),)
+
+
+def test_a_request_with_no_candidate_leaves_the_word_undecided():
+    # The rhs is empty, so the request alpha opens between the endpoints
+    # has no witness; the search cannot go on and cannot claim a loss.
+    cs = (_colored_constraint(0, "G:alpha", "EMPTY"),)
+    q0 = compile_nfa(parse_regex("alpha", SPECIALS), SPECIALS)
+    caps = Caps(2, 2, 2, 2)
+    ctx = ExploreContext(q0, cs, caps)
+    assert ctx.classify_word((sym("alpha"),)) == ("undecided", None)
+    assert explore(q0, cs, caps).kind is VerdictKind.INCONCLUSIVE
 
 
 @pytest.mark.parametrize("x, y, rhs, word", [
