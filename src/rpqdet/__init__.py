@@ -9,9 +9,9 @@ from .symbols import (Alphabet, Color, FormatError, Symbol, SymbolError, Word,
                       WorkbenchError, format_word, sym)
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus,
                        ProductDfa, Regex, RegexSyntaxError, Star, Union,
-                       accepts, compile_nfa, concat_all, enumerate_words,
-                       iter_words, parse_regex, parse_word, render_regex,
-                       shortest_word, union_all)
+                       accepts, compile_nfa, concat_all, iter_words,
+                       parse_regex, parse_word, render_regex, shortest_word,
+                       union_all)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, UnknownVertexError,
                      chain_graph, chain_word, endpointed_from_json,
                      endpointed_to_json, graph_from_json, graph_to_json,

@@ -765,10 +765,6 @@ class ProductDfa:
         yield from _shortlex_words(max_len, dist[0], live_row, self.accepting)
 
 
-def enumerate_words(n: Nfa, max_len: int) -> list[Word]:
-    return list(iter_words(n, max_len))
-
-
 def shortest_word(n: Nfa) -> Word | None:
     """Shortest accepted word, shortlex tie-break; None for the empty
     language.

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval, reduce, play, search, verify, grid, solve-ogtp.
-Exit codes: 2 for unreadable or unparsable inputs; play exits 0 on
-WON_FIXPOINT, 1 on LOST, 3 on EXHAUSTED; search exits 0 on NONDETERMINATE,
-1 on ALL_PLAYS_LOSE, 3 on INCONCLUSIVE; verify exits 0 when the
-counterexample checks out and 1 otherwise; solve-ogtp exits 1 when no
-tiling exists within the bound.
+Exit codes: 2 for unreadable or unparsable inputs and for bounds out of
+range; play exits 0 on WON_FIXPOINT, 1 on LOST, 3 on EXHAUSTED; search
+exits 0 on NONDETERMINATE, 1 on ALL_PLAYS_LOSE, 3 on INCONCLUSIVE; verify
+exits 0 when the counterexample checks out and 1 otherwise; solve-ogtp
+exits 1 when no tiling exists within the bound.
 """
 
 from __future__ import annotations
@@ -213,6 +213,20 @@ def cmd_solve_ogtp(args) -> int:
 # Parser
 
 
+def _int_from(low: int):
+    """An argparse type: an int of at least low.  A bound below it is
+    refused at parse time, with exit 2, before any verb runs."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    # argparse names the type in its message for a non-integer.
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpqdet",
@@ -243,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="space-separated base symbols of the starting chain")
     p.add_argument("--initial-cap", type=int,
                    help="use the shortlex-least q0 word within this length")
-    p.add_argument("--max-rounds", type=int, default=20)
+    p.add_argument("--max-rounds", type=_int_from(0), default=20)
     p.add_argument("--trace", help="trace JSONL to replay (scripted)")
     p.add_argument("--model", help="model graph JSON (guided)")
     p.set_defaults(func=cmd_play)
@@ -255,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-witness-len", type=int, default=3)
     p.add_argument("--max-rounds", type=int, default=6)
     p.add_argument("--max-branches", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_from(1), default=1,
                    help="worker processes classifying start words (default 1)")
     p.set_defaults(func=cmd_search)
 
@@ -276,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-ogtp", parents=[common],
                        help="brute-force a tiling instance")
     p.add_argument("instance", help="tiling-problem JSON file")
-    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-n", type=_int_from(1), default=3)
     p.set_defaults(func=cmd_solve_ogtp)
 
     return parser

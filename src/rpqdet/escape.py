@@ -6,13 +6,16 @@ must satisfy every open constraint request at once by grafting witness
 paths.  The player loses as soon as a red q0 word connects a to b; a
 position with no open requests is a fixpoint and certifies a counterexample.
 
-A round only adds edges, so ``run_play`` keeps one ``LivePosition`` for
-the whole play and extends it from each round's new edges: its reach
-sets answer the loss test, and a ``LiveRequests`` over its out-rows
-answers the requests.  The bounded search grafts onto a ``LivePosition``
-as well and takes its grafts back with ``undo``, so it asks ``requests``
-on an immutable graph: the request tracker cannot take edges back.  Both
-graft through ``LivePosition.graft``, and so through ``graft_path``.
+A ``LivePosition`` is a position's out-rows, which grafts extend and
+``undo`` takes back.  A round only adds edges, so ``run_play`` keeps one
+for the whole play, and over its rows one ``LiveRequests``, which
+answers the requests, and one ``rpq.LivePairs`` of red q0, which answers
+the loss test; each round extends both from its new edges alone.  The
+bounded search grafts onto a ``LivePosition`` as well and takes its
+grafts back, which those append-only indexes cannot follow, so each
+search node builds its graph once and asks ``holds`` and ``requests``
+on it.  Both graft through ``LivePosition.graft``, and so through
+``graft_path``.
 
 A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
 witness for the open request req, the index-th (from 0) of round round_no
@@ -26,16 +29,15 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
-from .automata import (Nfa, ProductDfa, accepts, enumerate_words, iter_words,
-                       shortest_word)
+from .automata import Nfa, ProductDfa, accepts, iter_words, shortest_word
 from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
                           Request, fresh_names, graft_path, recolor_nfa,
                           requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
-from .rpq import find_witness
+from .rpq import LivePairs, edges_by_label, find_witness, holds
 from .summary import Rows, SummaryGraph, as_rows, relation
 from .symbols import (Color, Symbol, Word, WorkbenchError, expect, expect_items,
                       expect_key, format_word)
@@ -198,7 +200,8 @@ class InteractiveStrategy:
         rc = req.constraint
         self.print_fn(f"round {round_no}: request ({req.x}, {req.y}) "
                       f"for constraint {req.cid}: {rc.describe()}")
-        samples = enumerate_words(rc.rhs_nfa, _SAMPLE_LEN)[:_SAMPLE_COUNT]
+        samples = list(islice(iter_words(rc.rhs_nfa, _SAMPLE_LEN),
+                              _SAMPLE_COUNT))
         if samples:
             self.print_fn("candidates: " +
                           "; ".join(format_word(w) for w in samples))
@@ -245,19 +248,20 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
     Each round asks the strategy for every open request's witness in
     order and grafts it at once through LivePosition.graft.
 
-    The play runs on one LivePosition over red q0, whose reach answers
-    the loss test, and one LiveRequests over its out-rows, which answers
-    the requests; both are extended from each round's new edges only, as
-    a round never takes an edge away.
+    The play runs on one LivePosition, and over its out-rows on one
+    LiveRequests, which answers the requests, and one LivePairs of red
+    q0, which answers the loss test; both are extended from each round's
+    new edges only, as a round never takes an edge away.
     """
-    live = LivePosition(recolor_nfa(q0, Color.RED), init.graph, init.a,
-                        init.b)
+    live = LivePosition(init.graph, init.a, init.b)
     tracker = LiveRequests(cs, live.out)
+    loss = LivePairs(recolor_nfa(q0, Color.RED), live.out)
+    loss.extend(list(live.out), edges_by_label(init.graph.edges))
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
     round_no = init.round
     while True:
-        if live.lost():
+        if (live.a, live.b) in loss.pairs:
             outcome = PlayOutcome.LOST
             break
         reqs = tracker.requests()
@@ -274,10 +278,11 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
         for i, r in enumerate(reqs):
             w = strategy(round_no, i, r)
             choices.append(w)
-            fresh, new, _ = live.graft(r, w, round_no, i)
+            fresh, new = live.graft(r, w, round_no, i)
             names += fresh
             added += new
         tracker.extend(names, added)
+        loss.extend(names, edges_by_label(added))
         records.append(RoundRecord(round_no,
                                    tuple((r.x, r.y, r.cid) for r in reqs),
                                    tuple(choices), tuple(sorted(added))))
@@ -305,34 +310,21 @@ _WIN, _ALL_LOST, _UNDECIDED = "win", "all_lost", "undecided"
 
 
 class LivePosition:
-    """One mutable position, of a play or of a search, and the automaton
-    states its walks from a reach.
+    """One mutable position, of a play or of a search: the out-row of
+    every vertex.  Each graft returns a record of what it added, which
+    ``undo`` takes back; undo must come in reverse graft order."""
 
-    ``reach[v]`` holds every state of nfa that some walk from a, read
-    from nfa.start, ends in at v; the play is lost when one of b's is
-    accepting.  A graft only adds edges, so reach only grows: it is
-    extended from the sources of the new edges alone (semi-naive
-    evaluation), never recomputed from a.  Each graft returns a record of
-    what it added, which ``undo`` takes back; undo must come in reverse
-    graft order.
-    """
-
-    def __init__(self, nfa: Nfa, graph: LabeledGraph, a: str, b: str):
+    def __init__(self, graph: LabeledGraph, a: str, b: str):
         graph.require_vertex(a)
         graph.require_vertex(b)
-        self.nfa = nfa
         self.a = a
         self.b = b
         # One out-row per vertex, isolated ones too: its keys are the
         # vertex set.
         self.out: dict[str, list[tuple[Symbol, str]]] = {
             v: [] for v in graph.vertices}
-        self.reach: dict[str, set[int]] = {v: set() for v in graph.vertices}
-        self.reach[a].add(nfa.start)
-        self._add_edges(graph.edges, [])
-
-    def lost(self) -> bool:
-        return not self.reach[self.b].isdisjoint(self.nfa.accepting)
+        for src, s, dst in graph.edges:
+            self.out[src].append((s, dst))
 
     def graph(self) -> LabeledGraph:
         return LabeledGraph(frozenset(self.out),
@@ -343,54 +335,26 @@ class LivePosition:
     def graft(self, r: Request, w: Word, round_no: int, req_index: int):
         """Graft a fresh path from r.x to r.y spelling w, with the names
         and checks of graft_path; returns the undo record (names,
-        added_edges, pairs).
+        added_edges).
 
         An edge already present is left out of added_edges; only a
         one-letter witness can repeat one."""
         names, path = graft_path(self.out, r, w, round_no=round_no,
                                  req_index=req_index)
+        out = self.out
         for v in names:
-            self.out[v] = []
-            self.reach[v] = set()
-        added = [e for e in path if e[1:] not in self.out[e[0]]]
-        pairs: list[tuple[str, int]] = []
-        self._add_edges(added, pairs)
-        return names, added, pairs
+            out[v] = []
+        added = [e for e in path if e[1:] not in out[e[0]]]
+        for src, s, dst in added:
+            out[src].append((s, dst))
+        return names, added
 
     def undo(self, record) -> None:
-        names, added, pairs = record
-        for v, t in pairs:
-            self.reach[v].discard(t)
+        names, added = record
         for src, _, _ in reversed(added):
             self.out[src].pop()
         for v in names:
             del self.out[v]
-            del self.reach[v]
-
-    def _add_edges(self, new, pairs: list) -> None:
-        """Add the edges, none of them present yet, appending every
-        (vertex, state) pair they make reachable to pairs."""
-        delta = self.nfa.delta
-        reach = self.reach
-        out = self.out
-        queue: list[tuple[str, int]] = []
-        for src, s, dst in new:
-            out[src].append((s, dst))
-            queue.extend((src, q) for q in reach[src])
-        while queue:
-            v, q = queue.pop()
-            row = delta.get(q)
-            if not row:
-                continue
-            for s, dst in out[v]:
-                targets = row.get(s)
-                if targets:
-                    seen = reach[dst]
-                    for t in targets:
-                        if t not in seen:
-                            seen.add(t)
-                            pairs.append((dst, t))
-                            queue.append((dst, t))
 
 
 class ExploreContext:
@@ -500,7 +464,7 @@ class ExploreContext:
         green = _green_word(word)
         for s in green:
             self.q0.alphabet.index(s.uncolored())
-        live = LivePosition(self.red_q0, chain_graph(green, "a", "b"), "a", "b")
+        live = LivePosition(chain_graph(green, "a", "b"), "a", "b")
         return self._search(live, 0)
 
     def verdict(self, outcomes) -> Verdict:
@@ -564,9 +528,9 @@ class ExploreContext:
         searched, and undone in reverse, except after a win: live then
         stays grafted, at the fixpoint it returns.
         """
-        if live.lost():
-            return _ALL_LOST, None
         g = live.graph()
+        if holds(self.red_q0, g, live.a, live.b):
+            return _ALL_LOST, None
         reqs = requests(self.cs, g)
         if not reqs:
             return _WIN, Position(g, live.a, live.b, round_no)
@@ -576,7 +540,7 @@ class ExploreContext:
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
         rows = [self.minimal(r.constraint)[1] for r in reqs]
-        if SummaryGraph(live, reqs, rows).all_lose():
+        if SummaryGraph(self.red_q0, live, reqs, rows).all_lose():
             return _ALL_LOST, None
         round_no += 1
         any_undecided = False

@@ -15,16 +15,16 @@ state.  ``find_witness`` keeps its own layered search, because it carries
 the shortlex word and path of each product node.
 
 ``LivePairs`` keeps the pairs of ``evaluate`` on a graph that only grows,
-as a play's positions do.  A pair that holds keeps holding, and a new
-pair needs a walk over a new edge, so each step resumes the walks already
-under way across the new edges, starts walks from the new sources, and
-does nothing else (semi-naive evaluation; Bancilhon & Ramakrishnan,
-1986).  This is a third walk, kept apart from ``_walk`` as
-``find_witness`` and the search's ``LivePosition`` are: it keeps what the
-walk from each source reached, where ``_walk`` throws its visited sets
-away, so a one-shot ``evaluate`` stays on ``_walk``; and its graph never
-loses an edge, so unlike ``LivePosition`` it keeps no undo log and no
-reach set per vertex.
+as a play's positions do: a play's loss test and its requests both read
+it.  A pair that holds keeps holding, and a new pair needs a walk over a
+new edge, so each step resumes the walks already under way across the
+new edges, starts walks from the new sources, and does nothing else
+(semi-naive evaluation; Bancilhon & Ramakrishnan, 1986).  It is kept
+apart from ``_walk``, as ``find_witness`` is: it keeps what the walk from
+each source reached, where ``_walk`` throws its visited sets away, so a
+one-shot ``evaluate`` stays on ``_walk``.  It keeps no undo log, so the
+bounded search, which takes its grafts back, asks ``holds`` and
+``evaluate`` on each node's graph instead.
 """
 
 from __future__ import annotations

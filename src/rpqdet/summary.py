@@ -4,9 +4,10 @@ The bounded search (escape.ExploreContext._search) first asks whether
 every combination of one ⊆-minimal candidate per request loses.  A
 grafted path is crossed whole by any losing walk, and the walk sees of it
 only its word's relation on red q0, so the check needs no graft: each
-request becomes one macro edge that steps by that relation, and the
-combinations are searched by conflict-directed backjumping over the
-choices a losing walk crosses.
+request becomes one macro edge that steps by that relation.  The walk
+starts from (a, red q0's start) over the position's out-rows and those
+macro edges, and the combinations are searched by conflict-directed
+backjumping over the choices a losing walk crosses.
 """
 
 from __future__ import annotations
@@ -47,20 +48,21 @@ class SummaryGraph:
     candidate per request, without grafting (see
     escape.ExploreContext._search).
 
-    Its walks are those of red q0 over (vertex, state) pairs: the
-    position's edges, and one macro edge x -> y per request that steps by
-    the relation rows of the request's pick.  A request with one minimal
+    Its walks are those of nfa, red q0, over (vertex, state) pairs from
+    (a, start): the position's edges, and one macro edge x -> y per
+    request that steps by the relation rows of the request's pick.  A request with one minimal
     candidate is fixed; one with more is a choice, and a pick for it is
     the literal (request index, pick).  Choice macro edges cost 1 and
     every other edge 0, so a 0-1 BFS finds a losing walk that crosses the
     fewest choices; the literals it crosses are its nogood.
     """
 
-    def __init__(self, live: LivePosition, reqs: list[Request],
+    def __init__(self, nfa: Nfa, live: LivePosition, reqs: list[Request],
                  rows: list[tuple[Rows, ...]]):
+        self.nfa = nfa
         self.live = live
         self.rows = rows
-        self.goals = [(live.b, f) for f in sorted(live.nfa.accepting)]
+        self.goals = [(live.b, f) for f in sorted(nfa.accepting)]
         self.fixed: dict[str, list[tuple[str, Rows]]] = {}
         self.choice: dict[str, list[tuple[int, str]]] = {}
         for i, r in enumerate(reqs):
@@ -69,17 +71,16 @@ class SummaryGraph:
             else:
                 self.choice.setdefault(r.x, []).append((i, r.y))
         # Layer 0, the same at every leaf: what the position and the fixed
-        # requests reach.  The position's reach is closed under its edges
-        # and has no predecessor to record.
-        self.base: dict[tuple[str, int], object] = {
-            (v, q): None for v, states in live.reach.items() for q in states}
-        self.base_layer = list(self.base)
+        # requests reach from (a, start).
+        start = (live.a, nfa.start)
+        self.base: dict[tuple[str, int], object] = {start: None}
+        self.base_layer = [start]
         self._close(self.base_layer, self.base)
 
     def _close(self, layer: list, pred: dict) -> None:
         """Extend layer, in place, by every pair its pairs reach over 0-cost
         edges, recording each new pair's predecessor in pred."""
-        delta = self.live.nfa.delta
+        delta = self.nfa.delta
         out = self.live.out
         fixed = self.fixed
         k = 0

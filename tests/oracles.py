@@ -23,8 +23,9 @@ from rpqdet.automata import (
     Union,
 )
 from rpqdet.automata import accepts, iter_words
-from rpqdet.constraints import (ConstraintSet, apply_add, make_arrow_set,
-                                recolor_nfa, requests, satisfied)
+from rpqdet.constraints import (ConstraintSet, apply_add, graft_path,
+                                make_arrow_set, recolor_nfa, requests,
+                                satisfied)
 from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
                            PlayTrace, Position, RoundRecord, Verdict,
                            VerdictKind, initial_position, scripted_from_trace)
@@ -307,8 +308,22 @@ def explore_per_word(q0, cs, caps) -> Verdict:
 
 # --------------------------------------------------------------------------
 # The bounded game search on immutable positions: every witness combination
-# is grafted from scratch with apply_add and every loss check is a fresh
-# holds() search, instead of one live position with an undo log.
+# is a new graph and every loss check is a fresh holds() search, instead of
+# one live position with an undo log.
+
+
+def combination_graphs(g: LabeledGraph, reqs, lists, round_no: int):
+    """The graph of each combination of one word per request, in
+    itertools.product order over lists, the request's words: g with every
+    pick's path grafted.  Each (request, word) path is made once by
+    graft_path, with the request's index in reqs, and each combination is
+    one union of g and its paths."""
+    paths = [[graft_path(g.vertices, r, w, round_no=round_no, req_index=i)
+              for w in words]
+             for i, (r, words) in enumerate(zip(reqs, lists))]
+    for combo in product(*paths):
+        yield LabeledGraph(g.vertices.union(*(names for names, _ in combo)),
+                           g.edges.union(*(edges for _, edges in combo)))
 
 
 def classify_immutable(ctx: ExploreContext, word: Word):
@@ -329,10 +344,7 @@ def classify_immutable(ctx: ExploreContext, word: Word):
             return "undecided", None
         round_no = pos.round + 1
         any_undecided = False
-        for combo in product(*cand_lists):
-            g = pos.graph
-            for i, (r, w) in enumerate(zip(reqs, combo)):
-                g = apply_add(g, r, w, round_no=round_no, req_index=i)
+        for g in combination_graphs(pos.graph, reqs, cand_lists, round_no):
             kind, cert = dfs(Position(g, pos.a, pos.b, round_no))
             if kind == "win":
                 return kind, cert
@@ -541,7 +553,7 @@ def all_minimal_lose_odometer(ctx: ExploreContext, live, reqs,
     for picks in product(*lists):
         records = [live.graft(r, w, round_no, i)
                    for i, (r, w) in enumerate(zip(reqs, picks))]
-        lost = live.lost()
+        lost = holds(ctx.red_q0, live.graph(), live.a, live.b)
         for record in reversed(records):
             live.undo(record)
         if not lost:

@@ -7,14 +7,12 @@ its own wall-clock budget.
 """
 
 import random
-from itertools import product
 from time import monotonic
 
 from rpqdet.automata import (Lit, accepts, compile_nfa, concat_all,
                              iter_words, parse_regex, parse_word,
                              shortest_word, union_all)
-from rpqdet.constraints import (apply_add, make_arrow_set, recolor_nfa,
-                                requests, satisfied)
+from rpqdet.constraints import make_arrow_set, recolor_nfa, requests, satisfied
 from rpqdet.escape import (Caps, PlayOutcome, Position, VerdictKind, explore,
                            initial_position, run_play, scripted_from_trace,
                            strategy_guided, strategy_shortest, trace_to_jsonl)
@@ -26,8 +24,9 @@ from rpqdet.ogtp import all_black_tiling, solve_bruteforce
 from rpqdet.rpq import evaluate, holds
 from rpqdet.symbols import Alphabet, Color, sym
 
-from oracles import (eval_algebraic, eval_walks, is_homomorphism, lang_upto,
-                     random_graph, random_regex, replay_positions)
+from oracles import (combination_graphs, eval_algebraic, eval_walks,
+                     is_homomorphism, lang_upto, random_graph, random_regex,
+                     replay_positions)
 
 # Plays recorded for the cross-cutting criteria: (q0, constraint set,
 # trace, round bound) per completed play.
@@ -265,11 +264,8 @@ def _all_plays_lose(red_q0, cs, word, max_round=2, wit_cap=3):
         lists = witness_lists(reqs)
         if lists is None:
             return False
-        for combo in product(*lists):
-            g = pos.graph
-            rn = pos.round + 1
-            for k, (r, u) in enumerate(zip(reqs, combo)):
-                g = apply_add(g, r, u, round_no=rn, req_index=k)
+        rn = pos.round + 1
+        for g in combination_graphs(pos.graph, reqs, lists, rn):
             if not expand(Position(g, pos.a, pos.b, rn)):
                 return False
         return True

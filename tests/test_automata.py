@@ -21,7 +21,6 @@ from rpqdet.automata import (
     accepts,
     compile_nfa,
     concat_all,
-    enumerate_words,
     iter_words,
     parse_regex,
     parse_word,
@@ -59,7 +58,7 @@ def test_parse_single_literal():
 def test_parse_class_product_union_has_two_words():
     r = parse_regex("[B,H,W,*] [A,V,W,*] + [B,V,C,*] [A,H,C,*]", BLACK)
     n = compile_nfa(r, BLACK)
-    assert enumerate_words(n, 2) == words(
+    assert list(iter_words(n, 2)) == words(
         ["B-H-W-black A-V-W-black", "B-V-C-black A-H-C-black"])
 
 
@@ -173,7 +172,7 @@ def test_single_letter_language():
 
 def test_empty_language_nfa():
     n = compile_nfa(Empty(), SPECIALS)
-    assert enumerate_words(n, 5) == []
+    assert list(iter_words(n, 5)) == []
     assert shortest_word(n) is None
 
 
@@ -181,7 +180,7 @@ def test_start_pattern_shortest_word_has_length_four():
     n = compile_nfa(parse_regex(START_TEXT, BLACK), BLACK)
     w = shortest_word(n)
     assert w == parse_word("alpha A-H-C-black B-V-C-black omega", BLACK)
-    assert [len(x) for x in enumerate_words(n, 5)] == [4]
+    assert [len(x) for x in iter_words(n, 5)] == [4]
 
 
 def test_accepts_start_pattern_word():
@@ -263,20 +262,20 @@ def test_compiled_nfa_has_no_dead_states():
 
 def test_enumerate_union_of_two_letters():
     n = compile_nfa(parse_regex("alpha + beta", SPECIALS), SPECIALS)
-    assert enumerate_words(n, 3) == [(sym("alpha"),), (sym("beta"),)]
+    assert list(iter_words(n, 3)) == [(sym("alpha"),), (sym("beta"),)]
 
 
 def test_enumerate_two_shade_pair_language():
     text = "[B,H,W,*] [A,V,W,*] + [B,V,C,*] [A,H,C,*]"
     n = compile_nfa(parse_regex(text, TWO), TWO)
-    out = enumerate_words(n, 2)
+    out = list(iter_words(n, 2))
     assert len(out) == 8
     assert all(len(w) == 2 for w in out)
 
 
 def test_enumeration_is_shortlex_sorted_and_duplicate_free():
     n = compile_nfa(parse_regex("( alpha + beta )* omega", SPECIALS), SPECIALS)
-    out = enumerate_words(n, 4)
+    out = list(iter_words(n, 4))
     keys = [SPECIALS.word_key(w) for w in out]
     assert keys == sorted(keys)
     assert len(set(out)) == len(out)
@@ -288,7 +287,7 @@ def test_enumeration_matches_generation_oracle():
     for _ in range(150):
         r = random_regex(rng, labels, depth=3)
         n = compile_nfa(r, SPECIALS)
-        assert set(enumerate_words(n, 4)) == lang_upto(r, 4)
+        assert set(iter_words(n, 4)) == lang_upto(r, 4)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5))
@@ -348,7 +347,7 @@ def test_plus_equals_concat_with_star():
         inner = random_regex(rng, labels, depth=2)
         plus = compile_nfa(Plus(inner), SPECIALS)
         expanded = compile_nfa(Concat(inner, Star(inner)), SPECIALS)
-        assert enumerate_words(plus, 5) == enumerate_words(expanded, 5)
+        assert list(iter_words(plus, 5)) == list(iter_words(expanded, 5))
 
 
 def test_union_all_and_concat_all_fold():

@@ -337,6 +337,23 @@ def test_only_search_takes_jobs(argv, capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "i.json", "--jobs", "0"],
+    ["search", "i.json", "--jobs", "-1"],
+    ["play", "i.json", "--max-rounds", "-1"],
+    ["solve-ogtp", "i.json", "--max-n", "0"],
+    ["solve-ogtp", "i.json", "--max-n", "-1"],
+])
+def test_a_bound_out_of_range_exits_2_before_the_verb_runs(argv, capsys):
+    # The file does not exist: only the parser can have refused the bound.
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[2]}: must be at least" in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # grid and solve-ogtp
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (random_batches, random_graph, random_regex,
                      requests_per_constraint)
-from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, concat_all, enumerate_words, literals_used, parse_regex, parse_word
+from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, concat_all, iter_words, literals_used, parse_regex, parse_word
 from rpqdet.constraints import (
     ConstraintError,
     LiveRequests,
@@ -54,9 +54,9 @@ def test_recolor_regex_repaints_random_trees():
             painted = recolor_regex(r, color)
             assert literals_used(painted) == {s.colored(color)
                                               for s in literals_used(r)}
-            assert enumerate_words(compile_nfa(painted, colored), 3) == [
+            assert list(iter_words(compile_nfa(painted, colored), 3)) == [
                 tuple(s.colored(color) for s in w)
-                for w in enumerate_words(compile_nfa(r, SPECIALS), 3)]
+                for w in iter_words(compile_nfa(r, SPECIALS), 3)]
 
 
 def test_recolor_regex_and_literals_used_walk_long_flat_words():
@@ -71,7 +71,7 @@ def test_recolor_regex_and_literals_used_walk_long_flat_words():
 def test_recolor_nfa_preserves_language_shape():
     n = compile_nfa(parse_regex("alpha + beta omega", SPECIALS), SPECIALS)
     red = recolor_nfa(n, Color.RED)
-    assert enumerate_words(red, 2) == [
+    assert list(iter_words(red, 2)) == [
         (sym("R:alpha"),),
         (sym("R:beta"), sym("R:omega")),
     ]

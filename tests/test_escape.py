@@ -609,8 +609,8 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False):
     seen = _Seen()
 
     class Watched(escape.SummaryGraph):
-        def __init__(self, live, reqs, rows):
-            super().__init__(live, reqs, rows)
+        def __init__(self, nfa, live, reqs, rows):
+            super().__init__(nfa, live, reqs, rows)
             self.reqs = reqs
 
         def nogood(self, picks):
@@ -657,7 +657,7 @@ def _assert_nogood_loses_alone(ctx):
             if i in picked or len(words) == 1:
                 records.append(live.graft(r, words[picked.get(i, 0)],
                                           round_no, i))
-        lost = live.lost()
+        lost = holds(ctx.red_q0, live.graph(), live.a, live.b)
         for record in reversed(records):
             live.undo(record)
         assert lost
@@ -738,19 +738,19 @@ def test_a_graft_that_repeats_an_edge_adds_nothing_and_undo_keeps_the_edge():
     rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
     g = LabeledGraph.build(["a", "m", "b"], [("a", sym("G:alpha"), "m"),
                                              ("m", sym("G:omega"), "b")])
-    live = LivePosition(rc.rhs_nfa, g, "a", "b")
-    start = _rows(live), {v: set(got) for v, got in live.reach.items()}
+    live = LivePosition(g, "a", "b")
+    start = _rows(live)
     first = live.graft(Request("a", "b", rc), (sym("R:beta"),), 1, 0)
-    assert first[:2] == ([], [("a", sym("R:beta"), "b")])
+    assert first == ([], [("a", sym("R:beta"), "b")])
     grafted = _rows(live)
     repeat = live.graft(Request("a", "m", rc), (sym("G:alpha"),), 1, 1)
-    assert repeat == ([], [], [])
+    assert repeat == ([], [])
     assert _rows(live) == grafted
     live.undo(repeat)
     assert _rows(live) == grafted
     assert (sym("G:alpha"), "m") in live.out["a"]
     live.undo(first)
-    assert (_rows(live), live.reach) == start
+    assert _rows(live) == start
     assert live.graph() == g
 
 
@@ -790,62 +790,44 @@ def test_live_graft_refuses_what_graft_path_refuses_with_its_message(
         x, y, rhs, word):
     rc = _colored_constraint(0, "G:alpha", rhs)
     g = LabeledGraph.build(["a", "b", "n1_0_1"], [("a", sym("G:alpha"), "b")])
-    live = LivePosition(rc.rhs_nfa, g, "a", "b")
+    live = LivePosition(g, "a", "b")
     r, w = Request(x, y, rc), tuple(sym(tok) for tok in word.split())
     with pytest.raises(Exception) as want:
         graft_path(g.vertices, r, w, round_no=1, req_index=0)
-    before = _rows(live), {v: set(got) for v, got in live.reach.items()}
+    before = _rows(live)
     with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
         live.graft(r, w, 1, 0)
-    assert (_rows(live), live.reach) == before
-
-
-def _reach_from_scratch(nfa, g, a):
-    """Per vertex, the states some walk from a reaches there: one holds()
-    search per (vertex, state) pair."""
-    return {v: frozenset(s for s in range(nfa.n_states)
-                         if holds(replace(nfa, accepting=frozenset([s])),
-                                  g, a, v))
-            for v in g.vertices}
-
-
-def _snapshot(live):
-    return live.graph(), {v: frozenset(got) for v, got in live.reach.items()}
+    assert _rows(live) == before
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-def test_live_reach_matches_a_fresh_search_through_grafts_and_undos(seed):
+def test_live_position_graph_round_trips_through_grafts_and_undos(seed):
     rng = random.Random(seed)
-    colored = SPECIALS.colored()
-    labels = list(colored.symbols)
-    nfa = compile_nfa(random_regex(rng, labels, depth=3), colored)
+    labels = list(SPECIALS.colored().symbols)
     g = random_graph(rng, labels, max_vertices=5, max_edges=8)
     a, b = rng.choice(sorted(g.vertices)), rng.choice(sorted(g.vertices))
     # Grafts check their words against the rhs, so it accepts them all.
     rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
-    live = LivePosition(nfa, g, a, b)
+    live = LivePosition(g, a, b)
     stack = []
     for step_no in range(1, 13):
         if stack and rng.random() < 0.4:
             record, before = stack.pop()
             live.undo(record)
-            assert _snapshot(live) == before
+            assert live.graph() == before
         else:
             vs = sorted(live.out)
             r = Request(rng.choice(vs), rng.choice(vs), rc)
             w = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
-            before = _snapshot(live)
+            before = live.graph()
             stack.append((live.graft(r, w, step_no, 0), before))
             names = [f"n{step_no}_0_{k}" for k in range(1, len(w))]
             stops = [r.x, *names, r.y]
             assert live.graph() == LabeledGraph(
-                before[0].vertices | set(names),
-                before[0].edges | set(zip(stops, w, stops[1:])))
-        now = live.graph()
-        assert live.reach == _reach_from_scratch(nfa, now, a)
-        assert live.lost() == holds(nfa, now, a, b)
+                before.vertices | set(names),
+                before.edges | set(zip(stops, w, stops[1:])))
     while stack:
         record, before = stack.pop()
         live.undo(record)
-        assert _snapshot(live) == before
+        assert live.graph() == before
     assert live.graph() == g

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import lang_upto, scan_tiling
-from rpqdet.automata import accepts, compile_nfa, enumerate_words, parse_regex, parse_word, render_regex
+from rpqdet.automata import accepts, compile_nfa, iter_words, parse_regex, parse_word, render_regex
 from rpqdet.ogtp import (
     GridTiling,
     OgtpError,
@@ -194,7 +194,7 @@ def test_forbidden_pair_view_contains_the_adjacent_warm_letters(
 def test_start_view_words_alternate_cold_letters(black_reduction):
     alph = black_reduction.alphabet
     n = compile_nfa(black_reduction.q_start, alph)
-    words = enumerate_words(n, 6)
+    words = list(iter_words(n, 6))
     assert [len(w) for w in words] == [4, 6]
     for w in words:
         assert w[0] is sym("alpha") and w[-1] is sym("omega")

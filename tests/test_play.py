@@ -11,15 +11,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import random_graph, random_regex, run_play_immutable
-from rpqdet.automata import Concat, Lit, compile_nfa, iter_words, parse_word
-from rpqdet.constraints import make_arrow_set
+from rpqdet.automata import (Concat, Lit, compile_nfa, iter_words,
+                             parse_regex, parse_word)
+from rpqdet.constraints import RegularConstraint, make_arrow_set
 from rpqdet.escape import (PlayOutcome, Position, initial_position, run_play,
                            scripted_from_trace, strategy_guided,
                            strategy_scripted, strategy_shortest,
                            trace_from_jsonl, trace_to_jsonl)
 from rpqdet.gadget import build_grid, decorate, find_homomorphism
+from rpqdet.graphs import LabeledGraph
 from rpqdet.ogtp import all_black_tiling
-from rpqdet.symbols import Alphabet, WorkbenchError
+from rpqdet.symbols import Alphabet, WorkbenchError, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 
@@ -169,3 +171,28 @@ def test_mid_round_failures_match_the_immutable_play(black_reduction):
     for needle, make_strategy in failing.items():
         got, _ = _same_play(q0, cs, make_strategy, init, 20)
         assert needle in got[1]
+
+
+def _colored_constraint(cid, lhs, rhs):
+    colored = SPECIALS.colored()
+    lhs, rhs = (parse_regex(x, colored) for x in (lhs, rhs))
+    return RegularConstraint(lhs, rhs, cid, colored, compile_nfa(lhs, colored),
+                             compile_nfa(rhs, colored))
+
+
+def test_a_loss_closed_from_a_vertex_the_red_walk_reached_a_round_before():
+    # Round 1 grafts a -R:beta-> n1_0_1 -R:alpha-> c, so the red walk of
+    # beta beta from a has reached n1_0_1 after one beta.  That path opens
+    # a request from n1_0_1 to b, and round 2 grafts n1_0_1 -R:beta-> b:
+    # the loss test must go on with the walk from a over the new edge.
+    cs = (_colored_constraint(0, "G:alpha", "R:beta R:alpha"),
+          _colored_constraint(1, "R:alpha G:omega", "R:beta"))
+    q0 = compile_nfa(parse_regex("beta beta", SPECIALS), SPECIALS)
+    g = LabeledGraph.build(["a", "c", "b"], [("a", sym("G:alpha"), "c"),
+                                             ("c", sym("G:omega"), "b")])
+    init = Position(g, "a", "b", 0)
+    got, _ = _same_play(q0, cs, strategy_shortest, init, 5)
+    result, trace = got[0], trace_from_jsonl(got[1])
+    assert (result.outcome, result.round) == (PlayOutcome.LOST, 2)
+    assert [rec.requests for rec in trace.rounds] == [
+        (("a", "c", 0),), (("n1_0_1", "b", 1),)]
