@@ -17,7 +17,7 @@ moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from collections import deque
 
 from .symbols import (Alphabet, Color, Symbol, SymbolError, Word,
@@ -96,23 +96,14 @@ class Plus(Regex):
 
 def union_all(parts) -> Regex:
     """Left-folded union; the empty union is the empty language."""
-    parts = list(parts)
-    if not parts:
-        return Empty()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Union(out, p)
-    return out
+    parts = iter(parts)
+    return reduce(Union, parts, next(parts, Empty()))
 
 
 def concat_all(parts) -> Regex:
-    parts = list(parts)
-    if not parts:
-        return Epsilon()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Concat(out, p)
-    return out
+    """Left-folded concatenation; the empty one is the empty word."""
+    parts = iter(parts)
+    return reduce(Concat, parts, next(parts, Epsilon()))
 
 
 def literals_used(r: Regex) -> frozenset[Symbol]:
@@ -221,81 +212,67 @@ def _expand_class(alphabet: Alphabet, color: Color | None, fields, pos: int) -> 
     return frozenset(out)
 
 
-_ATOM_STARTS = ("lparen", "name", "class", "sigma0", "empty", "eps")
+_LEAVES = ("name", "class", "sigma0", "empty", "eps")
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.tokens = list(_scan(text))
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def union(self) -> Regex:
-        out = self.concat()
-        while self.peek()[0] == "union":
-            self.take()
-            out = Union(out, self.concat())
-        return out
-
-    def concat(self) -> Regex:
-        out = self.postfix()
-        while self.peek()[0] in _ATOM_STARTS:
-            out = Concat(out, self.postfix())
-        return out
-
-    def postfix(self) -> Regex:
-        out = self.atom()
-        while self.peek()[0] in ("star", "plus"):
-            kind, _, _ = self.take()
-            out = Star(out) if kind == "star" else Plus(out)
-        return out
-
-    def atom(self) -> Regex:
-        kind, value, pos = self.take()
-        if kind == "lparen":
-            out = self.union()
-            k2, _, p2 = self.take()
-            if k2 != "rparen":
-                raise RegexSyntaxError("expected ')'", p2)
-            return out
-        if kind == "name":
-            try:
-                s = Symbol(value)
-            except SymbolError:
-                raise UnknownSymbolError(value, pos) from None
-            if s not in self.alphabet:
-                raise UnknownSymbolError(value, pos)
-            return Lit(s)
-        if kind == "class":
-            color, fields = value
-            return Class(_expand_class(self.alphabet, color, fields, pos))
-        if kind == "sigma0":
-            frag = self.alphabet.sigma0(value)
-            if not frag:
-                raise RegexSyntaxError("alphabet has no four-field symbols", pos)
-            return Class(frozenset(frag))
-        if kind == "empty":
-            return Empty()
-        if kind == "eps":
-            return Epsilon()
-        raise RegexSyntaxError("expected an atom", pos)
+def _leaf(kind: str, value, pos: int, alphabet: Alphabet) -> Regex:
+    """The syntax tree of one atom token other than '('."""
+    if kind == "name":
+        try:
+            s = Symbol(value)
+        except SymbolError:
+            raise UnknownSymbolError(value, pos) from None
+        if s not in alphabet:
+            raise UnknownSymbolError(value, pos)
+        return Lit(s)
+    if kind == "class":
+        color, fields = value
+        return Class(_expand_class(alphabet, color, fields, pos))
+    if kind == "sigma0":
+        frag = alphabet.sigma0(value)
+        if not frag:
+            raise RegexSyntaxError("alphabet has no four-field symbols", pos)
+        return Class(frozenset(frag))
+    return Empty() if kind == "empty" else Epsilon()
 
 
 def parse_regex(text: str, alphabet: Alphabet) -> Regex:
-    p = _Parser(text, alphabet)
-    out = p.union()
-    kind, _, pos = p.peek()
-    if kind != "end":
-        raise RegexSyntaxError("trailing input", pos)
-    return out
+    """Parse text by the grammar above.
+
+    One left-to-right pass over the tokens, all scanned first, so a scan
+    error comes before any parse error.  The innermost open group, or the
+    whole text, keeps its finished alternatives and the atoms of the
+    current one; a stack keeps those of the groups around it.  Both fold
+    to the left, as union_all and concat_all do, so parentheses nest
+    without recursion.  The atoms are empty exactly where an atom must
+    come next: at the start, after '(' and after '+'.
+    """
+    outer: list[tuple[list[Regex], list[Regex]]] = []
+    alts: list[Regex] = []
+    atoms: list[Regex] = []
+    for kind, value, pos in list(_scan(text)):
+        if kind in _LEAVES:
+            atoms.append(_leaf(kind, value, pos, alphabet))
+        elif kind == "lparen":
+            outer.append((alts, atoms))
+            alts, atoms = [], []
+        elif not atoms:
+            raise RegexSyntaxError("expected an atom", pos)
+        elif kind in ("star", "plus"):
+            atoms[-1] = Star(atoms[-1]) if kind == "star" else Plus(atoms[-1])
+        elif kind == "union":
+            alts.append(concat_all(atoms))
+            atoms = []
+        elif outer and kind == "rparen":
+            group = union_all(alts + [concat_all(atoms)])
+            alts, atoms = outer.pop()
+            atoms.append(group)
+        elif outer:
+            raise RegexSyntaxError("expected ')'", pos)
+        elif kind == "end":
+            return union_all(alts + [concat_all(atoms)])
+        else:
+            raise RegexSyntaxError("trailing input", pos)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
@@ -584,24 +561,33 @@ def _shortlex_words(max_len: int, start_dist: int, live_row, accepting):
     prefixes that can still reach acceptance in the length left.
 
     live_row(q) lists (symbol, successor, successor's distance to
-    acceptance) in alphabet order; accepting is indexed by state.
+    acceptance) in alphabet order; accepting is indexed by state.  The
+    walk keeps one iterator over a row per prefix symbol, not one frame,
+    and asks for a state's row only when it steps into the state with
+    letters still to place.
     """
-    prefix: list[Symbol] = []
-
-    def walk(q: int, remaining: int):
-        if remaining == 0:
-            if accepting[q]:
-                yield tuple(prefix)
-            return
-        for s, t, dist in live_row(q):
-            if dist < remaining:
+    for length in range(start_dist, max_len + 1):
+        if length == 0:
+            if accepting[0]:
+                yield ()
+            continue
+        prefix: list[Symbol] = []
+        rows = [iter(live_row(0))]
+        while rows:
+            left = length - len(prefix)
+            for s, t, dist in rows[-1]:
+                if dist < left:
+                    break
+            else:
+                rows.pop()
+                if prefix:
+                    prefix.pop()
+                continue
+            if left > 1:
                 prefix.append(s)
-                yield from walk(t, remaining - 1)
-                prefix.pop()
-
-    for length in range(max_len + 1):
-        if start_dist <= length:
-            yield from walk(0, length)
+                rows.append(iter(live_row(t)))
+            elif accepting[t]:
+                yield (*prefix, s)
 
 
 class SubsetDfa:
@@ -769,16 +755,13 @@ def shortest_word(n: Nfa) -> Word | None:
     """Shortest accepted word, shortlex tie-break; None for the empty
     language.
 
-    Steps along the subset automaton's exact distances to acceptance:
-    from each state, the first symbol whose successor is one step closer,
-    so a long word costs no recursion.
+    The first word of the shortlex walk at the start's distance to
+    acceptance: the subset automaton's distances are exact, so that walk
+    steps straight down, from each state to the first symbol whose
+    successor is one step closer.
     """
     dfa = n.subset_dfa
-    q, dist = 0, dfa.min_dist(0)
+    dist = dfa.min_dist(0)
     if dist == _INF:
         return None
-    word: list[Symbol] = []
-    while dist:
-        s, q, dist = next(e for e in dfa.live_row(q) if e[2] == dist - 1)
-        word.append(s)
-    return tuple(word)
+    return next(_shortlex_words(dist, dist, dfa.live_row, dfa.accepting))

@@ -16,16 +16,15 @@ from itertools import chain, islice
 from multiprocessing import Pool
 
 from .automata import accepts, compile_nfa, iter_words, parse_regex, parse_word
-from .constraints import ConstraintSet
 from .escape import (Caps, ExploreContext, PlayOutcome, VerdictKind, explore,
                      initial_position, run_play, scripted_from_trace,
                      strategy_guided, strategy_interactive, strategy_shortest,
                      trace_from_jsonl, trace_to_jsonl)
 from .gadget import build_grid, check_counterexample, decorate, find_homomorphism
 from .graphs import endpointed_from_json, endpointed_to_json, graph_from_json
-from .ogtp import (ReductionOutput, compile_reduction, instance_from_json,
-                   reduction_from_json, reduction_to_json, solve_bruteforce,
-                   tiling_from_json, tiling_to_json)
+from .ogtp import (compile_reduction, instance_from_json, reduction_from_json,
+                   reduction_to_json, solve_bruteforce, tiling_from_json,
+                   tiling_to_json)
 from .rpq import evaluate
 from .symbols import Alphabet, WorkbenchError
 
@@ -67,13 +66,9 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _load_instance(path: str) -> tuple[ReductionOutput, ConstraintSet]:
-    out = reduction_from_json(_read(path))
-    return out, out.constraint_set()
-
-
 def cmd_play(args) -> int:
-    out, cs = _load_instance(args.instance)
+    out = reduction_from_json(_read(args.instance))
+    cs = out.constraint_set()
     q0 = out.q0_nfa
     script_trace = None
     if args.trace:
@@ -180,7 +175,7 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     eg = endpointed_from_json(_read(args.graph), args.a, args.b)
-    out, _ = _load_instance(args.instance)
+    out = reduction_from_json(_read(args.instance))
     report = check_counterexample(eg.graph, out.views.all_languages(),
                                   out.q0_nfa, eg.a, eg.b)
     if report.ok:
@@ -265,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common],
                        help="bounded exhaustive search for a counterexample")
     p.add_argument("instance", help="workbench instance JSON file")
-    p.add_argument("--max-initial-len", type=int, default=8)
-    p.add_argument("--max-witness-len", type=int, default=3)
-    p.add_argument("--max-rounds", type=int, default=6)
-    p.add_argument("--max-branches", type=int, default=4)
+    p.add_argument("--max-initial-len", type=_int_from(1), default=8)
+    p.add_argument("--max-witness-len", type=_int_from(1), default=3)
+    p.add_argument("--max-rounds", type=_int_from(1), default=6)
+    p.add_argument("--max-branches", type=_int_from(1), default=4)
     p.add_argument("--jobs", type=_int_from(1), default=1,
                    help="worker processes classifying start words (default 1)")
     p.set_defaults(func=cmd_search)
@@ -304,7 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError as e:
-        # The JSON decoder and the regex parser's parentheses recurse.
+        # The JSON decoder recurses once per nesting level.
         print(f"error: input nested too deeply: {e}", file=sys.stderr)
         return 2
 

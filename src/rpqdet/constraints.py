@@ -200,12 +200,12 @@ class LiveRequests:
         self._sides = [(rc, live[id(rc.lhs_nfa)], live[id(rc.rhs_nfa)])
                        for rc in cs]
         self._open: list[set[tuple[str, str]]] = [set() for _ in cs]
-        self.extend(list(out), [(v, label, dst) for v, row in out.items()
-                                for label, dst in row])
+        self.extend(list(out), edges_by_label(
+            (v, label, dst) for v, row in out.items() for label, dst in row))
 
-    def extend(self, vertices, edges) -> None:
-        """Take in the vertices and edges just added to the out-rows."""
-        by_label = edges_by_label(edges)
+    def extend(self, vertices, by_label) -> None:
+        """Take in the vertices and edges just added to the out-rows, the
+        edges grouped by edges_by_label, as LivePairs.extend takes them."""
         gained = {key: pairs.extend(vertices, by_label)
                   for key, pairs in self._live.items()}
         self._open = [{p for p in chain(was, gained[id(lhs.q)])

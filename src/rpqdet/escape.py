@@ -281,8 +281,9 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
             fresh, new = live.graft(r, w, round_no, i)
             names += fresh
             added += new
-        tracker.extend(names, added)
-        loss.extend(names, edges_by_label(added))
+        by_label = edges_by_label(added)
+        tracker.extend(names, by_label)
+        loss.extend(names, by_label)
         records.append(RoundRecord(round_no,
                                    tuple((r.x, r.y, r.cid) for r in reqs),
                                    tuple(choices), tuple(sorted(added))))

@@ -115,9 +115,9 @@ def check_counterexample(m: LabeledGraph, views, q0: Nfa, a: str,
     """The three conditions a counterexample must meet: every
     both-direction view constraint satisfied, a green q0 path from a to b,
     and no red q0 path from a to b."""
+    cs = make_arrow_set(list(views), q0.alphabet)
     m.require_vertex(a)
     m.require_vertex(b)
-    cs = make_arrow_set(list(views), q0.alphabet)
     open_cids = {r.cid for r in requests(cs, m)}
     failures = [f"views fail: constraint {rc.cid} ({rc.describe()}) "
                 "not satisfied" for rc in cs if rc.cid in open_cids]
@@ -230,18 +230,22 @@ def _match(d: LabeledGraph, edge_set, candidates: dict[str, list[str]],
                 return False
         return True
 
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for u in candidates[v]:
-            if not (injective and u in used) and consistent(v, u):
-                assignment[v] = u
-                used.add(u)
-                if rec(k + 1):
-                    return True
-                del assignment[v]
-                used.discard(u)
-        return False
-
-    return dict(assignment) if rec(0) else None
+    # One iterator over the candidates of each placed vertex and of the
+    # vertex being placed: a step takes the next candidate that fits, or
+    # drops the iterator and takes back the vertex placed before.
+    tries = [iter(candidates[v]) for v in order[:1]]
+    while len(assignment) < len(order):
+        v = order[len(tries) - 1]
+        u = next((u for u in tries[-1]
+                  if not (injective and u in used) and consistent(v, u)), None)
+        if u is None:
+            tries.pop()
+            if not tries:
+                return None
+            used.discard(assignment.pop(order[len(tries) - 1]))
+            continue
+        assignment[v] = u
+        used.add(u)
+        if len(tries) < len(order):
+            tries.append(iter(candidates[order[len(tries)]]))
+    return assignment

@@ -314,6 +314,73 @@ def test_verify_a_failing_certificate_on_a_long_flat_view(files, capsys):
         f"views fail: constraint 0 ({green} -> {red}) not satisfied"]
 
 
+# --------------------------------------------------------------------------
+# Inputs as long as the flat view: word walks, the homomorphism search and
+# the regex parser go one step per symbol, vertex or parenthesis without
+# recursing.
+
+
+def long_chain(files):
+    """q0 is 1,500 alpha then omega, and the one view is omega."""
+    instance = files["root"] / "long_chain.json"
+    instance.write_text(json.dumps({
+        "alphabet": ["alpha", "beta", "omega"],
+        "q0": " ".join(["alpha"] * 1500 + ["omega"]),
+        "views": {"good": ["omega"]}}))
+    return instance
+
+
+def test_search_with_a_witness_cap_past_the_flat_view(files, capsys):
+    instance = flat_view(files)
+    cert = files["root"] / "flat_view_long_cert.json"
+    assert main(["search", str(instance), "--max-witness-len", "3500",
+                 "--max-branches", "1", "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "NONDETERMINATE"
+    assert main(["verify", str(cert), str(instance)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "OK"
+
+
+def test_search_on_a_long_q0_word(files, capsys):
+    code = main(["search", str(long_chain(files)),
+                 "--max-initial-len", "2000"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "NONDETERMINATE"
+
+
+def test_play_guided_maps_a_long_chain_into_its_model(files, capsys):
+    instance = files["root"] / "long_guided.json"
+    instance.write_text(json.dumps({
+        "alphabet": ["alpha", "beta", "omega"], "q0": "alpha^+ omega",
+        "views": {"good": ["alpha", "omega"]}}))
+    model = files["root"] / "long_guided_model.json"
+    model.write_text(json.dumps({"vertices": ["u", "v", "z"], "edges": [
+        {"src": src, "label": f"{c}:{label}", "dst": dst}
+        for src, label, dst in (("u", "alpha", "v"), ("v", "alpha", "v"),
+                                ("v", "omega", "z"))
+        for c in "GR"]}))
+    code = main(["play", str(instance), "--strategy", "guided",
+                 "--model", str(model),
+                 "--initial-word", " ".join(["alpha"] * 1500 + ["omega"])])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[0] == "LOST round=1"
+
+
+def test_play_from_a_long_initial_cap(files, capsys):
+    code = main(["play", str(long_chain(files)), "--initial-cap", "2000"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "WON_FIXPOINT round=1"
+
+
+def test_eval_deeply_parenthesized_query(files, capsys):
+    graph = files["root"] / "one_edge.json"
+    graph.write_text(json.dumps({"vertices": ["u", "v"], "edges": [
+        {"src": "u", "label": "G:alpha", "dst": "v"}]}))
+    code = main(["eval", "--graph", str(graph),
+                 "--query", "(" * 3000 + "G:alpha" + ")" * 3000])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "u v"
+
+
 def test_verify_takes_no_out_flag(files, capsys):
     with pytest.raises(SystemExit) as e:
         main(["verify", str(files["model2"]), str(files["instance"]),
@@ -343,6 +410,11 @@ def test_only_search_takes_jobs(argv, capsys):
     ["play", "i.json", "--max-rounds", "-1"],
     ["solve-ogtp", "i.json", "--max-n", "0"],
     ["solve-ogtp", "i.json", "--max-n", "-1"],
+    ["search", "i.json", "--max-initial-len", "0"],
+    ["search", "i.json", "--max-witness-len", "0"],
+    ["search", "i.json", "--max-rounds", "0"],
+    ["search", "i.json", "--max-branches", "0"],
+    ["search", "i.json", "--max-branches", "-1"],
 ])
 def test_a_bound_out_of_range_exits_2_before_the_verb_runs(argv, capsys):
     # The file does not exist: only the parser can have refused the bound.

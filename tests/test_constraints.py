@@ -25,7 +25,7 @@ from rpqdet.constraints import (
 from rpqdet.escape import initial_position
 from rpqdet.graphs import LabeledGraph, chain_graph
 from rpqdet.ogtp import reduction_alphabet
-from rpqdet.rpq import holds
+from rpqdet.rpq import edges_by_label, holds
 from rpqdet.symbols import Alphabet, Color, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
@@ -234,7 +234,7 @@ def test_live_requests_match_requests_after_every_batch(name, seed,
         if tracker is None:
             tracker = LiveRequests(cs, out)
         else:
-            tracker.extend(new_vertices, new_edges)
+            tracker.extend(new_vertices, edges_by_label(new_edges))
         assert tracker.requests() == requests(cs, LabeledGraph.build(out,
                                                                      edges))
 

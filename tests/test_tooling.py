@@ -1,6 +1,7 @@
 """Guards for the benchmark tooling under bench/, which reaches into
-rpqdet by name."""
+rpqdet by name, and for the shape of the source under src/rpqdet."""
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -14,6 +15,7 @@ from rpqdet.ogtp import all_black_tiling
 
 # run_path compiles the file in memory: nothing is written under bench/.
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "rpqdet"
 TRACER = runpy.run_path(str(BENCH / "tracer.py"))
 TRACED = TRACER["TRACED"]
 WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
@@ -111,3 +113,55 @@ def test_guided_play_evaluates_nothing_from_scratch(black_reduction):
     for name in ("rpq.evaluate", "rpq.holds", "constraints.requests",
                  "constraints.apply_add"):
         assert t.calls.get(name, 0) == 0, name
+
+
+# Functions allowed to call themselves, each with what bounds its depth.
+RECURSION_ALLOWED = {
+    # One level per search round: at most --max-rounds deep.
+    "escape.ExploreContext._search",
+    # One level per grid edge of the tiling size being tried: at most
+    # 2 n (n + 1) deep for --max-n n.
+    "ogtp._solve_at.rec",
+}
+
+
+def _self_calls(tree: ast.Module, module: str):
+    """Qualified names of the functions in tree that call themselves by
+    name: f(...) for a function, self.f(...) for a method."""
+    found = []
+
+    def calls_itself(fn, in_class: bool) -> bool:
+        for call in ast.walk(fn):
+            f = getattr(call, "func", None)
+            if in_class:
+                if (isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id == "self"):
+                    return True
+            elif isinstance(f, ast.Name) and f.id == fn.name:
+                return True
+        return False
+
+    def visit(node, prefix: str, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if calls_itself(child, in_class):
+                    found.append(f"{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, f"{module}.", False)
+    return found
+
+
+def test_no_function_in_src_recurses():
+    """Inputs reach thousands of symbols, vertices or nesting levels, and
+    each recursive call costs a stack frame: walks keep explicit stacks."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _self_calls(ast.parse(path.read_text()), path.stem)
+    assert sorted(set(found) - RECURSION_ALLOWED) == []
+    assert RECURSION_ALLOWED <= set(found)
