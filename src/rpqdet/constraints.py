@@ -16,13 +16,12 @@ there.  ``make_arrow_set`` builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus, Regex,
                        Star, Union, accepts, compile_nfa, literals_used,
                        render_regex)
 from .graphs import Edge, LabeledGraph, require_vertex
-from .rpq import LivePairs, edges_by_label, evaluate
+from .rpq import LivePairs, evaluate
 from .symbols import Alphabet, Color, Symbol, Word, WorkbenchError
 
 
@@ -156,6 +155,15 @@ class Request:
         return self.constraint.cid
 
 
+def _sorted_requests(sides) -> tuple[Request, ...]:
+    """The requests of (constraint, lhs pairs, rhs pairs) triples: each
+    constraint's lhs pairs less its rhs pairs, ordered by (x, y,
+    constraint id)."""
+    out = [Request(x, y, rc) for rc, lhs, rhs in sides for x, y in lhs - rhs]
+    out.sort(key=lambda r: (r.x, r.y, r.cid))
+    return tuple(out)
+
+
 def requests(cs: ConstraintSet, g: LabeledGraph) -> tuple[Request, ...]:
     """All open requests, ordered by (x, y, constraint id).
 
@@ -171,12 +179,8 @@ def requests(cs: ConstraintSet, g: LabeledGraph) -> tuple[Request, ...]:
             got = memo[id(q)] = evaluate(q, g)
         return got
 
-    out: list[Request] = []
-    for rc in cs:
-        missing = pairs(rc.lhs_nfa) - pairs(rc.rhs_nfa)
-        out += [Request(x, y, rc) for x, y in missing]
-    out.sort(key=lambda r: (r.x, r.y, r.cid))
-    return tuple(out)
+    return _sorted_requests((rc, pairs(rc.lhs_nfa), pairs(rc.rhs_nfa))
+                            for rc in cs)
 
 
 class LiveRequests:
@@ -184,9 +188,8 @@ class LiveRequests:
 
     Each distinct automaton of cs, told apart by identity as in
     ``requests``, keeps its pairs in one ``LivePairs`` over the caller's
-    out-rows, which are walked as they stand at construction.  A
-    constraint's open requests after a step are those it had before and
-    those its lhs gained, less every pair its rhs now holds.
+    out-rows, which walks the rows as they stand at construction.  The
+    requests are read off those pair sets when they are asked for.
     """
 
     def __init__(self, cs: ConstraintSet,
@@ -196,29 +199,19 @@ class LiveRequests:
             for q in (rc.lhs_nfa, rc.rhs_nfa):
                 if id(q) not in live:
                     live[id(q)] = LivePairs(q, out)
-        self._live = live
-        self._sides = [(rc, live[id(rc.lhs_nfa)], live[id(rc.rhs_nfa)])
-                       for rc in cs]
-        self._open: list[set[tuple[str, str]]] = [set() for _ in cs]
-        self.extend(list(out), edges_by_label(
-            (v, label, dst) for v, row in out.items() for label, dst in row))
+        self._live = list(live.values())
+        self._sides = [(rc, live[id(rc.lhs_nfa)].pairs,
+                        live[id(rc.rhs_nfa)].pairs) for rc in cs]
 
     def extend(self, vertices, by_label) -> None:
         """Take in the vertices and edges just added to the out-rows, the
         edges grouped by edges_by_label, as LivePairs.extend takes them."""
-        gained = {key: pairs.extend(vertices, by_label)
-                  for key, pairs in self._live.items()}
-        self._open = [{p for p in chain(was, gained[id(lhs.q)])
-                       if p not in rhs.pairs}
-                      for was, (_, lhs, rhs) in zip(self._open, self._sides)]
+        for pairs in self._live:
+            pairs.extend(vertices, by_label)
 
     def requests(self) -> tuple[Request, ...]:
         """All open requests, ordered by (x, y, constraint id)."""
-        out = [Request(x, y, rc)
-               for (rc, _, _), open_ in zip(self._sides, self._open)
-               for x, y in open_]
-        out.sort(key=lambda r: (r.x, r.y, r.cid))
-        return tuple(out)
+        return _sorted_requests(self._sides)
 
 
 def fresh_names(round_no: int, req_index: int, count: int) -> list[str]:

@@ -9,13 +9,13 @@ position with no open requests is a fixpoint and certifies a counterexample.
 A ``LivePosition`` is a position's out-rows, which grafts extend and
 ``undo`` takes back.  A round only adds edges, so ``run_play`` keeps one
 for the whole play, and over its rows one ``LiveRequests``, which
-answers the requests, and one ``rpq.LivePairs`` of red q0, which answers
-the loss test; each round extends both from its new edges alone.  The
-bounded search grafts onto a ``LivePosition`` as well and takes its
-grafts back, which those append-only indexes cannot follow, so each
-search node builds its graph once and asks ``holds`` and ``requests``
-on it.  Both graft through ``LivePosition.graft``, and so through
-``graft_path``.
+answers the requests, and one ``rpq.LivePairs`` of red q0 walked from a
+alone, which answers the loss test; each round extends both from its new
+edges alone.  The bounded search grafts onto a ``LivePosition`` as well
+and takes its grafts back, which those append-only indexes cannot
+follow, so each search node builds its graph once and asks ``holds``
+and ``requests`` on it.  Both graft through ``LivePosition.graft``, and
+so through ``graft_path``.
 
 A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
 witness for the open request req, the index-th (from 0) of round round_no
@@ -250,13 +250,13 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
 
     The play runs on one LivePosition, and over its out-rows on one
     LiveRequests, which answers the requests, and one LivePairs of red
-    q0, which answers the loss test; both are extended from each round's
-    new edges only, as a round never takes an edge away.
+    q0 that walks from a alone, which answers the loss test; both are
+    extended from each round's new edges only, as a round never takes an
+    edge away.
     """
     live = LivePosition(init.graph, init.a, init.b)
     tracker = LiveRequests(cs, live.out)
-    loss = LivePairs(recolor_nfa(q0, Color.RED), live.out)
-    loss.extend(list(live.out), edges_by_label(init.graph.edges))
+    loss = LivePairs(recolor_nfa(q0, Color.RED), live.out, live.a)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
     round_no = init.round
@@ -303,7 +303,6 @@ class VerdictKind(Enum):
 @dataclass(frozen=True)
 class Verdict:
     kind: VerdictKind
-    caps: Caps
     certificate: EndpointedGraph | None = None
 
 
@@ -478,17 +477,16 @@ class ExploreContext:
         """
         # any() skips the empty word, which is falsy.
         if not any(iter_words(self.q0, self.caps.max_initial_len)):
-            return Verdict(VerdictKind.INCONCLUSIVE, self.caps)
+            return Verdict(VerdictKind.INCONCLUSIVE)
         saw_undecided = False
         for kind, pos in outcomes:
             if kind == _WIN:
-                return Verdict(VerdictKind.NONDETERMINATE, self.caps,
-                               pos.endpointed())
+                return Verdict(VerdictKind.NONDETERMINATE, pos.endpointed())
             if kind == _UNDECIDED:
                 saw_undecided = True
         if saw_undecided:
-            return Verdict(VerdictKind.INCONCLUSIVE, self.caps)
-        return Verdict(VerdictKind.ALL_PLAYS_LOSE, self.caps)
+            return Verdict(VerdictKind.INCONCLUSIVE)
+        return Verdict(VerdictKind.ALL_PLAYS_LOSE)
 
     def _search(self, live: LivePosition, round_no: int):
         """Search every bounded play from the live position; a win carries

@@ -168,18 +168,15 @@ def _solve_at(inst: OgtpInstance, n: int) -> GridTiling | None:
         if kind == "v":
             if (i, j) == (0, 0) and s != "black":
                 return False
-            d, dst = "V", (i, j + 1)
+            d = "V"
         else:
             if (i, j) == (n - 1, n) and s != "black":
                 return False
-            d, dst = "H", (i + 1, j)
-        for pin in _in_edges(t, i, j):
-            if (pin, (d, s)) in forb:
-                return False
-        for pout in _out_edges(t, *dst):
-            if ((d, s), pout) in forb:
-                return False
-        return True
+            d = "H"
+        # Cells are placed row by row, left to right, so no edge out of
+        # this edge's head is placed yet: a pair of consecutive edges is
+        # checked here, when its second edge is placed.
+        return all((pin, (d, s)) not in forb for pin in _in_edges(t, i, j))
 
     def rec(k: int) -> bool:
         if k == len(cells):

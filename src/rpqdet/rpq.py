@@ -15,16 +15,18 @@ state.  ``find_witness`` keeps its own layered search, because it carries
 the shortlex word and path of each product node.
 
 ``LivePairs`` keeps the pairs of ``evaluate`` on a graph that only grows,
-as a play's positions do: a play's loss test and its requests both read
-it.  A pair that holds keeps holding, and a new pair needs a walk over a
-new edge, so each step resumes the walks already under way across the
-new edges, starts walks from the new sources, and does nothing else
-(semi-naive evaluation; Bancilhon & Ramakrishnan, 1986).  It is kept
-apart from ``_walk``, as ``find_witness`` is: it keeps what the walk from
-each source reached, where ``_walk`` throws its visited sets away, so a
-one-shot ``evaluate`` stays on ``_walk``.  It keeps no undo log, so the
-bounded search, which takes its grafts back, asks ``holds`` and
-``evaluate`` on each node's graph instead.
+as a play's positions do: a play's requests read its pairs from every
+source, and its loss test reads those of red q0 from one source, the
+endpoint a, which is all that index walks from.  A pair that holds keeps
+holding, and a new pair needs a walk over a new edge, so each step
+resumes the walks already under way across the new edges, starts walks
+from the new sources, and does nothing else (semi-naive evaluation;
+Bancilhon & Ramakrishnan, 1986).  It is kept apart from ``_walk``, as
+``find_witness`` is: it keeps what the walk from each source reached,
+where ``_walk`` throws its visited sets away, so a one-shot ``evaluate``
+stays on ``_walk``.  It keeps no undo log, so the bounded search, which
+takes its grafts back, asks ``holds`` and ``evaluate`` on each node's
+graph instead.
 """
 
 from __future__ import annotations
@@ -124,12 +126,13 @@ def find_witness(q: Nfa, g: LabeledGraph, x: str,
 
 
 class LivePairs:
-    """The pairs evaluate(q, g) returns, kept current while g only grows.
+    """The pairs evaluate(q, g) returns, kept current while g only grows;
+    with a source, only those from the source.
 
     ``out`` is the caller's out-row dict, vertex -> [(label, dst)], the
-    form of ``LivePosition.out``.  The pairs start empty: the caller hands
-    ``extend`` every vertex and edge of the rows, those already there
-    first, each batch once it is in the rows.
+    form of ``LivePosition.out``.  The rows are walked as they stand at
+    construction; the caller then hands ``extend`` each batch of vertices
+    and edges once it is in the rows.
 
     For each automaton state with an out-row, ``_at[state]`` maps every
     vertex a walk has reached in that state to the walk's source: the
@@ -138,9 +141,11 @@ class LivePairs:
     accepting records its pair again.
     """
 
-    def __init__(self, q: Nfa, out: dict[str, list[tuple[Symbol, str]]]):
+    def __init__(self, q: Nfa, out: dict[str, list[tuple[Symbol, str]]],
+                 source: str | None = None):
         self.q = q
         self.out = out
+        self.source = source
         self.pairs: set[tuple[str, str]] = set()
         delta = q.delta
         self._at: list[dict | None] = [{} if delta.get(s) else None
@@ -150,11 +155,12 @@ class LivePairs:
         for s, row in delta.items():
             for label, targets in row.items():
                 self._readers.setdefault(label, []).append((s, targets))
+        self.extend(list(out), edges_by_label(
+            (v, label, dst) for v, row in out.items() for label, dst in row))
 
-    def extend(self, vertices, by_label) -> list[tuple[str, str]]:
+    def extend(self, vertices, by_label) -> None:
         """Take in the vertices and edges just added to the out-rows, the
-        edges grouped by edges_by_label; returns the pairs that now hold
-        and did not before."""
+        edges grouped by edges_by_label."""
         q = self.q
         delta, acc, start, at, out = (q.delta, q.accepting, q.start,
                                       self._at, self.out)
@@ -178,27 +184,27 @@ class LivePairs:
                                 push(x, dst, t)
         # A vertex starts a walk once an accepted walk could leave it:
         # every new vertex when the empty word is accepted, else a vertex
-        # with a new out-edge whose label the start state reads.
+        # with a new out-edge whose label the start state reads.  With a
+        # source, no other vertex starts one.
         if start in acc:
-            for x in vertices:
-                push(x, x, start)
+            starts = vertices
         else:
-            for label in delta.get(start, ()):
-                for x, _ in by_label.get(label, ()):
-                    push(x, x, start)
-        new: list[tuple[str, str]] = []
+            starts = [x for label in delta.get(start, ())
+                      for x, _ in by_label.get(label, ())]
+        source = self.source
+        for x in starts:
+            if source is None or x == source:
+                push(x, x, start)
         pairs = self.pairs
         while stack:
             x, v, s = stack.pop()
-            if s in acc and (x, v) not in pairs:
+            if s in acc:
                 pairs.add((x, v))
-                new.append((x, v))
             row = delta.get(s)
             if row:
                 for label, dst in out[v]:
                     for t in row.get(label, ()):
                         push(x, dst, t)
-        return new
 
 
 def edges_by_label(edges) -> dict[Symbol, list[tuple[str, str]]]:

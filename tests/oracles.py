@@ -298,12 +298,12 @@ def explore_per_word(q0, cs, caps) -> Verdict:
             continue
         kind, pos = classify_immutable(ctx, w)
         if kind == "win":
-            return Verdict(VerdictKind.NONDETERMINATE, caps, pos.endpointed())
+            return Verdict(VerdictKind.NONDETERMINATE, pos.endpointed())
         if kind == "undecided":
             saw_undecided = True
     if not saw_word or saw_undecided:
-        return Verdict(VerdictKind.INCONCLUSIVE, caps)
-    return Verdict(VerdictKind.ALL_PLAYS_LOSE, caps)
+        return Verdict(VerdictKind.INCONCLUSIVE)
+    return Verdict(VerdictKind.ALL_PLAYS_LOSE)
 
 
 # --------------------------------------------------------------------------

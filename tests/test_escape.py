@@ -547,6 +547,20 @@ def test_a_win_through_a_non_minimal_candidate_is_found_by_the_fallback():
             == endpointed_to_json(want.certificate))
 
 
+def test_candidates_skip_the_empty_word():
+    # A view language is epsilon-free, so this rhs is built by hand:
+    # graft_path refuses an empty witness, and the empty word must not
+    # take one of the max_branches places either.
+    colored = SPECIALS.colored()
+    lhs, rhs = (parse_regex(x, colored) for x in ("G:beta", "R:beta*"))
+    rc = RegularConstraint(lhs, rhs, 0, colored, compile_nfa(lhs, colored),
+                           compile_nfa(rhs, colored))
+    q0 = compile_nfa(parse_regex("beta", SPECIALS), SPECIALS)
+    ctx = ExploreContext(q0, (rc,), Caps(1, 2, 1, 2))
+    r_beta = sym("R:beta")
+    assert ctx.candidates(rc) == ((r_beta,), (r_beta, r_beta))
+
+
 def _relation_by_membership(nfa, w):
     """The pairs (p, q) for which nfa, started in p, ends in q on w."""
     return frozenset((p, q) for p in range(nfa.n_states)

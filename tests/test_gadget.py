@@ -246,6 +246,9 @@ def test_verify_homomorphism_requires_total_coverage():
     wrong = dict(h)
     wrong["v_0_0"] = "b"
     assert not verify_homomorphism(g, g, wrong)
+    # An edgeless vertex sent off the model fails on the image alone.
+    lone = LabeledGraph.build(["p"], [])
+    assert not verify_homomorphism(lone, g, {"p": "nowhere"})
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -133,6 +134,33 @@ def test_solver_respects_boundary_conditions():
     assert t.v[(0, 0)] == "black"
     assert t.h[(t.n - 1, t.n)] == "black"
     assert check_tiling(inst, t)
+
+
+def _tilings(n, shades):
+    """Every shading of the n-grid's edges."""
+    hs, vs = h_cells(n), v_cells(n)
+    for pick in product(shades, repeat=len(hs) + len(vs)):
+        yield GridTiling(n, dict(zip(hs, pick)), dict(zip(vs, pick[len(hs):])))
+
+
+def test_solver_agrees_with_checking_every_tiling():
+    # Shades in either order: with grey first the solver tries grey on the
+    # bottom-left and upper-right edges before black.
+    rng = random.Random(7)
+    all_pairs = [((d1, s1), (d2, s2)) for d1 in "HV" for s1 in ("black", "grey")
+                 for d2 in "HV" for s2 in ("black", "grey")]
+    for k in range(40):
+        shades = ("grey", "black") if k % 2 else ("black", "grey")
+        inst = OgtpInstance(shades, frozenset(rng.sample(all_pairs,
+                                                         rng.randint(0, 8))))
+        t = solve_bruteforce(inst, 2)
+        want = next((n for n in (1, 2) if any(check_tiling(inst, u)
+                                              for u in _tilings(n, shades))),
+                    None)
+        if want is None:
+            assert t is None
+        else:
+            assert t.n == want and check_tiling(inst, t)
 
 
 def test_solver_guards_against_huge_search_spaces():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import random_graph, random_regex, run_play_immutable
 from rpqdet.automata import (Concat, Lit, compile_nfa, iter_words,
                              parse_regex, parse_word)
+from rpqdet import escape
 from rpqdet.constraints import RegularConstraint, make_arrow_set
 from rpqdet.escape import (PlayOutcome, Position, initial_position, run_play,
                            scripted_from_trace, strategy_guided,
@@ -21,6 +22,7 @@ from rpqdet.escape import (PlayOutcome, Position, initial_position, run_play,
 from rpqdet.gadget import build_grid, decorate, find_homomorphism
 from rpqdet.graphs import LabeledGraph
 from rpqdet.ogtp import all_black_tiling
+from rpqdet.rpq import LivePairs
 from rpqdet.symbols import Alphabet, WorkbenchError, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
@@ -196,3 +198,31 @@ def test_a_loss_closed_from_a_vertex_the_red_walk_reached_a_round_before():
     assert (result.outcome, result.round) == (PlayOutcome.LOST, 2)
     assert [rec.requests for rec in trace.rounds] == [
         (("a", "c", 0),), (("n1_0_1", "b", 1),)]
+
+
+def test_the_loss_index_of_a_play_walks_from_a_alone(monkeypatch):
+    # Once round 1 has grafted a red twin of every edge of the chain, red
+    # alpha^+ omega holds from every chain vertex but b; the loss test
+    # reads only (a, b), so its index keeps the walk from a alone.
+    made = []
+
+    class Recorded(LivePairs):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(escape, "LivePairs", Recorded)
+    q0 = compile_nfa(parse_regex("alpha^+ omega", SPECIALS), SPECIALS)
+    cs = make_arrow_set([parse_regex(x, SPECIALS) for x in ("alpha", "omega")],
+                        SPECIALS)
+    model = LabeledGraph.build(["u", "v", "z"], [
+        (src, sym(f"{c}:{label}"), dst)
+        for src, label, dst in (("u", "alpha", "v"), ("v", "alpha", "v"),
+                                ("v", "omega", "z"))
+        for c in "GR"])
+    init = initial_position(parse_word("alpha alpha alpha omega", SPECIALS))
+    result, _ = run_play(q0, cs, _guided(model, init)(), init, 5)
+    assert (result.outcome, result.round) == (PlayOutcome.LOST, 1)
+    [loss] = made
+    assert (init.a, init.b) in loss.pairs
+    assert {x for x, _ in loss.pairs} == {init.a}
