@@ -641,26 +641,24 @@ class SubsetDfa:
 
 
 class ProductDfa:
-    """Lazy subset construction of the product of several automata.
+    """Lazy subset construction of a guide automaton minus kill automata.
 
-    Reads words over ``alphabet``.  Each component is an Nfa with a
-    relabelling from ``alphabet`` into its own alphabet (None keeps the
-    symbol), so one product can run base words through automata over
-    colored copies.  Component 0 is the guide: the product accepts where
-    the guide accepts and ``accept`` holds of the tuple of every
-    component's acceptance flag.  States are ints, 0 is the start; the row
-    of a state's successors, one per alphabet symbol in order, is built
-    the first time it is needed.  A state keeps only whether it accepts
-    (``accepting``): ``accept`` sees its flags once, when the state is made.
+    Reads words over the guide's alphabet.  The kills read each word
+    through one relabelling from that alphabet into theirs (None keeps
+    the symbol), so base words can run through automata over colored
+    copies.  The product accepts a word when the guide accepts it and no
+    kill does.  States are ints, 0 is the start; the row of a state's
+    successors, one per alphabet symbol in order, is built the first time
+    it is needed.  A state keeps only whether it accepts (``accepting``).
     """
 
-    def __init__(self, alphabet: Alphabet, components, accept):
-        self.alphabet = alphabet
-        self._dfas = [nfa.subset_dfa for nfa, _ in components]
-        self._labels = [tuple(s if relabel is None else relabel(s)
-                              for s in alphabet.symbols)
-                        for _, relabel in components]
-        self._accept = accept
+    def __init__(self, guide: Nfa, kills, relabel=None):
+        self.alphabet = guide.alphabet
+        symbols = self.alphabet.symbols
+        self._dfas = [n.subset_dfa for n in (guide, *kills)]
+        relabelled = symbols if relabel is None else tuple(map(relabel,
+                                                               symbols))
+        self._labels = [symbols] + [relabelled] * (len(self._dfas) - 1)
         self._keys: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[list[int] | None] = []
@@ -674,8 +672,9 @@ class ProductDfa:
             self._keys.append(key)
             self._ids[key] = got
             self._rows.append(None)
-            flags = tuple(d.accepting[q] for d, q in zip(self._dfas, key))
-            self.accepting.append(flags[0] and self._accept(flags))
+            dfas = self._dfas
+            self.accepting.append(dfas[0].accepting[key[0]] and not any(
+                d.accepting[q] for d, q in zip(dfas[1:], key[1:])))
         return got
 
     def row(self, q: int) -> list[int]:

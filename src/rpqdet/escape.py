@@ -368,7 +368,6 @@ class ExploreContext:
         self._candidates: dict[int, tuple[Word, ...]] = {}
         self._minimal: dict[int, tuple[tuple[Word, ...],
                                        tuple[Rows, ...]]] = {}
-        self._forcing: dict[int, bool] = {}
 
     def candidates(self, rc: RegularConstraint) -> tuple[Word, ...]:
         """Witness words for one request: the first max_branches words of
@@ -412,38 +411,41 @@ class ExploreContext:
             self._minimal[rc.cid] = got
         return got
 
+    @cached_property
+    def _forcing(self) -> frozenset[int]:
+        return frozenset(rc.cid for rc in self.cs
+                         if (cands := self.candidates(rc))
+                         and all(accepts(self.red_q0, u) for u in cands))
+
     def forces_loss_alone(self, rc: RegularConstraint) -> bool:
-        """True when every candidate witness is itself a red q0 word, so an
-        a-to-b request for rc loses on any allowed choice."""
-        got = self._forcing.get(rc.cid)
-        if got is None:
-            cands = self.candidates(rc)
-            got = bool(cands) and all(accepts(self.red_q0, u) for u in cands)
-            self._forcing[rc.cid] = got
-        return got
+        """True when rc has a candidate witness and every one is itself a
+        red q0 word, so an a-to-b request for rc loses on any allowed
+        choice.  Decided for every constraint at once, on the first ask."""
+        return rc.cid in self._forcing
 
     @cached_property
     def start_automaton(self) -> ProductDfa:
-        """q0 and the green lhs and rhs of every forcing constraint, run
-        together over base words; it accepts the q0 words that survive
-        the round-one forcing rule.
+        """q0 minus the green lhs of every forcing constraint whose rhs
+        has no green transition (its kills), run over base words; it
+        accepts the q0 words that survive the round-one forcing rule.
 
         An all-green chain keeps exactly one a-to-b walk, so an a-to-b
         request exists iff the lhs accepts the chain word and the rhs does
         not; when every allowed witness for it is a red q0 word, every
-        play dies in round one no matter what the other requests get.
+        play dies in round one no matter what the other requests get.  A
+        rhs with no green transition never accepts a green chain word, so
+        the lhs alone decides.  Only a hand-built set has a forcing
+        constraint whose rhs has one; it is no kill, which only weakens
+        the prune, and classify_word decides the words it would cut.
         """
-        components = [(self.q0, None)]
-        for rc in self.cs:
-            if self.forces_loss_alone(rc):
-                components += [(rc.lhs_nfa, _green_symbol),
-                               (rc.rhs_nfa, _green_symbol)]
-        return ProductDfa(self.q0.alphabet, components,
-                          lambda flags: not _forced_to_lose(flags))
+        kills = [rc.lhs_nfa for rc in self.cs if self.forces_loss_alone(rc)
+                 and all(s.color is not Color.GREEN
+                         for _, s, _ in rc.rhs_nfa.transitions)]
+        return ProductDfa(self.q0, kills, _green_symbol)
 
     def start_words(self):
-        """Nonempty q0 words within max_initial_len that the forcing rule
-        does not kill, in the shortlex order of iter_words."""
+        """Nonempty q0 words within max_initial_len that no kill of
+        start_automaton accepts, in the shortlex order of iter_words."""
         for w in self.start_automaton.words(self.caps.max_initial_len):
             if w:
                 yield w
@@ -461,11 +463,10 @@ class ExploreContext:
         word raises ValueError, and a symbol outside q0's alphabet
         SymbolError.
         """
-        green = _green_word(word)
-        for s in green:
+        pos = initial_position(word)
+        for s in word:
             self.q0.alphabet.index(s.uncolored())
-        live = LivePosition(chain_graph(green, "a", "b"), "a", "b")
-        return self._search(live, 0)
+        return self._search(LivePosition(pos.graph, pos.a, pos.b), 0)
 
     def verdict(self, outcomes) -> Verdict:
         """Fold the classify_word outcomes of start_words, in that order,
@@ -560,18 +561,12 @@ def _green_symbol(s: Symbol) -> Symbol:
     return s.colored(Color.GREEN)
 
 
-def _forced_to_lose(flags: tuple[bool, ...]) -> bool:
-    """The round-one forcing rule on the acceptance flags of
-    ExploreContext.start_automaton: after q0 come (lhs, rhs) pairs of the forcing constraints, and
-    the chain word loses when some lhs accepts it and its rhs does not."""
-    return any(flags[i] and not flags[i + 1] for i in range(1, len(flags), 2))
-
-
 def explore(q0: Nfa, cs: ConstraintSet, caps: Caps) -> Verdict:
     """Depth-first search over initial words and witness combinations.
 
-    Only the start words that survive the round-one forcing rule are
-    searched, in shortlex order; every other q0 word loses in round one.
+    Only the start words of ExploreContext.start_automaton are searched,
+    in shortlex order: the q0 words that no kill accepts, the green lhs of
+    a forcing constraint.  Every other q0 word loses in round one.
     NONDETERMINATE carries the first fixpoint reached without loss, in
     deterministic branch order; ALL_PLAYS_LOSE means every explored branch
     lost before the caps; anything else is INCONCLUSIVE.

@@ -178,21 +178,24 @@ def _solve_at(inst: OgtpInstance, n: int) -> GridTiling | None:
         # checked here, when its second edge is placed.
         return all((pin, (d, s)) not in forb for pin in _in_edges(t, i, j))
 
-    def rec(k: int) -> bool:
-        if k == len(cells):
-            return True
-        kind, i, j = cells[k]
-        store = t.h if kind == "h" else t.v
-        for s in inst.shades:
-            if admissible(kind, i, j, s):
-                store[(i, j)] = s
-                if rec(k + 1):
-                    return True
-                del store[(i, j)]
-        return False
-
-    if rec(0):
-        return GridTiling(n, dict(t.h), dict(t.v))
+    # One iterator over the shades of each placed cell and of the cell
+    # being placed: a step places the next admissible shade, or drops the
+    # iterator and takes back the cell placed before.
+    stores = {"h": t.h, "v": t.v}
+    tries = [iter(inst.shades)]
+    while tries:
+        kind, i, j = cells[len(tries) - 1]
+        s = next((s for s in tries[-1] if admissible(kind, i, j, s)), None)
+        if s is None:
+            tries.pop()
+            if tries:
+                kind, i, j = cells[len(tries) - 1]
+                del stores[kind][(i, j)]
+            continue
+        stores[kind][(i, j)] = s
+        if len(tries) == len(cells):
+            return GridTiling(n, dict(t.h), dict(t.v))
+        tries.append(iter(inst.shades))
     return None
 
 

@@ -359,7 +359,7 @@ def test_union_all_and_concat_all_fold():
 
 
 # --------------------------------------------------------------------------
-# Product of subset constructions
+# A guide minus kill automata, by subset construction
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -370,47 +370,68 @@ def test_product_difference_matches_generation_oracle(seed):
     labels = list(SPECIALS.symbols)
     r1 = random_regex(rng, labels, depth=4)
     r2 = random_regex(rng, labels, depth=3)
-    dfa = ProductDfa(SPECIALS, [(compile_nfa(r1, SPECIALS), None),
-                                (compile_nfa(r2, SPECIALS), None)],
-                     lambda flags: not flags[1])
+    dfa = ProductDfa(compile_nfa(r1, SPECIALS), [compile_nfa(r2, SPECIALS)])
     want = sorted((w for w in lang_upto(r1, 4) if not match_regex(r2, w)),
                   key=SPECIALS.word_key)
     assert list(dfa.words(4)) == want
 
 
+def _green(s):
+    return s.colored(Color.GREEN)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_product_words_are_the_guide_words_no_kill_accepts(seed):
+    """words(n) is the membership filter: the guide's words within n, in
+    shortlex order, that no kill accepts once relabelled.  Zero to three
+    kills, over the base alphabet or over its green copies."""
+    rng = random.Random(seed)
+    guide = compile_nfa(random_regex(rng, list(SPECIALS.symbols), depth=4),
+                        SPECIALS)
+    relabel = _green if rng.random() < 0.5 else None
+    alphabet = SPECIALS if relabel is None else SPECIALS.colored()
+    kill_labels = [s for s in alphabet.symbols if s.color is not Color.RED]
+    kills = [compile_nfa(random_regex(rng, kill_labels, depth=3), alphabet)
+             for _ in range(rng.randint(0, 3))]
+    dfa = ProductDfa(guide, kills, relabel)
+    n = rng.randint(0, 4)
+
+    def killed(w):
+        read = w if relabel is None else tuple(map(relabel, w))
+        return any(accepts(k, read) for k in kills)
+
+    assert list(dfa.words(n)) == [w for w in iter_words(guide, n)
+                                  if not killed(w)]
+
+
 def test_product_relabels_into_a_colored_component():
+    """The guide words that the green kill rejects."""
     colored = SPECIALS.colored()
     green = compile_nfa(parse_regex("G:alpha G:beta*", colored), colored)
     base = compile_nfa(parse_regex("(alpha + beta)(beta + omega)", SPECIALS),
                        SPECIALS)
-    components = [(base, None), (green, lambda s: s.colored(Color.GREEN))]
-    dfa = ProductDfa(SPECIALS, components, lambda flags: flags[1])
-    assert list(dfa.words(3)) == [(sym("alpha"), sym("beta"))]
-    # The guide words that the green component rejects: flags (True, False).
-    rejected = ProductDfa(SPECIALS, components, lambda flags: not flags[1])
-    assert list(rejected.words(3)) == [(sym("alpha"), sym("omega")),
-                                       (sym("beta"), sym("beta")),
-                                       (sym("beta"), sym("omega"))]
+    dfa = ProductDfa(base, [green], _green)
+    assert list(dfa.words(3)) == [(sym("alpha"), sym("omega")),
+                                  (sym("beta"), sym("beta")),
+                                  (sym("beta"), sym("omega"))]
 
 
 def test_product_words_respect_the_length_cap_and_an_empty_guide():
     star = compile_nfa(parse_regex("alpha*", SPECIALS), SPECIALS)
-    dfa = ProductDfa(SPECIALS, [(star, None)], lambda flags: True)
+    dfa = ProductDfa(star, [])
     assert list(dfa.words(0)) == [()]
     assert list(dfa.words(2)) == [(), (sym("alpha"),), (sym("alpha"),) * 2]
     empty = compile_nfa(Empty(), SPECIALS)
-    assert list(ProductDfa(SPECIALS, [(empty, None)],
-                           lambda flags: True).words(5)) == []
+    assert list(ProductDfa(empty, [star]).words(5)) == []
 
 
 def test_product_builds_no_state_past_a_dead_guide():
     """Only live prefixes of the guide are expanded: here the empty word,
     alpha and alpha beta, each adding at most one state per symbol,
-    however many prefixes the other component tells apart."""
+    however many prefixes the kill tells apart."""
     guide = compile_nfa(parse_regex("alpha beta", SPECIALS), SPECIALS)
     any6 = " ".join(["(alpha + beta + omega)"] * 6)
-    other = compile_nfa(parse_regex(any6, SPECIALS), SPECIALS)
-    dfa = ProductDfa(SPECIALS, [(guide, None), (other, None)],
-                     lambda flags: True)
+    kill = compile_nfa(parse_regex(any6, SPECIALS), SPECIALS)
+    dfa = ProductDfa(guide, [kill])
     assert list(dfa.words(6)) == [(sym("alpha"), sym("beta"))]
     assert len(dfa.accepting) <= 1 + 3 * len(SPECIALS)

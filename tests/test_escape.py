@@ -794,6 +794,30 @@ def test_a_request_with_no_candidate_leaves_the_word_undecided():
     assert explore(q0, cs, caps).kind is VerdictKind.INCONCLUSIVE
 
 
+def test_a_forcing_constraint_with_a_green_rhs_is_no_kill():
+    """Constraint 0 forces, as its only candidate R:alpha R:omega is a red
+    q0 word, but its rhs also accepts the green chain of alpha alpha alpha
+    omega, which so opens no request and wins at once.  Its lhs alone
+    would cut that word from the start words: the start automaton must
+    not take it as a kill."""
+    cs = (_colored_constraint(0, "G:alpha G:alpha G:alpha G:omega",
+                              "R:alpha R:omega + G:alpha G:alpha G:alpha "
+                              "G:omega"),
+          _colored_constraint(1, "G:alpha G:omega", "R:alpha R:omega"))
+    q0 = compile_nfa(parse_regex("alpha omega + alpha alpha alpha omega",
+                                 SPECIALS), SPECIALS)
+    caps = Caps(4, 3, 2, 4)
+    ctx = ExploreContext(q0, cs, caps)
+    assert all(ctx.forces_loss_alone(rc) for rc in cs)
+    assert list(ctx.start_words()) == [
+        parse_word("alpha alpha alpha omega", SPECIALS)]
+    got = explore(q0, cs, caps)
+    want = explore_per_word(q0, cs, caps)
+    assert got.kind is want.kind is VerdictKind.NONDETERMINATE
+    assert (endpointed_to_json(got.certificate)
+            == endpointed_to_json(want.certificate))
+
+
 @pytest.mark.parametrize("x, y, rhs, word", [
     ("a", "nowhere", _EVERY_LABEL_PLUS, "R:alpha"),
     ("a", "b", _EVERY_LABEL_PLUS, ""),

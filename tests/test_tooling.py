@@ -119,9 +119,6 @@ def test_guided_play_evaluates_nothing_from_scratch(black_reduction):
 RECURSION_ALLOWED = {
     # One level per search round: at most --max-rounds deep.
     "escape.ExploreContext._search",
-    # One level per grid edge of the tiling size being tried: at most
-    # 2 n (n + 1) deep for --max-n n.
-    "ogtp._solve_at.rec",
 }
 
 
