@@ -22,9 +22,9 @@ from .constraints import (ConstraintError, ConstraintSet, RegularConstraint,
                           fresh_names, make_arrow_set, make_arrows,
                           recolor_nfa, recolor_regex, requests, satisfied)
 from .escape import (Caps, ExploreContext, GuidanceError, PlayOutcome,
-                     PlayResult, PlayTrace, Position, ScriptExhaustedError,
-                     Verdict, VerdictKind, explore, initial_position,
-                     run_play, scripted_from_trace, strategy_guided,
+                     PlayResult, PlayTrace, ScriptExhaustedError, Verdict,
+                     VerdictKind, explore, initial_position, run_play,
+                     scripted_from_trace, strategy_guided,
                      strategy_interactive, strategy_scripted,
                      strategy_shortest, trace_from_jsonl, trace_to_jsonl)
 from .ogtp import (GridTiling, OgtpError, OgtpInstance, ReductionOutput,

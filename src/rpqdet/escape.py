@@ -1,10 +1,12 @@
 """The pursuit game that hunts for determinacy counterexamples.
 
-A position is a graph with endpoints a and b; play starts from the green
-chain of a word of the start-and-traps language q0.  Each round the player
-must satisfy every open constraint request at once by grafting witness
-paths.  The player loses as soon as a red q0 word connects a to b; a
-position with no open requests is a fixpoint and certifies a counterexample.
+A position is an ``EndpointedGraph``, a graph with endpoints a and b.
+Every play and every search starts at round 0 from ``initial_position``,
+the green chain of a word of the start-and-traps language q0.  Each round
+the player must satisfy every open constraint request at once by grafting
+witness paths.  The player loses as soon as a red q0 word connects a to
+b; a position with no open requests is a fixpoint, and a search's fixpoint
+is its counterexample certificate as it stands.
 
 A ``LivePosition`` is a position's out-rows, which grafts extend and
 ``undo`` takes back.  A round only adds edges, so ``run_play`` keeps one
@@ -49,17 +51,6 @@ class ScriptExhaustedError(WorkbenchError):
 
 class GuidanceError(WorkbenchError):
     pass
-
-
-@dataclass(frozen=True)
-class Position:
-    graph: LabeledGraph
-    a: str
-    b: str
-    round: int
-
-    def endpointed(self) -> EndpointedGraph:
-        return EndpointedGraph(self.graph, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -119,9 +110,10 @@ def _green_word(word: Word) -> Word:
     return tuple(green)
 
 
-def initial_position(word: Word) -> Position:
-    """Round-zero position: the green chain of the word, from a to b."""
-    return Position(chain_graph(_green_word(word), "a", "b"), "a", "b", 0)
+def initial_position(word: Word) -> EndpointedGraph:
+    """The position every play and search starts from: the green chain of
+    the word, from a to b."""
+    return EndpointedGraph(chain_graph(_green_word(word), "a", "b"), "a", "b")
 
 
 # --------------------------------------------------------------------------
@@ -239,9 +231,10 @@ def strategy_interactive(**kwargs) -> InteractiveStrategy:
 # Playing
 
 
-def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
+def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: EndpointedGraph,
              max_rounds: int) -> tuple[PlayResult, PlayTrace]:
-    """Play from init until loss, fixpoint, or the round bound.
+    """Play from the position init, at round 0, until loss, fixpoint, or
+    the round bound.
 
     q0 ranges over the base alphabet; the loss test checks its red copy
     between the endpoints after every position, the initial one included.
@@ -254,12 +247,12 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: Position,
     extended from each round's new edges only, as a round never takes an
     edge away.
     """
-    live = LivePosition(init.graph, init.a, init.b)
+    live = LivePosition(init)
     tracker = LiveRequests(cs, live.out)
     loss = LivePairs(recolor_nfa(q0, Color.RED), live.out, live.a)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
-    round_no = init.round
+    round_no = 0
     while True:
         if (live.a, live.b) in loss.pairs:
             outcome = PlayOutcome.LOST
@@ -310,20 +303,19 @@ _WIN, _ALL_LOST, _UNDECIDED = "win", "all_lost", "undecided"
 
 
 class LivePosition:
-    """One mutable position, of a play or of a search: the out-row of
-    every vertex.  Each graft returns a record of what it added, which
-    ``undo`` takes back; undo must come in reverse graft order."""
+    """One mutable position, of a play or of a search: the endpoints of
+    an EndpointedGraph and the out-row of each of its vertices.  Each
+    graft returns a record of what it added, which ``undo`` takes back;
+    undo must come in reverse graft order."""
 
-    def __init__(self, graph: LabeledGraph, a: str, b: str):
-        graph.require_vertex(a)
-        graph.require_vertex(b)
-        self.a = a
-        self.b = b
+    def __init__(self, pos: EndpointedGraph):
+        self.a = pos.a
+        self.b = pos.b
         # One out-row per vertex, isolated ones too: its keys are the
         # vertex set.
         self.out: dict[str, list[tuple[Symbol, str]]] = {
-            v: [] for v in graph.vertices}
-        for src, s, dst in graph.edges:
+            v: [] for v in pos.graph.vertices}
+        for src, s, dst in pos.graph.edges:
             self.out[src].append((s, dst))
 
     def graph(self) -> LabeledGraph:
@@ -451,10 +443,12 @@ class ExploreContext:
                 yield w
 
     def classify_word(self, word: Word):
-        """Search all bounded plays from one initial word.
+        """Search all bounded plays from the initial position of one word,
+        at round 0.
 
         Returns (kind, position) with kind one of win / all_lost /
-        undecided; the position is the fixpoint reached on a win.
+        undecided; the position is the fixpoint reached on a win, an
+        EndpointedGraph, and None otherwise.
 
         The forcing rule is not run here: start_words only prunes the
         enumeration with it.  A word it kills opens an a-to-b request
@@ -466,15 +460,16 @@ class ExploreContext:
         pos = initial_position(word)
         for s in word:
             self.q0.alphabet.index(s.uncolored())
-        return self._search(LivePosition(pos.graph, pos.a, pos.b), 0)
+        return self._search(LivePosition(pos), 0)
 
     def verdict(self, outcomes) -> Verdict:
         """Fold the classify_word outcomes of start_words, in that order,
         into the search verdict.
 
-        NONDETERMINATE carries the first fixpoint; INCONCLUSIVE when q0
-        has no nonempty word within max_initial_len or some word was
-        undecided; otherwise ALL_PLAYS_LOSE.
+        NONDETERMINATE carries the first fixpoint as its certificate, as
+        it is; INCONCLUSIVE when q0 has no nonempty word within
+        max_initial_len or some word was undecided; otherwise
+        ALL_PLAYS_LOSE.
         """
         # any() skips the empty word, which is falsy.
         if not any(iter_words(self.q0, self.caps.max_initial_len)):
@@ -482,7 +477,7 @@ class ExploreContext:
         saw_undecided = False
         for kind, pos in outcomes:
             if kind == _WIN:
-                return Verdict(VerdictKind.NONDETERMINATE, pos.endpointed())
+                return Verdict(VerdictKind.NONDETERMINATE, pos)
             if kind == _UNDECIDED:
                 saw_undecided = True
         if saw_undecided:
@@ -490,9 +485,9 @@ class ExploreContext:
         return Verdict(VerdictKind.ALL_PLAYS_LOSE)
 
     def _search(self, live: LivePosition, round_no: int):
-        """Search every bounded play from the live position; a win carries
-        its fixpoint as a Position.  Live is left as it was found, except
-        after a win.
+        """Search every bounded play from the live position, reached in
+        round round_no; a win carries its fixpoint as an EndpointedGraph.
+        Live is left as it was found, except after a win.
 
         A node is decided all-lost over the minimal candidates first.  A
         fresh path's inner vertices have one in-edge and one out-edge, and
@@ -533,7 +528,7 @@ class ExploreContext:
             return _ALL_LOST, None
         reqs = requests(self.cs, g)
         if not reqs:
-            return _WIN, Position(g, live.a, live.b, round_no)
+            return _WIN, EndpointedGraph(g, live.a, live.b)
         if round_no >= self.caps.max_rounds:
             return _UNDECIDED, None
         cand_lists = [self.candidates(r.constraint) for r in reqs]

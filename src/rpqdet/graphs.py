@@ -128,7 +128,7 @@ def chain_word(g: LabeledGraph, x: str, y: str) -> Word | None:
             return None
         seen.add(v)
         word.append(s)
-    if len(seen) != len(g.vertices):
+    if len(seen) != len(g.vertices) or g.out_adj.get(y):
         return None
     return tuple(word)
 

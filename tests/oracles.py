@@ -27,10 +27,10 @@ from rpqdet.constraints import (ConstraintSet, apply_add, graft_path,
                                 make_arrow_set, recolor_nfa, requests,
                                 satisfied)
 from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
-                           PlayTrace, Position, RoundRecord, Verdict,
-                           VerdictKind, initial_position, scripted_from_trace)
+                           PlayTrace, RoundRecord, Verdict, VerdictKind,
+                           initial_position, scripted_from_trace)
 from rpqdet.gadget import CounterexampleReport
-from rpqdet.graphs import LabeledGraph, chain_word
+from rpqdet.graphs import EndpointedGraph, LabeledGraph, chain_word
 from rpqdet.rpq import evaluate, holds
 from rpqdet.symbols import Color, Symbol, Word
 
@@ -298,7 +298,7 @@ def explore_per_word(q0, cs, caps) -> Verdict:
             continue
         kind, pos = classify_immutable(ctx, w)
         if kind == "win":
-            return Verdict(VerdictKind.NONDETERMINATE, pos.endpointed())
+            return Verdict(VerdictKind.NONDETERMINATE, pos)
         if kind == "undecided":
             saw_undecided = True
     if not saw_word or saw_undecided:
@@ -330,29 +330,29 @@ def classify_immutable(ctx: ExploreContext, word: Word):
     """ExploreContext.classify_word without the forcing rule or any prune:
     the game search from the word's initial position in the same branch
     order, every combination of every candidate list grafted and
-    searched."""
-    def dfs(pos):
+    searched.  dfs takes a position and the round that reached it."""
+    def dfs(pos: EndpointedGraph, round_no: int):
         if holds(ctx.red_q0, pos.graph, pos.a, pos.b):
             return "all_lost", None
         reqs = requests(ctx.cs, pos.graph)
         if not reqs:
             return "win", pos
-        if pos.round >= ctx.caps.max_rounds:
+        if round_no >= ctx.caps.max_rounds:
             return "undecided", None
         cand_lists = [ctx.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return "undecided", None
-        round_no = pos.round + 1
+        round_no += 1
         any_undecided = False
         for g in combination_graphs(pos.graph, reqs, cand_lists, round_no):
-            kind, cert = dfs(Position(g, pos.a, pos.b, round_no))
+            kind, cert = dfs(EndpointedGraph(g, pos.a, pos.b), round_no)
             if kind == "win":
                 return kind, cert
             if kind == "undecided":
                 any_undecided = True
         return ("undecided" if any_undecided else "all_lost"), None
 
-    return dfs(initial_position(word))
+    return dfs(initial_position(word), 0)
 
 
 def explore_immutable(q0, cs, caps) -> Verdict:
@@ -367,11 +367,10 @@ def explore_immutable(q0, cs, caps) -> Verdict:
 # extending one live position and its request tracker from the new edges.
 
 
-def play_round_immutable(pos: Position, strategy,
-                         reqs) -> tuple[Position, RoundRecord]:
-    """One round of run_play with one apply_add, so one new graph, per
-    request."""
-    round_no = pos.round + 1
+def play_round_immutable(pos: EndpointedGraph, round_no: int, strategy,
+                         reqs) -> tuple[EndpointedGraph, RoundRecord]:
+    """Round round_no of run_play from pos, with one apply_add, so one new
+    graph, per request."""
     g = pos.graph
     choices: list[Word] = []
     for i, r in enumerate(reqs):
@@ -381,42 +380,46 @@ def play_round_immutable(pos: Position, strategy,
     added = tuple(sorted(g.edges - pos.graph.edges))
     record = RoundRecord(round_no, tuple((r.x, r.y, r.cid) for r in reqs),
                          tuple(choices), added)
-    return Position(g, pos.a, pos.b, round_no), record
+    return EndpointedGraph(g, pos.a, pos.b), record
 
 
-def run_play_immutable(q0, cs: ConstraintSet, strategy, init: Position,
+def run_play_immutable(q0, cs: ConstraintSet, strategy, init: EndpointedGraph,
                        max_rounds: int) -> tuple[PlayResult, PlayTrace]:
     """run_play with a fresh holds() loss test and a fresh requests() call
     on every position."""
     red_q0 = recolor_nfa(q0, Color.RED)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
-    pos = init
+    pos, round_no = init, 0
     while True:
         if holds(red_q0, pos.graph, pos.a, pos.b):
-            result = PlayResult(PlayOutcome.LOST, pos.round)
+            result = PlayResult(PlayOutcome.LOST, round_no)
             break
         reqs = requests(cs, pos.graph)
         if not reqs:
-            result = PlayResult(PlayOutcome.WON_FIXPOINT, pos.round)
+            result = PlayResult(PlayOutcome.WON_FIXPOINT, round_no)
             break
-        if pos.round >= max_rounds:
-            result = PlayResult(PlayOutcome.EXHAUSTED, pos.round)
+        if round_no >= max_rounds:
+            result = PlayResult(PlayOutcome.EXHAUSTED, round_no)
             break
-        pos, record = play_round_immutable(pos, strategy, reqs)
+        round_no += 1
+        pos, record = play_round_immutable(pos, round_no, strategy, reqs)
         records.append(record)
     return result, PlayTrace(init_word, tuple(records))
 
 
-def replay_positions(cs: ConstraintSet, trace: PlayTrace) -> list[Position]:
-    """The position after each round of the trace, the initial one first:
-    its choices replayed round by round through play_round_immutable from
-    the chain of its initial word."""
+def replay_positions(cs: ConstraintSet,
+                     trace: PlayTrace) -> list[EndpointedGraph]:
+    """The position after each round of the trace, the initial one first,
+    so that the k-th is the position after round k: its choices replayed
+    round by round through play_round_immutable from the chain of its
+    initial word."""
     pos = initial_position(trace.initial_word)
     strategy = scripted_from_trace(trace)
     out = [pos]
-    for _ in trace.rounds:
-        pos, _ = play_round_immutable(pos, strategy, requests(cs, pos.graph))
+    for round_no in range(1, len(trace.rounds) + 1):
+        pos, _ = play_round_immutable(pos, round_no, strategy,
+                                      requests(cs, pos.graph))
         out.append(pos)
     return out
 

@@ -13,13 +13,13 @@ from rpqdet.automata import (Lit, accepts, compile_nfa, concat_all,
                              iter_words, parse_regex, parse_word,
                              shortest_word, union_all)
 from rpqdet.constraints import make_arrow_set, recolor_nfa, requests, satisfied
-from rpqdet.escape import (Caps, PlayOutcome, Position, VerdictKind, explore,
+from rpqdet.escape import (Caps, PlayOutcome, VerdictKind, explore,
                            initial_position, run_play, scripted_from_trace,
                            strategy_guided, strategy_shortest, trace_to_jsonl)
 from rpqdet.gadget import (build_grid, check_counterexample, decorate,
                            find_homomorphism, iso_shadeless,
                            verify_homomorphism)
-from rpqdet.graphs import LabeledGraph, graph_to_json
+from rpqdet.graphs import EndpointedGraph, LabeledGraph, graph_to_json
 from rpqdet.ogtp import all_black_tiling, solve_bruteforce
 from rpqdet.rpq import evaluate, holds
 from rpqdet.symbols import Alphabet, Color, sym
@@ -146,8 +146,9 @@ def test_criterion_02_fuzzed_chases_reach_constraint_satisfying_fixpoints():
             continue
         collected += 1
         assert result.round >= 1
-        pos = replay_positions(cs, trace)[-1]
-        assert pos.round == result.round
+        positions = replay_positions(cs, trace)
+        assert len(positions) - 1 == result.round
+        pos = positions[-1]
         assert not requests(cs, pos.graph)
         for rc in cs:
             assert satisfied(rc, pos.graph)
@@ -253,10 +254,10 @@ def _all_plays_lose(red_q0, cs, word, max_round=2, wit_cap=3):
             lists.append(wits)
         return lists
 
-    def expand(pos):
+    def expand(pos, round_no):
         if holds(red_q0, pos.graph, pos.a, pos.b):
             return True
-        if pos.round >= max_round:
+        if round_no >= max_round:
             return False
         reqs = requests(cs, pos.graph)
         if not reqs:
@@ -264,13 +265,13 @@ def _all_plays_lose(red_q0, cs, word, max_round=2, wit_cap=3):
         lists = witness_lists(reqs)
         if lists is None:
             return False
-        rn = pos.round + 1
+        rn = round_no + 1
         for g in combination_graphs(pos.graph, reqs, lists, rn):
-            if not expand(Position(g, pos.a, pos.b, rn)):
+            if not expand(EndpointedGraph(g, pos.a, pos.b), rn):
                 return False
         return True
 
-    return expand(initial_position(word))
+    return expand(initial_position(word), 0)
 
 
 def test_criterion_06_every_bad_or_ugly_start_loses_by_round_two(

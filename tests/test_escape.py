@@ -24,7 +24,6 @@ from rpqdet.escape import (
     GuidanceError,
     LivePosition,
     PlayOutcome,
-    Position,
     ScriptExhaustedError,
     VerdictKind,
     explore,
@@ -39,7 +38,8 @@ from rpqdet.escape import (
     trace_to_jsonl,
 )
 from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homomorphism, iso_shadeless, verify_homomorphism
-from rpqdet.graphs import LabeledGraph, chain_graph, endpointed_to_json
+from rpqdet.graphs import (EndpointedGraph, LabeledGraph, chain_graph,
+                           endpointed_to_json)
 from rpqdet.rpq import holds
 from rpqdet.ogtp import all_black_tiling
 from rpqdet.symbols import Alphabet, Color, FormatError, SymbolError, sym
@@ -58,7 +58,6 @@ def start_word(alphabet, m=1):
 
 def test_initial_position_is_a_green_round_zero_chain():
     pos = initial_position(parse_word("alpha omega", SPECIALS))
-    assert pos.round == 0
     assert (pos.a, pos.b) == ("a", "b")
     assert all(s.color is Color.GREEN for _, s, _ in pos.graph.edges)
 
@@ -158,7 +157,7 @@ def test_run_play_from_a_fixpoint_plays_no_round():
                            set(chain.edges) | {("a", sym("R:omega"), "b")})
     q0 = compile_nfa(parse_regex("alpha", SPECIALS), SPECIALS)
     result, trace = run_play(q0, cs, strategy_shortest(),
-                             Position(g, "a", "b", 0), 5)
+                             EndpointedGraph(g, "a", "b"), 5)
     assert (result.outcome, result.round) == (PlayOutcome.WON_FIXPOINT, 0)
     assert trace.rounds == ()
 
@@ -536,7 +535,7 @@ def test_a_win_through_a_non_minimal_candidate_is_found_by_the_fallback():
     assert ctx.minimal(rc)[0] == (r_beta_omega,)
     word = (sym("beta"), sym("alpha"))
     kind, pos = ctx.classify_word(word)
-    assert (kind, pos.round) == ("win", 1)
+    assert kind == "win"
     assert pos.graph.edges == {("a", sym("G:beta"), "x1"),
                                ("x1", sym("G:alpha"), "b"),
                                ("a", sym("R:beta"), "x1")}
@@ -752,7 +751,7 @@ def test_a_graft_that_repeats_an_edge_adds_nothing_and_undo_keeps_the_edge():
     rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
     g = LabeledGraph.build(["a", "m", "b"], [("a", sym("G:alpha"), "m"),
                                              ("m", sym("G:omega"), "b")])
-    live = LivePosition(g, "a", "b")
+    live = LivePosition(EndpointedGraph(g, "a", "b"))
     start = _rows(live)
     first = live.graft(Request("a", "b", rc), (sym("R:beta"),), 1, 0)
     assert first == ([], [("a", sym("R:beta"), "b")])
@@ -774,7 +773,7 @@ def test_run_play_lists_a_repeated_witness_but_adds_its_edge_once():
     cs = (_colored_constraint(0, "G:alpha", "R:alpha"),
           _colored_constraint(1, "G:alpha", "R:alpha + R:beta"))
     q0 = compile_nfa(parse_regex("beta", SPECIALS), SPECIALS)
-    init = Position(chain_graph((sym("G:alpha"),), "a", "b"), "a", "b", 0)
+    init = EndpointedGraph(chain_graph((sym("G:alpha"),), "a", "b"), "a", "b")
     result, trace = run_play(q0, cs, strategy_shortest(), init, 3)
     assert result.outcome is PlayOutcome.WON_FIXPOINT
     (rec,) = trace.rounds
@@ -828,7 +827,7 @@ def test_live_graft_refuses_what_graft_path_refuses_with_its_message(
         x, y, rhs, word):
     rc = _colored_constraint(0, "G:alpha", rhs)
     g = LabeledGraph.build(["a", "b", "n1_0_1"], [("a", sym("G:alpha"), "b")])
-    live = LivePosition(g, "a", "b")
+    live = LivePosition(EndpointedGraph(g, "a", "b"))
     r, w = Request(x, y, rc), tuple(sym(tok) for tok in word.split())
     with pytest.raises(Exception) as want:
         graft_path(g.vertices, r, w, round_no=1, req_index=0)
@@ -846,7 +845,7 @@ def test_live_position_graph_round_trips_through_grafts_and_undos(seed):
     a, b = rng.choice(sorted(g.vertices)), rng.choice(sorted(g.vertices))
     # Grafts check their words against the rhs, so it accepts them all.
     rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
-    live = LivePosition(g, a, b)
+    live = LivePosition(EndpointedGraph(g, a, b))
     stack = []
     for step_no in range(1, 13):
         if stack and rng.random() < 0.4:

@@ -65,6 +65,12 @@ def test_chain_word_rejects_branching():
     assert chain_word(g, "a", "b") is None
 
 
+@pytest.mark.parametrize("back", [("b", "R:beta", "a"), ("b", "R:beta", "b")])
+def test_chain_word_rejects_an_out_edge_at_the_end(back):
+    g = g_of(("a", "G:alpha", "b"), back)
+    assert chain_word(g, "a", "b") is None
+
+
 def test_edge_endpoints_validated():
     with pytest.raises(Exception):
         LabeledGraph.build(["a"], [("a", sym("G:alpha"), "missing")])

@@ -15,12 +15,12 @@ from rpqdet.automata import (Concat, Lit, compile_nfa, iter_words,
                              parse_regex, parse_word)
 from rpqdet import escape
 from rpqdet.constraints import RegularConstraint, make_arrow_set
-from rpqdet.escape import (PlayOutcome, Position, initial_position, run_play,
+from rpqdet.escape import (PlayOutcome, initial_position, run_play,
                            scripted_from_trace, strategy_guided,
                            strategy_scripted, strategy_shortest,
                            trace_from_jsonl, trace_to_jsonl)
 from rpqdet.gadget import build_grid, decorate, find_homomorphism
-from rpqdet.graphs import LabeledGraph
+from rpqdet.graphs import EndpointedGraph, LabeledGraph
 from rpqdet.ogtp import all_black_tiling
 from rpqdet.rpq import LivePairs
 from rpqdet.symbols import Alphabet, WorkbenchError, sym
@@ -78,7 +78,7 @@ def _random_play(seed):
         g = random_graph(rng, list(SPECIALS.colored().symbols),
                          max_vertices=6, max_edges=9)
         vs = sorted(g.vertices)
-        init = Position(g, rng.choice(vs), rng.choice(vs), 0)
+        init = EndpointedGraph(g, rng.choice(vs), rng.choice(vs))
     else:
         init = initial_position(rng.choice(starts))
     # Words for a script: rhs words, a word of base symbols, which no rhs
@@ -192,12 +192,25 @@ def test_a_loss_closed_from_a_vertex_the_red_walk_reached_a_round_before():
     q0 = compile_nfa(parse_regex("beta beta", SPECIALS), SPECIALS)
     g = LabeledGraph.build(["a", "c", "b"], [("a", sym("G:alpha"), "c"),
                                              ("c", sym("G:omega"), "b")])
-    init = Position(g, "a", "b", 0)
+    init = EndpointedGraph(g, "a", "b")
     got, _ = _same_play(q0, cs, strategy_shortest, init, 5)
     result, trace = got[0], trace_from_jsonl(got[1])
     assert (result.outcome, result.round) == (PlayOutcome.LOST, 2)
     assert [rec.requests for rec in trace.rounds] == [
         (("a", "c", 0),), (("n1_0_1", "b", 1),)]
+
+
+def test_a_play_from_a_graph_that_is_no_chain_records_no_initial_word():
+    # b -R:beta-> a leaves a single a-to-b path, but the chain of its word
+    # lacks that edge, so a trace that named the word would not replay.
+    cs = (_colored_constraint(0, "G:alpha", "R:omega"),)
+    q0 = compile_nfa(parse_regex("beta beta", SPECIALS), SPECIALS)
+    g = LabeledGraph.build(["a", "b"], [("a", sym("G:alpha"), "b"),
+                                        ("b", sym("R:beta"), "a")])
+    init = EndpointedGraph(g, "a", "b")
+    for result, jsonl, _ in _same_play(q0, cs, strategy_shortest, init, 3):
+        assert (result.outcome, result.round) == (PlayOutcome.WON_FIXPOINT, 1)
+        assert json.loads(jsonl.splitlines()[0]) == {"initial": None}
 
 
 def test_the_loss_index_of_a_play_walks_from_a_alone(monkeypatch):
