@@ -106,21 +106,31 @@ def concat_all(parts) -> Regex:
     return reduce(Concat, parts, next(parts, Epsilon()))
 
 
-def literals_used(r: Regex) -> frozenset[Symbol]:
-    """Every symbol of a Lit or Class in r; an explicit stack, not
-    recursion, walks the tree."""
-    out: set[Symbol] = set()
-    todo = [r]
+def post_order(r: Regex):
+    """The nodes of r, each after its children, left to right.  An explicit
+    stack, not recursion, walks the tree, so a long flat word does not
+    recurse once per symbol."""
+    todo: list[tuple[Regex, bool]] = [(r, False)]
     while todo:
-        node = todo.pop()
+        node, expanded = todo.pop()
+        if expanded or isinstance(node, (Empty, Epsilon, Lit, Class)):
+            yield node
+        elif isinstance(node, (Union, Concat)):
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, (Star, Plus)):
+            todo += [(node, True), (node.inner, False)]
+        else:
+            raise TypeError(f"not a regex: {node!r}")
+
+
+def literals_used(r: Regex) -> frozenset[Symbol]:
+    """Every symbol of a Lit or Class in r."""
+    out: set[Symbol] = set()
+    for node in post_order(r):
         if isinstance(node, Lit):
             out.add(node.symbol)
         elif isinstance(node, Class):
             out |= node.symbols
-        elif isinstance(node, (Union, Concat)):
-            todo += [node.left, node.right]
-        elif isinstance(node, (Star, Plus)):
-            todo.append(node.inner)
     return frozenset(out)
 
 
@@ -416,18 +426,8 @@ class Nfa:
         rev: dict[int, set[int]] = {}
         for src, _, dst in self.transitions:
             rev.setdefault(dst, set()).add(src)
-        dist = [_INF] * self.n_states
-        queue = deque()
-        for s in self.accepting:
-            dist[s] = 0
-            queue.append(s)
-        while queue:
-            v = queue.popleft()
-            for u in rev.get(v, ()):
-                if dist[u] == _INF:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        return tuple(dist)
+        dist = _distances_from(self.accepting, rev)
+        return tuple(dist.get(q, _INF) for q in range(self.n_states))
 
     @cached_property
     def subset_dfa(self) -> "SubsetDfa":
@@ -445,19 +445,19 @@ class Nfa:
         return frozenset(out)
 
 
-def _reach(seeds, edges) -> set[int]:
-    """The states reachable from seeds along (src, dst) edges."""
-    adj: dict[int, list[int]] = {}
-    for src, dst in edges:
-        adj.setdefault(src, []).append(dst)
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for u in adj.get(stack.pop(), ()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+def _distances_from(seeds, adj) -> dict[int, int]:
+    """Breadth-first distances from the seeds along adj, which maps a
+    state to its successors; a state out of reach has no entry."""
+    dist = dict.fromkeys(seeds, 0)
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        for u in adj.get(v, ()):
+            if u not in dist:
+                dist[u] = d
+                queue.append(u)
+    return dist
 
 
 def compile_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
@@ -467,25 +467,19 @@ def compile_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
 
     State 0 is the start and every Lit or Class occurrence is one state,
     entered on its symbols, so there are no epsilon moves.  One post-order
-    pass with an explicit stack, not recursion, gives each node whether it
-    accepts the empty word and its sets of first and last positions, and
-    records which positions may follow which.
+    pass gives each node whether it accepts the empty word and its sets of
+    first and last positions, and records which positions may follow
+    which.
     """
     labels: list[tuple[Symbol, ...]] = [()]
     follow: list[set[int]] = [set()]
     # (nullable, first, last) of each finished node; a parent consumes its
     # children's sets, so it may grow them in place.
     done: list[tuple[bool, set[int], set[int]]] = []
-    todo: list[tuple[Regex, bool]] = [(r, False)]
-    while todo:
-        node, expanded = todo.pop()
-        if isinstance(node, (Union, Concat)) and not expanded:
-            todo += [(node, True), (node.right, False), (node.left, False)]
-        elif isinstance(node, (Star, Plus)) and not expanded:
-            todo += [(node, True), (node.inner, False)]
-        elif isinstance(node, Lit) and node.symbol not in alphabet:
+    for node in post_order(r):
+        if isinstance(node, Lit) and node.symbol not in alphabet:
             raise SymbolError(f"literal {node.symbol.name!r} not in alphabet")
-        elif isinstance(node, (Lit, Class)):
+        if isinstance(node, (Lit, Class)):
             p = len(labels)
             labels.append((node.symbol,) if isinstance(node, Lit)
                           else tuple(node.symbols))
@@ -509,22 +503,25 @@ def compile_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
             if rn:
                 ll |= rl
             done.append((ln and rn, lf, ll if rn else rl))
-        elif isinstance(node, (Star, Plus)):
+        else:  # Star or Plus
             nullable, first, last = done.pop()
             for p in last:
                 follow[p] |= first
             done.append((nullable or isinstance(node, Star), first, last))
-        else:
-            raise TypeError(f"not a regex: {node!r}")
     nullable, follow[0], last = done.pop()
     accepting = last | {0} if nullable else last
 
-    edges = [(p, q) for p, qs in enumerate(follow) for q in qs]
-    keep = sorted((_reach([0], edges)
-                   & _reach(accepting, [(q, p) for p, q in edges])) | {0})
+    back: dict[int, list[int]] = {}
+    for p, qs in enumerate(follow):
+        for q in qs:
+            back.setdefault(q, []).append(p)
+    keep = sorted((_distances_from([0], dict(enumerate(follow))).keys()
+                   & _distances_from(accepting, back).keys()) | {0})
     renum = {old: i for i, old in enumerate(keep)}
     return Nfa(alphabet=alphabet, n_states=len(keep),
-               transitions=frozenset((renum[p], s, renum[q]) for p, q in edges
+               transitions=frozenset((renum[p], s, renum[q])
+                                     for p, qs in enumerate(follow)
+                                     for q in qs
                                      if p in renum and q in renum
                                      for s in labels[q]),
                start=0,
@@ -548,8 +545,6 @@ def iter_words(n: Nfa, max_len: int):
     Iterative deepening over the integer states of the Nfa's subset
     automaton, pruned by distance to acceptance.
     """
-    if n.n_states == 0:
-        return
     dfa = n.subset_dfa
     yield from _shortlex_words(max_len, dfa.min_dist(0), dfa.live_row,
                                dfa.accepting)
@@ -715,17 +710,8 @@ class ProductDfa:
                         depth[t] = d + 1
                         nxt.append(t)
             frontier = nxt
-        dist = [_INF] * len(self._keys)
-        queue = deque(q for q in depth if self.accepting[q])
-        for q in queue:
-            dist[q] = 0
-        while queue:
-            t = queue.popleft()
-            for q in rev.get(t, ()):
-                if dist[q] == _INF:
-                    dist[q] = dist[t] + 1
-                    queue.append(q)
-        return dist
+        dist = _distances_from([q for q in depth if self.accepting[q]], rev)
+        return [dist.get(q, _INF) for q in range(len(self._keys))]
 
     def words(self, max_len: int):
         """Accepted words of length at most max_len, shortlex order.

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus, Regex,
-                       Star, Union, accepts, compile_nfa, literals_used,
+from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
+                       accepts, compile_nfa, literals_used, post_order,
                        render_regex)
 from .graphs import Edge, LabeledGraph, require_vertex
 from .rpq import LivePairs, evaluate
@@ -34,22 +34,10 @@ class WitnessRejectedError(WorkbenchError):
 
 
 def recolor_regex(r: Regex, color: Color) -> Regex:
-    """Repaint every literal and class with one color.
-
-    A post-order walk with an explicit stack, as in compile_nfa, so a long
-    flat word does not recurse once per symbol.
-    """
+    """Repaint every literal and class with one color."""
     done: list[Regex] = []
-    todo: list[tuple[Regex, bool]] = [(r, False)]
-    while todo:
-        node, expanded = todo.pop()
-        if isinstance(node, (Union, Concat)) and not expanded:
-            todo += [(node, True), (node.right, False), (node.left, False)]
-        elif isinstance(node, (Star, Plus)) and not expanded:
-            todo += [(node, True), (node.inner, False)]
-        elif isinstance(node, (Empty, Epsilon)):
-            done.append(node)
-        elif isinstance(node, Lit):
+    for node in post_order(r):
+        if isinstance(node, Lit):
             done.append(Lit(node.symbol.colored(color)))
         elif isinstance(node, Class):
             done.append(Class(frozenset(s.colored(color) for s in node.symbols)))
@@ -58,8 +46,8 @@ def recolor_regex(r: Regex, color: Color) -> Regex:
             done.append(type(node)(done.pop(), right))
         elif isinstance(node, (Star, Plus)):
             done.append(type(node)(done.pop()))
-        else:
-            raise TypeError(f"not a regex: {node!r}")
+        else:  # Empty or Epsilon
+            done.append(node)
     return done.pop()
 
 

@@ -41,8 +41,8 @@ from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import LivePairs, edges_by_label, find_witness, holds
 from .summary import Rows, SummaryGraph, as_rows, relation
-from .symbols import (Color, Symbol, Word, WorkbenchError, expect, expect_items,
-                      expect_key, format_word)
+from .symbols import (Color, FormatError, Symbol, Word, WorkbenchError, expect,
+                      expect_items, expect_key, format_word, load_json)
 
 
 class ScriptExhaustedError(WorkbenchError):
@@ -203,7 +203,7 @@ class InteractiveStrategy:
             except EOFError:
                 raise ScriptExhaustedError("interactive input closed") from None
             try:
-                word = tuple(Symbol(tok) for tok in line.split())
+                word = _word_from_text(line)
                 if word and accepts(rc.rhs_nfa, word):
                     return word
                 self.print_fn("not a word of the rhs language, try again")
@@ -314,9 +314,7 @@ class LivePosition:
         # One out-row per vertex, isolated ones too: its keys are the
         # vertex set.
         self.out: dict[str, list[tuple[Symbol, str]]] = {
-            v: [] for v in pos.graph.vertices}
-        for src, s, dst in pos.graph.edges:
-            self.out[src].append((s, dst))
+            v: list(row) for v, row in pos.graph.out_adj.items()}
 
     def graph(self) -> LabeledGraph:
         return LabeledGraph(frozenset(self.out),
@@ -594,13 +592,14 @@ def trace_from_jsonl(text: str) -> PlayTrace:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
-    header = expect(json.loads(lines[0]), dict, "trace header")
+    header = expect(load_json(lines[0], FormatError, "trace"), dict,
+                    "trace header")
     initial = header.get("initial")
     initial_word = (None if initial is None
                     else _word_from_text(expect(initial, str, "initial word")))
     rounds = []
     for ln in lines[1:]:
-        obj = expect(json.loads(ln), dict, "trace round")
+        obj = expect(load_json(ln, FormatError, "trace"), dict, "trace round")
 
         def entries(key: str) -> list:
             return expect_key(obj, key, list, "trace round")

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .symbols import Symbol, Word, WorkbenchError, expect, expect_key
+from .symbols import (FormatError, Symbol, Word, WorkbenchError, expect,
+                      expect_key, load_json)
 
 Edge = tuple[str, Symbol, str]
 
@@ -115,7 +116,11 @@ def strip_shades(g: LabeledGraph) -> LabeledGraph:
 
 
 def chain_word(g: LabeledGraph, x: str, y: str) -> Word | None:
-    """If g is a single path from x to y, its word; otherwise None."""
+    """If g is a single path from x to y, its word; otherwise None.  A
+    path from x to itself is None too, as chain_graph refuses it, so a
+    trace header that names a word always replays."""
+    if x == y:
+        return None
     word: list[Symbol] = []
     seen = {x}
     v = x
@@ -164,7 +169,7 @@ def graph_to_json(g: LabeledGraph) -> str:
 
 
 def graph_from_json(text: str) -> LabeledGraph:
-    return graph_from_obj(json.loads(text))
+    return graph_from_obj(load_json(text, FormatError, "graph"))
 
 
 def endpointed_to_json(eg: EndpointedGraph) -> str:
@@ -176,7 +181,7 @@ def endpointed_to_json(eg: EndpointedGraph) -> str:
 
 def endpointed_from_json(text: str, a: str | None = None,
                          b: str | None = None) -> EndpointedGraph:
-    obj = json.loads(text)
+    obj = load_json(text, FormatError, "graph")
     g = graph_from_obj(obj)
     return EndpointedGraph(g, a or expect(obj.get("a", "a"), str, "endpoint a"),
                            b or expect(obj.get("b", "b"), str, "endpoint b"))

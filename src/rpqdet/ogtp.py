@@ -20,7 +20,7 @@ from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
                        union_all)
 from .constraints import ConstraintSet, make_arrow_set
 from .symbols import (Alphabet, FormatError, Symbol, WorkbenchError, expect,
-                      expect_items, expect_key, sym)
+                      expect_items, expect_key, load_json, sym)
 
 DIRECTIONS = ("H", "V")
 
@@ -300,15 +300,15 @@ def compile_reduction(inst: OgtpInstance) -> ReductionOutput:
 # Serialization
 
 
-def instance_to_obj(inst: OgtpInstance) -> dict:
-    return {"shades": list(inst.shades),
-            "forbidden": [[list(p), list(q)]
-                          for p, q in sorted(inst.forbidden)]}
+def instance_to_json(inst: OgtpInstance) -> str:
+    obj = {"shades": list(inst.shades),
+           "forbidden": [[list(p), list(q)] for p, q in sorted(inst.forbidden)]}
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def instance_from_obj(obj) -> OgtpInstance:
-    """Inverse of instance_to_obj; a wrong shape raises FormatError."""
-    expect(obj, dict, "instance")
+def instance_from_json(text: str) -> OgtpInstance:
+    """Inverse of instance_to_json; a wrong shape raises FormatError."""
+    obj = expect(load_json(text, OgtpError, "instance"), dict, "instance")
     shades = tuple(expect(s, str, "shade")
                    for s in expect_key(obj, "shades", list, "instance"))
     forbidden = frozenset(
@@ -318,27 +318,16 @@ def instance_from_obj(obj) -> OgtpInstance:
     return OgtpInstance(shades, forbidden)
 
 
-def instance_to_json(inst: OgtpInstance) -> str:
-    return json.dumps(instance_to_obj(inst), indent=2) + "\n"
+def tiling_to_json(t: GridTiling) -> str:
+    obj = {"n": t.n,
+           "h": {f"{i},{j}": t.h[(i, j)] for i, j in sorted(t.h)},
+           "v": {f"{i},{j}": t.v[(i, j)] for i, j in sorted(t.v)}}
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def instance_from_json(text: str) -> OgtpInstance:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise OgtpError(f"bad instance JSON: {e}") from None
-    return instance_from_obj(obj)
-
-
-def tiling_to_obj(t: GridTiling) -> dict:
-    return {"n": t.n,
-            "h": {f"{i},{j}": t.h[(i, j)] for i, j in sorted(t.h)},
-            "v": {f"{i},{j}": t.v[(i, j)] for i, j in sorted(t.v)}}
-
-
-def tiling_from_obj(obj) -> GridTiling:
-    """Inverse of tiling_to_obj; a wrong shape raises FormatError."""
-    expect(obj, dict, "tiling")
+def tiling_from_json(text: str) -> GridTiling:
+    """Inverse of tiling_to_json; a wrong shape raises FormatError."""
+    obj = expect(load_json(text, TilingError, "tiling"), dict, "tiling")
 
     def cells(field: str) -> dict[tuple[int, int], str]:
         out = {}
@@ -355,19 +344,7 @@ def tiling_from_obj(obj) -> GridTiling:
                       cells("v"))
 
 
-def tiling_to_json(t: GridTiling) -> str:
-    return json.dumps(tiling_to_obj(t), indent=2) + "\n"
-
-
-def tiling_from_json(text: str) -> GridTiling:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TilingError(f"bad tiling JSON: {e}") from None
-    return tiling_from_obj(obj)
-
-
-def reduction_to_obj(out: ReductionOutput) -> dict:
+def reduction_to_json(out: ReductionOutput) -> str:
     a = out.alphabet
     obj = {"alphabet": [s.name for s in a]}
     if out.q_start is not None:
@@ -378,13 +355,13 @@ def reduction_to_obj(out: ReductionOutput) -> dict:
         "bad": [render_regex(r, a) for r in out.views.bad],
         "ugly": [render_regex(r, a) for r in out.views.ugly],
     }
-    return obj
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def reduction_from_obj(obj) -> ReductionOutput:
-    """Inverse of reduction_to_obj; a wrong shape raises FormatError."""
+def reduction_from_json(text: str) -> ReductionOutput:
+    """Inverse of reduction_to_json; a wrong shape raises FormatError."""
     what = "instance file"
-    expect(obj, dict, what)
+    obj = expect(load_json(text, OgtpError, "instance"), dict, what)
     alphabet = Alphabet(Symbol(expect(name, str, "symbol name"))
                         for name in expect_key(obj, "alphabet", list, what))
     views_obj = expect_key(obj, "views", dict, what)
@@ -399,15 +376,3 @@ def reduction_from_obj(obj) -> ReductionOutput:
                if "q_start" in obj else None)
     q0 = parse_regex(expect_key(obj, "q0", str, what), alphabet)
     return ReductionOutput(alphabet, views, q_start, q0)
-
-
-def reduction_to_json(out: ReductionOutput) -> str:
-    return json.dumps(reduction_to_obj(out), indent=2) + "\n"
-
-
-def reduction_from_json(text: str) -> ReductionOutput:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise OgtpError(f"bad instance JSON: {e}") from None
-    return reduction_from_obj(obj)

@@ -9,6 +9,7 @@ and S is a shade name matching ``[a-z0-9_]+``.  The shade field may be absent
 
 from __future__ import annotations
 
+import json
 import re
 from enum import Enum
 
@@ -22,7 +23,17 @@ class SymbolError(WorkbenchError):
 
 
 class FormatError(WorkbenchError):
-    """A JSON document lacks a key or holds a value of the wrong type."""
+    """A JSON document does not parse, lacks a key or holds a value of the
+    wrong type."""
+
+
+def load_json(text: str, error: type[WorkbenchError], what: str):
+    """The JSON document in text; error, naming what, when it does not
+    parse.  Every file format reads its JSON through here."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"bad {what} JSON: {e}") from None
 
 
 def expect(value, kind: type, what: str):

@@ -12,6 +12,7 @@ from rpqdet.automata import (
     Epsilon,
     ForeignSymbolError,
     Lit,
+    Nfa,
     Plus,
     ProductDfa,
     RegexSyntaxError,
@@ -24,12 +25,13 @@ from rpqdet.automata import (
     iter_words,
     parse_regex,
     parse_word,
+    post_order,
     render_regex,
     shortest_word,
     union_all,
 )
 from rpqdet.ogtp import reduction_alphabet
-from rpqdet.symbols import Alphabet, Color, sym
+from rpqdet.symbols import Alphabet, Color, SymbolError, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
 BLACK = reduction_alphabet(("black",))
@@ -119,6 +121,36 @@ def test_parse_word_checks_alphabet():
         parse_word("alpha A-H-C-black", SPECIALS)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("alpha ^ beta", "expected '+' after '^'"),
+    ("alpha [A,H,C,*", "unclosed class literal"),
+    ("alpha )", "trailing input"),
+])
+def test_malformed_regex_names_its_fault_and_position(text, message):
+    with pytest.raises(RegexSyntaxError) as err:
+        parse_regex(text, BLACK)
+    assert str(err.value) == f"{message} (at position 6)"
+    assert err.value.position == 6
+
+
+def test_s0_needs_four_field_symbols():
+    with pytest.raises(RegexSyntaxError, match="no four-field symbols"):
+        parse_regex("alpha S0", SPECIALS)
+
+
+def test_parse_word_rejects_a_bad_token():
+    with pytest.raises(SymbolError, match="bad symbol token in word"):
+        parse_word("alpha A-X-C", SPECIALS)
+
+
+def test_post_order_puts_children_first_left_to_right():
+    a, b, c = (Lit(sym(t)) for t in ("alpha", "beta", "omega"))
+    r = Union(Concat(a, Star(b)), c)
+    assert list(post_order(r)) == [a, b, Star(b), Concat(a, Star(b)), c, r]
+    with pytest.raises(TypeError, match="not a regex"):
+        list(post_order(Concat(a, "beta")))
+
+
 # --------------------------------------------------------------------------
 # Rendering
 
@@ -174,6 +206,16 @@ def test_empty_language_nfa():
     n = compile_nfa(Empty(), SPECIALS)
     assert list(iter_words(n, 5)) == []
     assert shortest_word(n) is None
+
+
+def test_an_automaton_without_states_has_no_words():
+    # The subset automaton starts from the empty set, whose distance to
+    # acceptance is infinite, so the walk places no letter.
+    n = Nfa(SPECIALS, 0, frozenset(), 0, frozenset())
+    assert list(iter_words(n, 5)) == []
+    assert shortest_word(n) is None
+    assert not accepts(n, ())
+    assert n.min_dist == ()
 
 
 def test_start_pattern_shortest_word_has_length_four():

@@ -1,3 +1,4 @@
+import io
 import json
 from time import monotonic
 
@@ -531,6 +532,46 @@ def test_malformed_loader_shapes_exit_2(files, capsys, verb, doc, where):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert where in err
+
+
+@pytest.mark.parametrize("verb, fmt", [
+    ("eval", "graph"), ("verify", "graph"), ("play", "trace"),
+    ("reduce", "instance"), ("search", "instance"), ("grid", "tiling"),
+])
+def test_a_file_that_is_no_json_names_its_format(files, capsys, verb, fmt):
+    path = files["root"] / "unparsable.json"
+    path.write_text('{"n": ')
+    argv = {"eval": ["eval", "--graph", str(path), "--query", "G:omega"],
+            "verify": ["verify", str(path), str(files["instance"])],
+            "play": ["play", str(files["instance"]), "--strategy", "scripted",
+                     "--trace", str(path)],
+            "reduce": ["reduce", str(path)],
+            "search": ["search", str(path)],
+            "grid": ["grid", "1", "--tiling", str(path)]}[verb]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad {fmt} JSON: ")
+
+
+WORD = "alpha A-H-C-black B-V-C-black omega"
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "need --initial-word, --initial-cap, or a --trace with an initial "
+         "word"),
+    (["--initial-word", WORD, "--strategy", "scripted"],
+     "--strategy scripted needs --trace"),
+    (["--initial-word", WORD, "--strategy", "guided"],
+     "--strategy guided needs --model"),
+    (["--initial-word", WORD, "--strategy", "interactive"],
+     "interactive input closed"),
+])
+def test_play_without_what_its_strategy_reads_exits_2(files, capsys,
+                                                      monkeypatch, args,
+                                                      message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["play", str(files["instance"]), *args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_play_guided_on_an_odd_grid_exits_0(files, capsys):

@@ -126,6 +126,11 @@ def test_make_arrows_rejects_colored_input():
         make_arrows(Lit(sym("G:omega")), SPECIALS)
 
 
+def test_make_arrows_rejects_a_foreign_symbol():
+    with pytest.raises(ConstraintError, match="foreign symbol 'omega'"):
+        make_arrows(Lit(sym("omega")), Alphabet(["alpha"]))
+
+
 def test_empty_language_is_admitted_and_vacuous():
     # An empty view can arise from wildcard unions over a single shade;
     # both its arrows are unsatisfiable-lhs constraints, so they hold

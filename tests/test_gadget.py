@@ -124,6 +124,15 @@ def test_decorate_rejects_non_grid_graphs():
         decorate(EndpointedGraph(g, "a", "b"), all_black_tiling(1))
 
 
+def test_decorate_rejects_a_four_field_edge_off_the_grid():
+    from rpqdet.graphs import EndpointedGraph
+    eg = build_grid(1)
+    g = LabeledGraph(eg.graph.vertices, eg.graph.edges | {
+        ("a", sym("G:A-H-C"), grid_vertex(0, 0))})
+    with pytest.raises(GadgetError, match="leaves non-grid vertex 'a'"):
+        decorate(EndpointedGraph(g, "a", "b"), all_black_tiling(1))
+
+
 # --------------------------------------------------------------------------
 # Counterexample checking
 

@@ -53,6 +53,14 @@ def test_chain_rejects_empty_word():
         chain_graph((), "a", "b")
 
 
+def test_chain_rejects_equal_endpoints_and_colliding_names():
+    w = (sym("G:alpha"), sym("G:omega"))
+    with pytest.raises(ValueError, match="endpoints must differ"):
+        chain_graph(w, "a", "a")
+    with pytest.raises(ValueError, match="names collide"):
+        chain_graph(w, "a", "x1")
+
+
 def test_chain_word_reads_back_the_unique_path():
     w = tuple(sym(t) for t in ["G:alpha", "G:A-H-W-black", "G:omega"])
     g = chain_graph(w, "a", "b")
@@ -69,6 +77,19 @@ def test_chain_word_rejects_branching():
 def test_chain_word_rejects_an_out_edge_at_the_end(back):
     g = g_of(("a", "G:alpha", "b"), back)
     assert chain_word(g, "a", "b") is None
+
+
+def test_chain_word_rejects_a_walk_that_comes_back():
+    # a -> c -> a never reaches b: the walk stops where it revisits a.
+    g = g_of(("a", "G:alpha", "c"), ("c", "G:beta", "a"), extra=["b"])
+    assert chain_word(g, "a", "b") is None
+
+
+def test_chain_word_from_a_vertex_to_itself_is_none():
+    # chain_graph refuses equal endpoints, so no word replays such a path;
+    # the empty word would not even start a play.
+    assert chain_word(g_of(extra=["a"]), "a", "a") is None
+    assert chain_word(g_of(("a", "G:alpha", "a")), "a", "a") is None
 
 
 def test_edge_endpoints_validated():

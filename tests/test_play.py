@@ -213,6 +213,28 @@ def test_a_play_from_a_graph_that_is_no_chain_records_no_initial_word():
         assert json.loads(jsonl.splitlines()[0]) == {"initial": None}
 
 
+@pytest.mark.parametrize("edges, rounds", [
+    ([], 0), ([("a", sym("G:alpha"), "a")], 1)])
+def test_a_play_from_one_vertex_records_no_initial_word_and_replays(edges,
+                                                                   rounds):
+    # With a = b there is no chain to name: the header reads null, where
+    # the empty word would not replay, and the trace reads back to the
+    # same trace and the same bytes.
+    cs = (_colored_constraint(0, "G:alpha", "R:omega"),)
+    q0 = compile_nfa(parse_regex("beta beta", SPECIALS), SPECIALS)
+    init = EndpointedGraph(LabeledGraph.build(["a"], edges), "a", "a")
+    for result, jsonl, _ in _same_play(q0, cs, strategy_shortest, init, 3):
+        assert (result.outcome, result.round) == (PlayOutcome.WON_FIXPOINT,
+                                                  rounds)
+        assert jsonl.splitlines()[0] == '{"initial":null}'
+        trace = trace_from_jsonl(jsonl)
+        assert trace.initial_word is None
+        assert trace_to_jsonl(trace) == jsonl
+        replay, again = run_play(q0, cs, scripted_from_trace(trace), init, 3)
+        assert replay == result
+        assert trace_to_jsonl(again) == jsonl
+
+
 def test_the_loss_index_of_a_play_walks_from_a_alone(monkeypatch):
     # Once round 1 has grafted a red twin of every edge of the chain, red
     # alpha^+ omega holds from every chain vertex but b; the loss test

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rpqdet.symbols import Alphabet, Color, Symbol, SymbolError, format_word, sym
+from rpqdet.symbols import (Alphabet, Color, FormatError, Symbol, SymbolError,
+                            format_word, load_json, sym)
 
 
 def test_special_tokens_parse():
@@ -150,3 +151,9 @@ def test_grid_token_round_trip(tag, d, k, shade, prefix):
     s = sym(name)
     assert s.name == name
     assert (s.tag, s.direction, s.temperature, s.shade) == (tag, d, k, shade)
+
+
+def test_load_json_names_the_format_of_a_document_that_does_not_parse():
+    assert load_json('{"n": [1]}', FormatError, "tiling") == {"n": [1]}
+    with pytest.raises(FormatError, match=r"^bad graph JSON: Expecting"):
+        load_json('{"vertices": ', FormatError, "graph")

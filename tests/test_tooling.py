@@ -162,3 +162,43 @@ def test_no_function_in_src_recurses():
         found += _self_calls(ast.parse(path.read_text()), path.stem)
     assert sorted(set(found) - RECURSION_ALLOWED) == []
     assert RECURSION_ALLOWED <= set(found)
+
+
+def _json_parses(tree: ast.Module, module: str):
+    """The qualified name of the innermost function or class around each
+    use of json.load or json.loads, and of each import of them from json;
+    the module's own name at top level."""
+    found = []
+
+    def parses(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return (node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json")
+        return (isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(a.name in ("load", "loads") for a in node.names))
+
+    def visit(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if parses(child):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_load_json_parses_json():
+    """Every file format reads its JSON through symbols.load_json, which
+    turns a parse error into an error that names the format."""
+    probe = ast.parse("import json\nclass C:\n    def f(self, t):\n"
+                      "        return json.loads(t)\nfrom json import load\n")
+    assert _json_parses(probe, "m") == ["m.C.f", "m"]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _json_parses(ast.parse(path.read_text()), path.stem)
+    assert found == ["symbols.load_json"]
