@@ -19,14 +19,15 @@ from .constraints import make_arrow_set, recolor_nfa, requests
 from .graphs import EndpointedGraph, LabeledGraph, strip_shades
 from .ogtp import GridTiling
 from .rpq import holds
-from .symbols import Color, WorkbenchError, sym
+from .symbols import Color, Symbol, WorkbenchError, sym
 
 
 class GadgetError(WorkbenchError):
     pass
 
 
-_GRID_VERTEX_RE = re.compile(r"v_(\d+)_(\d+)\Z")
+# Only the names grid_vertex writes: ASCII digits, no leading zeros.
+_GRID_VERTEX_RE = re.compile(r"v_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)\Z")
 
 
 def grid_vertex(i: int, j: int) -> str:
@@ -34,40 +35,53 @@ def grid_vertex(i: int, j: int) -> str:
 
 
 def build_grid(m: int) -> EndpointedGraph:
-    """The shade-less doubled grid with endpoints a and b."""
+    """The shade-less doubled grid with endpoints a and b.
+
+    Each vertex name is formatted once, so every edge endpoint is the
+    vertex-set member itself and lookups keyed by it compare by identity.
+    """
     if m < 1:
         raise ValueError("grid size must be at least 1")
-    vertices = ["a", "b"]
+    names = [[grid_vertex(i, j) for j in range(m + 1)] for i in range(m + 1)]
+    # Per tag: green and red horizontal, then green and red vertical.
+    steps = {tag: (sym(f"G:{tag}-H-C"), sym(f"R:{tag}-H-W"),
+                   sym(f"G:{tag}-V-C"), sym(f"R:{tag}-V-W"))
+             for tag in "AB"}
     edges = []
-    for i in range(m + 1):
-        for j in range(m + 1):
-            v = grid_vertex(i, j)
-            vertices.append(v)
-            tag = "A" if (i + j) % 2 == 0 else "B"
+    for i, column in enumerate(names):
+        for j, v in enumerate(column):
+            green_h, red_h, green_v, red_v = steps["AB"[(i + j) % 2]]
             if i < m:
-                edges.append((v, sym(f"G:{tag}-H-C"), grid_vertex(i + 1, j)))
-                edges.append((v, sym(f"R:{tag}-H-W"), grid_vertex(i + 1, j)))
+                right = names[i + 1][j]
+                edges += ((v, green_h, right), (v, red_h, right))
             if j < m:
-                edges.append((v, sym(f"G:{tag}-V-C"), grid_vertex(i, j + 1)))
-                edges.append((v, sym(f"R:{tag}-V-W"), grid_vertex(i, j + 1)))
-    last = grid_vertex(m, m)
-    edges += [("a", sym("G:alpha"), grid_vertex(0, 0)),
-              ("a", sym("R:beta"), grid_vertex(0, 0)),
+                up = column[j + 1]
+                edges += ((v, green_v, up), (v, red_v, up))
+    first, last = names[0][0], names[m][m]
+    edges += [("a", sym("G:alpha"), first),
+              ("a", sym("R:beta"), first),
               (last, sym("G:omega"), "b"),
               (last, sym("R:omega"), "b")]
+    vertices = ["a", "b", *(v for column in names for v in column)]
     return EndpointedGraph(LabeledGraph.build(vertices, edges), "a", "b")
+
+
+def _grid_cells(g: LabeledGraph) -> tuple[dict[str, tuple[int, int]], int]:
+    """Each grid vertex of g with its (i, j), read once per vertex, and the
+    grid size m; raises when no grid vertex fits."""
+    cells = {}
+    for v in g.vertices:
+        hit = _GRID_VERTEX_RE.match(v)
+        if hit:
+            cells[v] = (int(hit.group(1)), int(hit.group(2)))
+    if not cells:
+        raise GadgetError("graph has no grid vertices")
+    return cells, max(map(max, cells.values()))
 
 
 def grid_size(g: LabeledGraph) -> int:
     """The m of a grid-shaped vertex set; raises when no grid vertex fits."""
-    best = -1
-    for v in g.vertices:
-        hit = _GRID_VERTEX_RE.match(v)
-        if hit:
-            best = max(best, int(hit.group(1)), int(hit.group(2)))
-    if best < 0:
-        raise GadgetError("graph has no grid vertices")
-    return best
+    return _grid_cells(g)[1]
 
 
 def decorate(g: EndpointedGraph, t: GridTiling) -> EndpointedGraph:
@@ -76,26 +90,30 @@ def decorate(g: EndpointedGraph, t: GridTiling) -> EndpointedGraph:
     Horizontal edges take the h shade of their source cell, vertical edges
     the v shade; the green and red twins of a cell get the same shade.
     """
-    m = grid_size(g.graph)
+    cells, m = _grid_cells(g.graph)
     if m != t.n:
         raise GadgetError(f"tiling size {t.n} does not match grid size {m}")
+    shaded: dict[tuple[Symbol, str], Symbol] = {}
     edges = []
-    for src, s, dst in g.graph.edges:
+    for edge in g.graph.edges:
+        src, s, dst = edge
         if not s.is_sigma0:
-            edges.append((src, s, dst))
+            edges.append(edge)
             continue
-        hit = _GRID_VERTEX_RE.match(src)
-        if hit is None:
+        cell = cells.get(src)
+        if cell is None:
             raise GadgetError(f"four-field edge leaves non-grid vertex {src!r}")
-        cell = (int(hit.group(1)), int(hit.group(2)))
         table = t.h if s.direction == "H" else t.v
         try:
             shade = table[cell]
         except KeyError:
             raise GadgetError(f"tiling has no shade for cell {cell}") from None
-        prefix = f"{s.color.value}:" if s.color else ""
-        edges.append((src, sym(f"{prefix}{s.tag}-{s.direction}-"
-                               f"{s.temperature}-{shade}"), dst))
+        label = shaded.get((s, shade))
+        if label is None:
+            prefix = f"{s.color.value}:" if s.color else ""
+            label = shaded[s, shade] = sym(
+                f"{prefix}{s.tag}-{s.direction}-{s.temperature}-{shade}")
+        edges.append((src, label, dst))
     return EndpointedGraph(
         LabeledGraph(g.graph.vertices, frozenset(edges)), g.a, g.b)
 

@@ -151,16 +151,23 @@ def graph_to_obj(g: LabeledGraph) -> dict:
 
 
 def graph_from_obj(obj) -> LabeledGraph:
-    """Inverse of graph_to_obj; a wrong shape raises FormatError."""
+    """Inverse of graph_to_obj; a wrong shape raises FormatError.
+
+    The JSON reader makes a new string for each occurrence of a name, so
+    each edge endpoint is swapped for the vertex-set member it equals:
+    lookups keyed by it then compare by identity.
+    """
     expect(obj, dict, "graph")
-    vertices = [expect(v, str, "vertex name")
-                for v in expect_key(obj, "vertices", list, "graph")]
+    vertices = frozenset(expect(v, str, "vertex name")
+                         for v in expect_key(obj, "vertices", list, "graph"))
+    canon = {v: v for v in vertices}
     edges = []
     for e in expect_key(obj, "edges", list, "graph"):
         expect(e, dict, "edge")
-        edges.append((expect_key(e, "src", str, "edge"),
-                      Symbol(expect_key(e, "label", str, "edge")),
-                      expect_key(e, "dst", str, "edge")))
+        src = expect_key(e, "src", str, "edge")
+        label = Symbol(expect_key(e, "label", str, "edge"))
+        dst = expect_key(e, "dst", str, "edge")
+        edges.append((canon.get(src, src), label, canon.get(dst, dst)))
     return LabeledGraph.build(vertices, edges)
 
 

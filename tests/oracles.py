@@ -9,6 +9,7 @@ edge-list scan instead of the tiling checker's cell walk.
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product
 
 from rpqdet.automata import (
@@ -29,10 +30,11 @@ from rpqdet.constraints import (ConstraintSet, apply_add, graft_path,
 from rpqdet.escape import (ExploreContext, PlayOutcome, PlayResult,
                            PlayTrace, RoundRecord, Verdict, VerdictKind,
                            initial_position, scripted_from_trace)
-from rpqdet.gadget import CounterexampleReport
+from rpqdet.gadget import CounterexampleReport, GadgetError, grid_vertex
 from rpqdet.graphs import EndpointedGraph, LabeledGraph, chain_word
+from rpqdet.ogtp import GridTiling
 from rpqdet.rpq import evaluate, holds
-from rpqdet.symbols import Color, Symbol, Word
+from rpqdet.symbols import Color, Symbol, Word, sym
 
 
 # --------------------------------------------------------------------------
@@ -453,6 +455,76 @@ def check_counterexample_per_constraint(m: LabeledGraph, views, q0, a: str,
     if (a, b) in evaluate(recolor_nfa(q0, Color.RED), m):
         failures.append("R(Q0) fails: a red q0 path from a to b exists")
     return CounterexampleReport(not failures, tuple(failures))
+
+
+# --------------------------------------------------------------------------
+# The doubled grid as first written: names formatted and parsed per edge
+
+
+_GRID_VERTEX_PER_EDGE_RE = re.compile(r"v_(\d+)_(\d+)\Z")
+
+
+def build_grid_per_edge(m: int) -> EndpointedGraph:
+    """gadget.build_grid formatting each vertex name at every edge end."""
+    if m < 1:
+        raise ValueError("grid size must be at least 1")
+    vertices = ["a", "b"]
+    edges = []
+    for i in range(m + 1):
+        for j in range(m + 1):
+            v = grid_vertex(i, j)
+            vertices.append(v)
+            tag = "A" if (i + j) % 2 == 0 else "B"
+            if i < m:
+                edges.append((v, sym(f"G:{tag}-H-C"), grid_vertex(i + 1, j)))
+                edges.append((v, sym(f"R:{tag}-H-W"), grid_vertex(i + 1, j)))
+            if j < m:
+                edges.append((v, sym(f"G:{tag}-V-C"), grid_vertex(i, j + 1)))
+                edges.append((v, sym(f"R:{tag}-V-W"), grid_vertex(i, j + 1)))
+    last = grid_vertex(m, m)
+    edges += [("a", sym("G:alpha"), grid_vertex(0, 0)),
+              ("a", sym("R:beta"), grid_vertex(0, 0)),
+              (last, sym("G:omega"), "b"),
+              (last, sym("R:omega"), "b")]
+    return EndpointedGraph(LabeledGraph.build(vertices, edges), "a", "b")
+
+
+def grid_size_per_edge(g: LabeledGraph) -> int:
+    best = -1
+    for v in g.vertices:
+        hit = _GRID_VERTEX_PER_EDGE_RE.match(v)
+        if hit:
+            best = max(best, int(hit.group(1)), int(hit.group(2)))
+    if best < 0:
+        raise GadgetError("graph has no grid vertices")
+    return best
+
+
+def decorate_per_edge(g: EndpointedGraph, t: GridTiling) -> EndpointedGraph:
+    """gadget.decorate parsing the source name and shading the label at
+    every four-field edge."""
+    m = grid_size_per_edge(g.graph)
+    if m != t.n:
+        raise GadgetError(f"tiling size {t.n} does not match grid size {m}")
+    edges = []
+    for src, s, dst in g.graph.edges:
+        if not s.is_sigma0:
+            edges.append((src, s, dst))
+            continue
+        hit = _GRID_VERTEX_PER_EDGE_RE.match(src)
+        if hit is None:
+            raise GadgetError(f"four-field edge leaves non-grid vertex {src!r}")
+        cell = (int(hit.group(1)), int(hit.group(2)))
+        table = t.h if s.direction == "H" else t.v
+        try:
+            shade = table[cell]
+        except KeyError:
+            raise GadgetError(f"tiling has no shade for cell {cell}") from None
+        prefix = f"{s.color.value}:" if s.color else ""
+        edges.append((src, sym(f"{prefix}{s.tag}-{s.direction}-"
+                               f"{s.temperature}-{shade}"), dst))
+    return EndpointedGraph(
+        LabeledGraph(g.graph.vertices, frozenset(edges)), g.a, g.b)
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (check_counterexample_per_constraint, homomorphism_exists,
-                     is_homomorphism, isomorphic, random_graph)
+from oracles import (build_grid_per_edge, check_counterexample_per_constraint,
+                     decorate_per_edge, homomorphism_exists, is_homomorphism,
+                     isomorphic, random_graph)
 from rpqdet.constraints import make_arrow_set, requests, satisfied
 from rpqdet.escape import initial_position
 from rpqdet.gadget import (
@@ -20,7 +21,10 @@ from rpqdet.gadget import (
     iso_shadeless,
     verify_homomorphism,
 )
-from rpqdet.graphs import LabeledGraph, UnknownVertexError, strip_shades
+from rpqdet.graphs import (EndpointedGraph, LabeledGraph, UnknownVertexError,
+                           chain_graph, endpointed_from_json,
+                           endpointed_to_json, graph_from_json, graph_to_json,
+                           strip_shades)
 from rpqdet.ogtp import GridTiling, all_black_tiling, h_cells, v_cells
 from rpqdet.automata import parse_word
 from rpqdet.symbols import Color, sym
@@ -119,18 +123,109 @@ def test_decorate_rejects_size_mismatch():
 
 def test_decorate_rejects_non_grid_graphs():
     g = LabeledGraph.build(["a", "b"], [("a", sym("G:A-H-C"), "b")])
-    from rpqdet.graphs import EndpointedGraph
     with pytest.raises(GadgetError):
         decorate(EndpointedGraph(g, "a", "b"), all_black_tiling(1))
 
 
 def test_decorate_rejects_a_four_field_edge_off_the_grid():
-    from rpqdet.graphs import EndpointedGraph
     eg = build_grid(1)
     g = LabeledGraph(eg.graph.vertices, eg.graph.edges | {
         ("a", sym("G:A-H-C"), grid_vertex(0, 0))})
     with pytest.raises(GadgetError, match="leaves non-grid vertex 'a'"):
         decorate(EndpointedGraph(g, "a", "b"), all_black_tiling(1))
+
+
+def test_grid_names_are_only_those_grid_vertex_writes():
+    """A leading zero or a non-ASCII digit makes a name off the grid, even
+    when its digits read as a grid cell."""
+    eg = build_grid(1)
+    for name in ("v_01_0", "v_\u0661_0"):
+        g = LabeledGraph(eg.graph.vertices | {name}, eg.graph.edges | {
+            (name, sym("G:A-H-C"), grid_vertex(1, 1))})
+        assert grid_size(g) == 1
+        with pytest.raises(GadgetError,
+                           match=f"four-field edge leaves non-grid vertex "
+                                 f"{name!r}"):
+            decorate(EndpointedGraph(g, "a", "b"), all_black_tiling(1))
+    lookalikes = LabeledGraph.build(
+        ["a", "b", "v_01_0", "v_\u0661_0", "v_0_00"],
+        [("a", sym("G:alpha"), "v_01_0")])
+    with pytest.raises(GadgetError, match="graph has no grid vertices"):
+        grid_size(lookalikes)
+    with pytest.raises(GadgetError, match="graph has no grid vertices"):
+        decorate(EndpointedGraph(lookalikes, "a", "b"), all_black_tiling(1))
+
+
+def _two_shade_tiling(rng, m):
+    return GridTiling(m, {c: rng.choice(("black", "grey")) for c in h_cells(m)},
+                      {c: rng.choice(("black", "grey")) for c in v_cells(m)})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_grid_and_decoration_match_the_per_edge_reference(m):
+    rng = random.Random(m)
+    grid = build_grid(m)
+    assert grid == build_grid_per_edge(m)
+    assert endpointed_to_json(grid) == endpointed_to_json(
+        build_grid_per_edge(m))
+    for _ in range(3):
+        t = _two_shade_tiling(rng, m)
+        got, want = decorate(grid, t), decorate_per_edge(grid, t)
+        assert got == want
+        assert endpointed_to_json(got) == endpointed_to_json(want)
+
+
+def _without_cell(m, cell):
+    t = all_black_tiling(m)
+    del t.v[cell]
+    return build_grid(m), t
+
+
+def _with_off_grid_edge():
+    eg = build_grid(1)
+    g = LabeledGraph(eg.graph.vertices, eg.graph.edges | {
+        ("a", sym("G:A-H-C"), grid_vertex(0, 0))})
+    return EndpointedGraph(g, "a", "b"), all_black_tiling(1)
+
+
+@pytest.mark.parametrize("case,message", [
+    (lambda: (build_grid(2), all_black_tiling(1)),
+     "tiling size 1 does not match grid size 2"),
+    (lambda: (EndpointedGraph(LabeledGraph.build(
+        ["a", "b"], [("a", sym("G:A-H-C"), "b")]), "a", "b"),
+              all_black_tiling(1)),
+     "graph has no grid vertices"),
+    (_with_off_grid_edge, "four-field edge leaves non-grid vertex 'a'"),
+    (lambda: _without_cell(2, (1, 1)), "tiling has no shade for cell (1, 1)"),
+])
+def test_decorate_errors_match_the_per_edge_reference(case, message):
+    for fn in (decorate, decorate_per_edge):
+        with pytest.raises(GadgetError) as err:
+            fn(*case())
+        assert str(err.value) == message
+
+
+def _assert_names_shared(g):
+    canon = {v: v for v in g.vertices}
+    for src, _, dst in g.edges:
+        assert src is canon[src] and dst is canon[dst]
+    for v, row in g.out_adj.items():
+        assert v is canon[v]
+        for _, w in row:
+            assert w is canon[w]
+
+
+def test_graph_builders_give_each_vertex_name_one_string():
+    """Every edge endpoint is the vertex-set member it names, so lookups
+    keyed by vertex compare by identity, not by characters."""
+    grid = build_grid(3)
+    model = decorate(grid, _two_shade_tiling(random.Random(3), 3))
+    word = tuple(sym(s) for s in ("G:alpha", "G:A-H-C-black", "G:omega"))
+    for g in (grid.graph, model.graph,
+              graph_from_json(graph_to_json(model.graph)),
+              endpointed_from_json(endpointed_to_json(model)).graph,
+              chain_graph(word, "a", "b")):
+        _assert_names_shared(g)
 
 
 # --------------------------------------------------------------------------
