@@ -645,6 +645,13 @@ class ProductDfa:
     kill does.  States are ints, 0 is the start; the row of a state's
     successors, one per alphabet symbol in order, is built the first time
     it is needed.  A state keeps only whether it accepts (``accepting``).
+
+    A row is read off columns: a column is one component's successor, for
+    every symbol through that component's labels, from one of its states.
+    Each (component, state) column is stepped once per product, the first
+    time a row needs it, so many product states that share a component
+    state share its steps.  The row zips the columns of its key and
+    interns the tuples in symbol order.
     """
 
     def __init__(self, guide: Nfa, kills, relabel=None):
@@ -654,6 +661,8 @@ class ProductDfa:
         relabelled = symbols if relabel is None else tuple(map(relabel,
                                                                symbols))
         self._labels = [symbols] + [relabelled] * (len(self._dfas) - 1)
+        self._columns: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in self._dfas]
         self._keys: list[tuple[int, ...]] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._rows: list[list[int] | None] = []
@@ -672,15 +681,21 @@ class ProductDfa:
                 d.accepting[q] for d, q in zip(dfas[1:], key[1:])))
         return got
 
+    def _column(self, i: int, c: int) -> tuple[int, ...]:
+        """Component i's successor from its state c on every symbol."""
+        columns = self._columns[i]
+        got = columns.get(c)
+        if got is None:
+            step = self._dfas[i].step
+            got = columns[c] = tuple(step(c, s) for s in self._labels[i])
+        return got
+
     def row(self, q: int) -> list[int]:
         got = self._rows[q]
         if got is None:
-            key = self._keys[q]
-            got = [self._intern(tuple(
-                       d.step(c, labels[k])
-                       for d, c, labels in zip(self._dfas, key, self._labels)))
-                   for k in range(len(self.alphabet))]
-            self._rows[q] = got
+            columns = [self._column(i, c)
+                       for i, c in enumerate(self._keys[q])]
+            got = self._rows[q] = [self._intern(t) for t in zip(*columns)]
         return got
 
     def _distances(self, max_len: int) -> list[int]:
@@ -690,9 +705,11 @@ class ProductDfa:
         Breadth-first from the start, a state found at depth d is expanded
         only when d < max_len and its guide can still accept within
         max_len - d, so at most one state per live prefix of the guide is
-        built.  Distances then come from a backward breadth-first search
-        over the expanded rows; that is exact for every state a word of
-        length at most max_len can pass through with room left.
+        built.  Each expansion reads the state's row, so the subset steps
+        behind it are those of the columns that its key brings in for the
+        first time.  Distances then come from a backward breadth-first
+        search over the expanded rows; that is exact for every state a word
+        of length at most max_len can pass through with room left.
         """
         guide = self._dfas[0]
         depth = {0: 0}

@@ -19,6 +19,7 @@ from rpqdet.automata import (
     Epsilon,
     Lit,
     Plus,
+    ProductDfa,
     Regex,
     Star,
     Union,
@@ -265,6 +266,29 @@ def isomorphic(d: LabeledGraph, e: LabeledGraph) -> bool:
     dv = sorted(d.vertices)
     return any(is_homomorphism(d, e, dict(zip(dv, img)))
                for img in permutations(sorted(e.vertices)))
+
+
+# --------------------------------------------------------------------------
+# A guide minus kill automata with each row stepped symbol by symbol: one
+# SubsetDfa.step per symbol per component for every product state, instead
+# of reading the row off per-(component, state) columns.
+
+
+class ProductDfaPerSymbol(ProductDfa):
+    """ProductDfa whose row of a state steps every component on every
+    symbol, in symbol order, and interns each successor tuple as it is
+    made."""
+
+    def row(self, q: int) -> list[int]:
+        got = self._rows[q]
+        if got is None:
+            key = self._keys[q]
+            got = [self._intern(tuple(
+                       d.step(c, labels[k])
+                       for d, c, labels in zip(self._dfas, key, self._labels)))
+                   for k in range(len(self.alphabet))]
+            self._rows[q] = got
+        return got
 
 
 # --------------------------------------------------------------------------

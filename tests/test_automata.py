@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import lang_empty, lang_upto, match_regex, random_regex
+from oracles import (ProductDfaPerSymbol, lang_empty, lang_upto, match_regex,
+                     random_regex)
 from rpqdet.automata import (
     Class,
     Concat,
@@ -422,11 +423,9 @@ def _green(s):
     return s.colored(Color.GREEN)
 
 
-@given(st.integers(0, 2 ** 32 - 1))
-def test_product_words_are_the_guide_words_no_kill_accepts(seed):
-    """words(n) is the membership filter: the guide's words within n, in
-    shortlex order, that no kill accepts once relabelled.  Zero to three
-    kills, over the base alphabet or over its green copies."""
+def _random_product_parts(seed):
+    """A random guide, zero to three kills over the base alphabet or over
+    its green copies, the relabelling into them and a length cap."""
     rng = random.Random(seed)
     guide = compile_nfa(random_regex(rng, list(SPECIALS.symbols), depth=4),
                         SPECIALS)
@@ -435,8 +434,15 @@ def test_product_words_are_the_guide_words_no_kill_accepts(seed):
     kill_labels = [s for s in alphabet.symbols if s.color is not Color.RED]
     kills = [compile_nfa(random_regex(rng, kill_labels, depth=3), alphabet)
              for _ in range(rng.randint(0, 3))]
+    return guide, kills, relabel, rng.randint(0, 4)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_product_words_are_the_guide_words_no_kill_accepts(seed):
+    """words(n) is the membership filter: the guide's words within n, in
+    shortlex order, that no kill accepts once relabelled."""
+    guide, kills, relabel, n = _random_product_parts(seed)
     dfa = ProductDfa(guide, kills, relabel)
-    n = rng.randint(0, 4)
 
     def killed(w):
         read = w if relabel is None else tuple(map(relabel, w))
@@ -444,6 +450,19 @@ def test_product_words_are_the_guide_words_no_kill_accepts(seed):
 
     assert list(dfa.words(n)) == [w for w in iter_words(guide, n)
                                   if not killed(w)]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_product_rows_from_columns_match_the_per_symbol_product(seed):
+    """Rows read off per-(component, state) columns number the states as
+    rows stepped symbol by symbol do: the same words, the same rows and
+    the same accepting list."""
+    guide, kills, relabel, n = _random_product_parts(seed)
+    got = ProductDfa(guide, kills, relabel)
+    want = ProductDfaPerSymbol(guide, kills, relabel)
+    assert list(got.words(n)) == list(want.words(n))
+    assert got._rows == want._rows
+    assert got.accepting == want.accepting
 
 
 def test_product_relabels_into_a_colored_component():

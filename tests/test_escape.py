@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (all_minimal_lose_odometer, classify_immutable,
-                     explore_immutable, explore_per_word, forced_per_word,
-                     is_homomorphism, random_graph, random_regex,
-                     replay_positions, start_words_per_word)
-from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, accepts,
-                             compile_nfa,
+from oracles import (ProductDfaPerSymbol, all_minimal_lose_odometer,
+                     classify_immutable, explore_immutable, explore_per_word,
+                     forced_per_word, is_homomorphism, random_graph,
+                     random_regex, replay_positions, start_words_per_word)
+from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, ProductDfa,
+                             SubsetDfa, accepts, compile_nfa,
                              iter_words, parse_regex, parse_word)
 from rpqdet import escape
 from rpqdet.constraints import (RegularConstraint, Request, graft_path,
@@ -347,6 +348,67 @@ def test_explore_matches_the_per_word_search(name, caps, request):
     else:
         assert (endpointed_to_json(got.certificate)
                 == endpointed_to_json(want.certificate))
+
+
+@pytest.mark.parametrize("name, caps", [
+    ("black", Caps(8, 3, 6, 4)),
+    ("blocked", Caps(7, 3, 6, 4)),
+    ("two_shade", Caps(5, 3, 6, 4)),
+    ("blocked", Caps(8, 3, 6, 4)),
+    ("two_shade", Caps(8, 3, 6, 4)),
+    ("blocked", Caps(16, 3, 6, 4)),
+])
+def test_start_automaton_rows_match_the_per_symbol_product(name, caps,
+                                                           request,
+                                                           monkeypatch):
+    """The start automaton, its rows read off columns, against the same
+    product with rows stepped symbol by symbol: the same words, rows and
+    accepting list, so the same state numbering."""
+    out = request.getfixturevalue(f"{name}_reduction")
+    cs = out.constraint_set()
+    got = ExploreContext(out.q0_nfa, cs, caps).start_automaton
+    monkeypatch.setattr(escape, "ProductDfa", ProductDfaPerSymbol)
+    want = ExploreContext(out.q0_nfa, cs, caps).start_automaton
+    assert type(want) is ProductDfaPerSymbol
+    n = caps.max_initial_len
+    assert list(got.words(n)) == list(want.words(n))
+    assert got._rows == want._rows
+    assert got.accepting == want.accepting
+
+
+def test_start_automaton_steps_each_component_state_symbol_once(
+        blocked_reduction, monkeypatch):
+    """Building the start automaton's rows steps each (component
+    automaton, component state, symbol) at most once; blocked at
+    max_initial_len 7 reaches 204 (automaton, state) pairs over an
+    11-letter alphabet.  One explore builds one start automaton."""
+    out = blocked_reduction
+    cs = out.constraint_set()
+    caps = Caps(7, 3, 6, 4)
+    ctx = ExploreContext(out.q0_nfa, cs, caps)
+    dfa = ctx.start_automaton
+    steps = Counter()
+    step = SubsetDfa.step
+
+    def counted(self, q, s):
+        steps[self, q, s] += 1
+        return step(self, q, s)
+
+    monkeypatch.setattr(SubsetDfa, "step", counted)
+    assert list(dfa.words(caps.max_initial_len))
+    assert max(steps.values()) == 1
+    assert sum(steps.values()) <= 2244
+    monkeypatch.undo()
+
+    built = []
+
+    def counted_product(*args):
+        built.append(args)
+        return ProductDfa(*args)
+
+    monkeypatch.setattr(escape, "ProductDfa", counted_product)
+    assert explore(out.q0_nfa, cs, caps).kind is VerdictKind.ALL_PLAYS_LOSE
+    assert len(built) == 1
 
 
 @contextmanager
