@@ -10,8 +10,8 @@ from .symbols import (Alphabet, Color, FormatError, Symbol, SymbolError, Word,
 from .automata import (Class, Concat, Empty, Epsilon, Lit, Nfa, Plus,
                        ProductDfa, Regex, RegexSyntaxError, Star, Union,
                        accepts, compile_nfa, concat_all, iter_words,
-                       parse_regex, parse_word, render_regex, shortest_word,
-                       union_all)
+                       parse_regex, parse_word, recolor_nfa, render_regex,
+                       shortest_word, union_all)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, UnknownVertexError,
                      chain_graph, chain_word, endpointed_from_json,
                      endpointed_to_json, graph_from_json, graph_to_json,
@@ -20,7 +20,7 @@ from .rpq import evaluate, find_witness, holds
 from .constraints import (ConstraintError, ConstraintSet, RegularConstraint,
                           Request, WitnessRejectedError, apply_add,
                           fresh_names, make_arrow_set, make_arrows,
-                          recolor_nfa, recolor_regex, requests, satisfied)
+                          recolor_regex, requests, satisfied)
 from .escape import (Caps, ExploreContext, GuidanceError, PlayOutcome,
                      PlayResult, PlayTrace, ScriptExhaustedError, Verdict,
                      VerdictKind, explore, initial_position, run_play,

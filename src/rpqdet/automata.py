@@ -11,7 +11,8 @@ and the empty word.
 
 ``compile_nfa`` builds the position automaton of a syntax tree: a start
 state plus one state per literal or class occurrence, with no epsilon
-moves.
+moves.  An automaton is its transition rows, and only this module builds
+one: ``compile_nfa`` from a tree, ``recolor_nfa`` from another automaton.
 """
 
 from __future__ import annotations
@@ -404,28 +405,30 @@ _INF = 10 ** 9
 
 @dataclass(frozen=True)
 class Nfa:
-    """Epsilon-free automaton over an ordered alphabet."""
+    """Epsilon-free automaton over an ordered alphabet.
+
+    delta is the automaton: per state, its row maps a symbol to the
+    frozenset of target states; a state with no transition has no row.
+    Automata compare by value but hash by nothing: callers that keep one
+    per automaton (``constraints.requests``, ``LiveRequests``) tell them
+    apart by identity.
+    """
 
     alphabet: Alphabet
     n_states: int
-    transitions: frozenset[tuple[int, Symbol, int]]
+    delta: dict[int, dict[Symbol, frozenset[int]]]
     start: int
     accepting: frozenset[int]
 
-    @cached_property
-    def delta(self) -> dict[int, dict[Symbol, frozenset[int]]]:
-        rows: dict[int, dict[Symbol, set[int]]] = {}
-        for src, s, dst in self.transitions:
-            rows.setdefault(src, {}).setdefault(s, set()).add(dst)
-        return {src: {s: frozenset(ds) for s, ds in row.items()}
-                for src, row in rows.items()}
+    __hash__ = None
 
     @cached_property
     def min_dist(self) -> tuple[int, ...]:
         """Per state, the least word length reaching acceptance."""
         rev: dict[int, set[int]] = {}
-        for src, _, dst in self.transitions:
-            rev.setdefault(dst, set()).add(src)
+        for src, row in self.delta.items():
+            for dst in set().union(*row.values()):
+                rev.setdefault(dst, set()).add(src)
         dist = _distances_from(self.accepting, rev)
         return tuple(dist.get(q, _INF) for q in range(self.n_states))
 
@@ -518,14 +521,32 @@ def compile_nfa(r: Regex, alphabet: Alphabet) -> Nfa:
     keep = sorted((_distances_from([0], dict(enumerate(follow))).keys()
                    & _distances_from(accepting, back).keys()) | {0})
     renum = {old: i for i, old in enumerate(keep)}
-    return Nfa(alphabet=alphabet, n_states=len(keep),
-               transitions=frozenset((renum[p], s, renum[q])
-                                     for p, qs in enumerate(follow)
-                                     for q in qs
-                                     if p in renum and q in renum
-                                     for s in labels[q]),
-               start=0,
-               accepting=frozenset(renum[p] for p in accepting if p in renum))
+    delta: dict[int, dict[Symbol, frozenset[int]]] = {}
+    for p in keep:
+        row: dict[Symbol, set[int]] = {}
+        for q in follow[p] & renum.keys():
+            for s in labels[q]:
+                row.setdefault(s, set()).add(renum[q])
+        if row:
+            delta[renum[p]] = {s: frozenset(ts) for s, ts in row.items()}
+    return Nfa(alphabet, len(keep), delta, 0,
+               frozenset(renum[p] for p in accepting if p in renum))
+
+
+def recolor_nfa(n: Nfa, color: Color) -> Nfa:
+    """The same automaton over one colored copy of a base alphabet: each
+    row's symbols repainted, its target sets those of n."""
+    # A symbol labels many rows (a position is entered on each of its
+    # symbols from every predecessor), so none is colored here: the
+    # colored alphabet, built once, lists the green copies in base order,
+    # then the red ones.
+    base, colored = n.alphabet.symbols, n.alphabet.colored()
+    paint = dict(zip(base, colored.symbols[
+        0 if color is Color.GREEN else len(base):]))
+    return Nfa(colored, n.n_states,
+               {q: {paint[s]: ts for s, ts in row.items()}
+                for q, row in n.delta.items()},
+               n.start, n.accepting)
 
 
 def accepts(n: Nfa, word: Word) -> bool:

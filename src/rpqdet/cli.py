@@ -52,7 +52,7 @@ def _shortlex_str(s: str) -> tuple[int, str]:
 
 def cmd_eval(args) -> int:
     g = graph_from_json(_read(args.graph))
-    alphabet = Alphabet.from_canonical(g.labels())
+    alphabet = Alphabet(sorted(g.labels()))
     q = compile_nfa(parse_regex(args.query, alphabet), alphabet)
     pairs = sorted(evaluate(q, g),
                    key=lambda p: (_shortlex_str(p[0]), _shortlex_str(p[1])))

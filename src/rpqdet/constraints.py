@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
                        accepts, compile_nfa, literals_used, post_order,
-                       render_regex)
+                       recolor_nfa, render_regex)
 from .graphs import Edge, LabeledGraph, require_vertex
 from .rpq import LivePairs, evaluate
 from .symbols import Alphabet, Color, Symbol, Word, WorkbenchError
@@ -49,19 +49,6 @@ def recolor_regex(r: Regex, color: Color) -> Regex:
         else:  # Empty or Epsilon
             done.append(node)
     return done.pop()
-
-
-def recolor_nfa(n: Nfa, color: Color) -> Nfa:
-    """The same automaton over one colored copy of a base alphabet."""
-    # Symbols repeat across transitions (a position is entered on each of
-    # its symbols from every predecessor), so each is colored once.
-    paint = {s: s.colored(color) for s in {s for _, s, _ in n.transitions}}
-    return Nfa(alphabet=n.alphabet.colored(),
-               n_states=n.n_states,
-               transitions=frozenset((a, paint[s], b)
-                                     for a, s, b in n.transitions),
-               start=n.start,
-               accepting=n.accepting)
 
 
 @dataclass(frozen=True)

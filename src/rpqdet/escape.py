@@ -33,10 +33,10 @@ from enum import Enum
 from functools import cached_property
 from itertools import islice, product
 
-from .automata import Nfa, ProductDfa, accepts, iter_words, shortest_word
+from .automata import (Nfa, ProductDfa, accepts, iter_words, recolor_nfa,
+                       shortest_word)
 from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
-                          Request, fresh_names, graft_path, recolor_nfa,
-                          requests)
+                          Request, fresh_names, graft_path, requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import LivePairs, edges_by_label, find_witness, holds
@@ -430,7 +430,7 @@ class ExploreContext:
         """
         kills = [rc.lhs_nfa for rc in self.cs if self.forces_loss_alone(rc)
                  and all(s.color is not Color.GREEN
-                         for _, s, _ in rc.rhs_nfa.transitions)]
+                         for row in rc.rhs_nfa.delta.values() for s in row)]
         return ProductDfa(self.q0, kills, _green_symbol)
 
     def start_words(self):

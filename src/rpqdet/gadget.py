@@ -14,8 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .automata import Nfa
-from .constraints import make_arrow_set, recolor_nfa, requests
+from .automata import Nfa, recolor_nfa
+from .constraints import make_arrow_set, requests
 from .graphs import EndpointedGraph, LabeledGraph, strip_shades
 from .ogtp import GridTiling
 from .rpq import holds

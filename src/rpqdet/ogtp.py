@@ -365,6 +365,10 @@ def reduction_from_json(text: str) -> ReductionOutput:
     alphabet = Alphabet(Symbol(expect(name, str, "symbol name"))
                         for name in expect_key(obj, "alphabet", list, what))
     views_obj = expect_key(obj, "views", dict, what)
+    unknown = sorted(views_obj.keys() - {"good", "bad", "ugly"})
+    if unknown:
+        raise FormatError(f"{what} 'views' has an unknown group "
+                          f"{unknown[0]!r}; expected 'good', 'bad' or 'ugly'")
 
     def group(name: str) -> tuple[Regex, ...]:
         where = f"views {name!r}"

@@ -148,14 +148,6 @@ def format_word(word: Word) -> str:
     return " ".join(word)
 
 
-def _canonical_key(s: Symbol) -> tuple:
-    color_rank = {None: 0, Color.GREEN: 1, Color.RED: 2}[s.color]
-    if s.is_sigma0:
-        return (color_rank, 1, s.tag, s.direction,
-                0 if s.temperature == "W" else 1, s.shade or "")
-    return (color_rank, 0, SPECIALS.index(s.base))
-
-
 class Alphabet:
     """Finite ordered set of symbols; declaration order drives shortlex."""
 
@@ -172,11 +164,6 @@ class Alphabet:
         self.symbols = tuple(seen)
         self._index = index
         self._colored = None
-
-    @classmethod
-    def from_canonical(cls, symbols) -> "Alphabet":
-        """Build with symbols sorted canonically, not by declaration order."""
-        return cls(sorted(set(map(Symbol, symbols)), key=_canonical_key))
 
     def index(self, s: Symbol) -> int:
         try:

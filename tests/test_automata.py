@@ -27,6 +27,7 @@ from rpqdet.automata import (
     parse_regex,
     parse_word,
     post_order,
+    recolor_nfa,
     render_regex,
     shortest_word,
     union_all,
@@ -212,11 +213,30 @@ def test_empty_language_nfa():
 def test_an_automaton_without_states_has_no_words():
     # The subset automaton starts from the empty set, whose distance to
     # acceptance is infinite, so the walk places no letter.
-    n = Nfa(SPECIALS, 0, frozenset(), 0, frozenset())
+    n = Nfa(SPECIALS, 0, {}, 0, frozenset())
     assert list(iter_words(n, 5)) == []
     assert shortest_word(n) is None
     assert not accepts(n, ())
     assert n.min_dist == ()
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_recolored_rows_are_the_base_rows_repainted(seed):
+    """recolor_nfa colors every symbol of every row and keeps the base
+    automaton's target sets themselves, not copies of them."""
+    rng = random.Random(seed)
+    n = compile_nfa(random_regex(rng, list(BLACK.symbols), depth=4,
+                                 product_classes=rng.random() < 0.5), BLACK)
+    for color in (Color.GREEN, Color.RED):
+        painted = recolor_nfa(n, color)
+        assert painted.alphabet == BLACK.colored()
+        assert (painted.n_states, painted.start, painted.accepting) == (
+            n.n_states, n.start, n.accepting)
+        assert painted.delta.keys() == n.delta.keys()
+        for q, row in n.delta.items():
+            got = painted.delta[q]
+            assert got.keys() == {s.colored(color) for s in row}
+            assert all(got[s.colored(color)] is ts for s, ts in row.items())
 
 
 def test_start_pattern_shortest_word_has_length_four():

@@ -238,6 +238,24 @@ def test_search_blocked_instance_all_plays_lose(files, capsys):
     assert capsys.readouterr().out.strip() == "ALL_PLAYS_LOSE"
 
 
+def test_a_misspelled_view_group_exits_2(files, capsys):
+    """A view group other than good, bad and ugly is refused by name, not
+    read as no views, which made search print NONDETERMINATE."""
+    reduced = files["root"] / "blocked_misspelled.json"
+    assert main(["reduce", str(files["blocked"]), "--out", str(reduced)]) == 0
+    doc = json.loads(reduced.read_text())
+    doc["views"]["Bad"] = doc["views"].pop("bad")
+    reduced.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["search", str(reduced), "--max-initial-len", "6"],
+                 ["play", str(reduced), "--initial-cap", "4"],
+                 ["verify", str(files["model2"]), str(reduced)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "'Bad'" in err
+
+
 def test_search_two_shade_at_the_default_caps(files, two_shade_instance,
                                               capsys):
     tiling = files["root"] / "two_shade.json"

@@ -25,7 +25,7 @@ def nfa(text):
 def test_chain_matches_its_own_word():
     w = tuple(sym(t) for t in ["G:alpha", "G:A-H-C-black", "G:omega"])
     g = chain_graph(w, "a", "b")
-    colored = Alphabet.from_canonical({s for _, s, _ in g.edges})
+    colored = Alphabet(sorted({s for _, s, _ in g.edges}))
     q = compile_nfa(parse_regex("G:alpha G:A-H-C-black G:omega", colored), colored)
     assert ("a", "b") in evaluate(q, g)
     assert holds(q, g, "a", "b")
@@ -34,7 +34,7 @@ def test_chain_matches_its_own_word():
 
 def test_green_end_marker_on_grid():
     grid = build_grid(2).graph
-    labels = Alphabet.from_canonical(grid.labels())
+    labels = Alphabet(sorted(grid.labels()))
     q = compile_nfa(Lit(sym("G:omega")), labels)
     assert evaluate(q, grid) == frozenset({("v_2_2", "b")})
     assert find_witness(q, grid, "v_2_2", "b")[0] == (sym("G:omega"),)
@@ -148,7 +148,7 @@ def test_eval_agrees_with_literal_walks_at_small_caps():
     # On acyclic inputs length-capped enumeration is complete.
     w = tuple(sym(t) for t in ["G:alpha", "G:omega"])
     chain = chain_graph(w, "a", "b")
-    colored = Alphabet.from_canonical({s for _, s, _ in chain.edges})
+    colored = Alphabet(sorted({s for _, s, _ in chain.edges}))
     r = parse_regex("G:alpha G:omega", colored)
     assert eval_walks(r, chain, 4) == eval_algebraic(r, chain)
 
@@ -179,7 +179,8 @@ def _hand_built(start_accepts: bool) -> Nfa:
     start_accepts, state 0 also accepts, which the Glushkov automata of
     compile_nfa never combine with re-entry."""
     a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
-    return Nfa(ALPH, 3, frozenset({(0, a, 1), (1, b, 0), (1, o, 2)}), 0,
+    return Nfa(ALPH, 3, {0: {a: frozenset({1})},
+                         1: {b: frozenset({0}), o: frozenset({2})}}, 0,
                frozenset({0, 1, 2} if start_accepts else {1, 2}))
 
 

@@ -106,11 +106,6 @@ def test_alphabet_word_key_is_shortlex():
     assert a.word_key((sym("alpha"),)) < a.word_key(w1)
 
 
-def test_alphabet_from_canonical_sorts_specials_first():
-    a = Alphabet.from_canonical(["B-V-C-black", "omega", "alpha", "A-H-W-black"])
-    assert [s.name for s in a] == ["alpha", "omega", "A-H-W-black", "B-V-C-black"]
-
-
 def test_colored_alphabet_layout():
     base = Alphabet(["alpha", "omega"])
     doubled = base.colored()

@@ -164,6 +164,18 @@ def test_no_function_in_src_recurses():
     assert RECURSION_ALLOWED <= set(found)
 
 
+def test_only_automata_builds_an_nfa():
+    """An Nfa is its transition rows; compile_nfa and recolor_nfa in
+    automata.py are the only code that writes them."""
+    builders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = getattr(node, "func", None)
+            if "Nfa" in (getattr(f, "id", None), getattr(f, "attr", None)):
+                builders.add(path.stem)
+    assert builders == {"automata"}
+
+
 def _json_parses(tree: ast.Module, module: str):
     """The qualified name of the innermost function or class around each
     use of json.load or json.loads, and of each import of them from json;
