@@ -58,8 +58,13 @@ class LabeledGraph:
             rows.setdefault(s, set()).add(src)
         return {s: tuple(row) for s, row in rows.items()}
 
-    def labels(self) -> frozenset[Symbol]:
+    @cached_property
+    def _labels(self) -> frozenset[Symbol]:
         return frozenset(self.sources_by_label)
+
+    def labels(self) -> frozenset[Symbol]:
+        """The edge labels, one set kept with the graph."""
+        return self._labels
 
     def require_vertex(self, v: str) -> None:
         require_vertex(self.vertices, v)

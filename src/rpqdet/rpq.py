@@ -8,11 +8,17 @@ Unless the query accepts the empty word, an accepted walk leaves x by an
 edge whose label the start state reads, so ``evaluate`` starts only from
 the vertices that the graph's ``sources_by_label`` index lists under those
 labels (the rare-label start of Koschmieder & Leser, SSDBM 2012); a query
-that accepts the empty word starts from every vertex.  One stack-driven
+that accepts the empty word starts from every vertex.  The same idea
+reaches past the first letter: every accepted word holds a label of each
+of the query's cuts (``Nfa.cuts``), so when the graph lacks every label
+of one cut, ``evaluate`` returns no pair without walking.  One stack-driven
 walk, ``_walk``, covers all the start vertices; ``holds`` runs it from one
 and stops as soon as the walk reaches its goal vertex in an accepting
 state.  ``find_witness`` keeps its own layered search, because it carries
-the shortlex word and path of each product node.
+the shortlex word and path of each product node.  ``holds`` tests no
+cuts: it walks q0, a union of alternatives with no cut, whose red copy
+each search context builds anew.  Nor does ``find_witness``, which a
+guided play asks on its model for pairs that hold there.
 
 ``LivePairs`` keeps the pairs of ``evaluate`` on a graph that only grows,
 as a play's positions do: a play's requests read its pairs from every
@@ -21,7 +27,8 @@ endpoint a, which is all that index walks from.  A pair that holds keeps
 holding, and a new pair needs a walk over a new edge, so each step
 resumes the walks already under way across the new edges, starts walks
 from the new sources, and does nothing else (semi-naive evaluation;
-Bancilhon & Ramakrishnan, 1986).  It is kept apart from ``_walk``, as
+Bancilhon & Ramakrishnan, 1986); a step whose edges carry no label the
+automaton reads is over at once.  It is kept apart from ``_walk``, as
 ``find_witness`` is: it keeps what the walk from each source reached,
 where ``_walk`` throws its visited sets away, so a one-shot ``evaluate``
 stays on ``_walk``.  It keeps no undo log, so the bounded search, which
@@ -68,7 +75,8 @@ def _walk(q: Nfa, g: LabeledGraph, sources,
 
 def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
     """All vertex pairs (x, y) connected by a walk spelling a query word,
-    searched from the first-label sources only."""
+    searched from the first-label sources only, and not at all when the
+    graph lacks every label of one of the query's cuts."""
     if q.start in q.accepting:
         sources = g.vertices
     else:
@@ -76,6 +84,14 @@ def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
         sources = set()
         for s in q.delta.get(q.start, ()):
             sources.update(index.get(s, ()))
+    if sources:
+        # A cut is a set of labels the query reads, so it can miss the
+        # graph only when one of those labels does; only then are the
+        # cuts derived.
+        labels = g.labels()
+        if not q.read_labels <= labels and any(
+                cut.isdisjoint(labels) for cut in q.cuts):
+            return frozenset()
     return frozenset(_walk(q, g, sources))
 
 
@@ -164,6 +180,10 @@ class LivePairs:
         q = self.q
         delta, acc, start, at, out = (q.delta, q.accepting, q.start,
                                       self._at, self.out)
+        # A batch no state reads extends no walk and starts none, unless
+        # the empty word is accepted: then each new vertex starts one.
+        if start not in acc and by_label.keys().isdisjoint(self._readers):
+            return
         stack: list[tuple[str, str, int]] = []
 
         def push(x: str, v: str, t: int) -> None:

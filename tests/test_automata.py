@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -516,3 +517,95 @@ def test_product_builds_no_state_past_a_dead_guide():
     dfa = ProductDfa(guide, [kill])
     assert list(dfa.words(6)) == [(sym("alpha"), sym("beta"))]
     assert len(dfa.accepting) <= 1 + 3 * len(SPECIALS)
+
+
+# --------------------------------------------------------------------------
+# Necessary-label cuts
+
+CUT_LABELS = [sym(n) for n in ("alpha", "beta", "omega", "A-H-C-black")]
+CUT_ALPH = Alphabet(CUT_LABELS)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_every_word_holds_a_label_of_each_cut(seed):
+    rng = random.Random(seed)
+    n = compile_nfa(random_regex(rng, CUT_LABELS, depth=4), CUT_ALPH)
+    if accepts(n, ()):
+        assert n.cuts == ()
+    elif not n.accepting:
+        assert n.cuts == (frozenset(),)
+    for w in iter_words(n, 5):
+        for cut in n.cuts:
+            assert not cut.isdisjoint(w)
+
+
+def test_cuts_of_the_empty_word_and_the_empty_language():
+    assert compile_nfa(Epsilon(), CUT_ALPH).cuts == ()
+    assert compile_nfa(parse_regex("alpha*", CUT_ALPH), CUT_ALPH).cuts == ()
+    assert compile_nfa(Empty(), CUT_ALPH).cuts == (frozenset(),)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("alpha beta omega", [{"omega"}, {"beta"}, {"alpha"}]),
+    ("alpha (beta + omega) alpha", [{"alpha"}]),
+    ("alpha ((beta omega) + (omega beta)) alpha", [{"alpha"}]),
+    ("(alpha + beta) omega* beta", [{"beta"}]),
+    ("(alpha beta)^+ omega", [{"omega"}, {"beta"}, {"alpha"}]),
+    ("alpha + beta", []),
+])
+def test_cuts_are_the_labels_into_each_dominating_state(text, want):
+    n = compile_nfa(parse_regex(text, CUT_ALPH), CUT_ALPH)
+    assert n.cuts == tuple(frozenset(map(sym, cut)) for cut in want)
+
+
+def test_a_class_state_cuts_on_each_of_its_symbols():
+    a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
+    n = compile_nfa(Concat(Class(frozenset({a, b})), Star(Lit(o))), CUT_ALPH)
+    assert n.cuts == (frozenset({a, b}),)
+    assert n.read_labels == {a, b, o}
+
+
+def test_cuts_read_nothing_into_a_re_entered_start():
+    """alpha (beta alpha)* omega?, re-entering the start on beta: every
+    accepted word holds alpha, but not every one holds beta."""
+    a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
+    n = Nfa(CUT_ALPH, 3, {0: {a: frozenset({1})},
+                          1: {b: frozenset({0}), o: frozenset({2})}}, 0,
+            frozenset({1, 2}))
+    assert n.cuts == (frozenset({a}),)
+
+
+def _lines_run(path, thunk) -> int:
+    """The lines thunk runs in the source file path, counted by a tracer."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code.co_filename == path else None)
+    try:
+        thunk()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_cuts_of_a_long_flat_word_take_linear_steps():
+    """The dominator walk is linear in the rows: a 3,000-letter word takes
+    at most twice the steps of a 1,500-letter one, and a bounded number
+    per letter.  Each letter's label is a cut."""
+    path = Nfa.cuts.func.__code__.co_filename
+    steps = {}
+    for length in (1500, 3000):
+        word = [CUT_LABELS[k % 4] for k in range(length)]
+        n = compile_nfa(parse_regex(" ".join(s.name for s in word), CUT_ALPH),
+                        CUT_ALPH)
+        steps[length] = _lines_run(path, lambda: n.cuts)
+        assert set(n.cuts) == {frozenset({s}) for s in CUT_LABELS}
+        assert len(n.cuts) == len(CUT_LABELS)
+    assert steps[3000] <= 2.1 * steps[1500]
+    assert steps[3000] <= 60 * 3000

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -25,7 +26,8 @@ from rpqdet.graphs import (EndpointedGraph, LabeledGraph, UnknownVertexError,
                            chain_graph, endpointed_from_json,
                            endpointed_to_json, graph_from_json, graph_to_json,
                            strip_shades)
-from rpqdet.ogtp import GridTiling, all_black_tiling, h_cells, v_cells
+from rpqdet.ogtp import (GridTiling, OgtpInstance, all_black_tiling,
+                         check_tiling, compile_reduction, h_cells, v_cells)
 from rpqdet.automata import parse_word
 from rpqdet.symbols import Color, sym
 
@@ -295,6 +297,47 @@ def test_counterexample_failures_match_the_per_constraint_loop(
                     eg.graph, views, q0, eg.a, eg.b)
                 failed += not got.ok
     assert failed
+
+
+def _agreements(inst, tilings):
+    """Per tiling, whether the decorated grid passes check_counterexample,
+    asserting that it does exactly when the tiling is a solution."""
+    red = compile_reduction(inst)
+    views = red.views.all_languages()
+    got = []
+    for t in tilings:
+        eg = decorate(build_grid(t.n), t)
+        ok = check_counterexample(eg.graph, views, red.q0_nfa, eg.a, eg.b).ok
+        assert ok == check_tiling(inst, t), (inst, t)
+        got.append(ok)
+    return got
+
+
+def test_counterexample_check_agrees_with_the_tiling_check():
+    """The reduction's claim on grids: a decorated grid is a
+    counterexample exactly when its shading solves the instance.  Every
+    forbidden set on {black} at n = 1 and 2, and seeded forbidden sets on
+    {black, grey} with random shadings; most of these grids lack a shade,
+    so evaluate skips views there."""
+    pairs = [((d1, "black"), (d2, "black")) for d1 in "HV" for d2 in "HV"]
+    got = []
+    for k in range(len(pairs) + 1):
+        for forbidden in combinations(pairs, k):
+            inst = OgtpInstance(("black",), frozenset(forbidden))
+            got += _agreements(inst, [all_black_tiling(n) for n in (1, 2)])
+    rng = random.Random(25)
+    shades = ("black", "grey")
+    pairs = [((d1, s1), (d2, s2)) for d1 in "HV" for s1 in shades
+             for d2 in "HV" for s2 in shades]
+    for _ in range(8):
+        inst = OgtpInstance(shades, frozenset(rng.sample(pairs,
+                                                         rng.randint(0, 6))))
+        got += _agreements(inst, [
+            GridTiling(n, {c: rng.choice(shades) for c in h_cells(n)},
+                       {c: rng.choice(shades) for c in v_cells(n)})
+            for _ in range(5) for n in (1, 2)])
+    assert len(got) == 112
+    assert 0 < sum(got) < len(got)
 
 
 def test_grid_satisfies_the_good_views_with_no_open_requests(black_reduction):

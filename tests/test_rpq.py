@@ -174,6 +174,17 @@ def test_eval_matches_oracle_on_random_instances(seed):
     assert evaluate(compile_nfa(r, ALPH), g) == eval_algebraic(r, g)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+def test_eval_matches_oracle_on_graphs_missing_labels(seed):
+    """Graphs over a random part of the labels, so that a query's cuts
+    often miss the graph and evaluate skips the walk."""
+    rng = random.Random(seed)
+    used = rng.sample(LABELS, rng.randint(1, len(LABELS)))
+    g = random_graph(rng, used, max_vertices=6, max_edges=9)
+    r = random_regex(rng, LABELS, depth=3)
+    assert evaluate(compile_nfa(r, ALPH), g) == eval_algebraic(r, g)
+
+
 def _hand_built(start_accepts: bool) -> Nfa:
     """alpha (beta alpha)* omega?, with state 0 re-entered on beta; when
     start_accepts, state 0 also accepts, which the Glushkov automata of
@@ -234,3 +245,35 @@ def test_live_pairs_from_one_source_match_evaluate_after_every_batch(seed):
         for pairs in live:
             assert pairs.pairs == {(x, y) for x, y in evaluate(pairs.q, now)
                                    if x == source}
+
+
+def test_live_pairs_take_batches_over_labels_no_state_reads():
+    """alpha beta reads neither omega nor A-H-C-black: a batch over those
+    changes no pair, unless the query accepts the empty word, when each
+    new vertex pairs with itself.  The rows the batch added are still
+    walked once a later edge leads into them."""
+    alpha, beta, omega, black = LABELS
+    text = "alpha beta"
+    eps_or = Union(Epsilon(), parse_regex(text, ALPH))
+    queries = [nfa(text), compile_nfa(eps_or, ALPH)]
+    out = {"u0": [(alpha, "u1")], "u1": [(beta, "u2")], "u2": []}
+    edges = [("u0", alpha, "u1"), ("u1", beta, "u2")]
+    live = [LivePairs(q, out) for q in queries]
+    before = [set(pairs.pairs) for pairs in live]
+    for new_vertices, new_edges in (
+            (["u3"], [("u2", omega, "u3"), ("u3", black, "u0")]),
+            ([], [("u3", alpha, "u1")])):
+        for v in new_vertices:
+            out[v] = []
+        for src, s, dst in new_edges:
+            out[src].append((s, dst))
+        edges += new_edges
+        now = LabeledGraph.build(out, edges)
+        by_label = edges_by_label(new_edges)
+        for pairs in live:
+            pairs.extend(new_vertices, by_label)
+            assert pairs.pairs == evaluate(pairs.q, now)
+        if new_vertices:
+            assert live[0].pairs == before[0] == {("u0", "u2")}
+            assert live[1].pairs == before[1] | {("u3", "u3")}
+    assert ("u3", "u2") in live[0].pairs

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rpqdet import constraints, escape, gadget
+from rpqdet import constraints, escape, gadget, rpq
 from rpqdet.automata import parse_word
 from rpqdet.escape import PlayOutcome, initial_position
 from rpqdet.ogtp import all_black_tiling
@@ -94,6 +94,29 @@ def test_check_counterexample_evaluates_each_automaton_once(
     assert t.calls["rpq.evaluate"] == 2 * len(views)
     assert t.calls["rpq.holds"] == 2
     assert t.calls["automata.compile_nfa"] == len(views)
+
+
+def test_check_counterexample_skips_views_a_grid_cannot_match(
+        two_shade_reduction, monkeypatch):
+    """The all-black 8-grid lacks every grey label, green Warm edge and red
+    Cold edge.  Of the 21 evaluate walks with a start vertex, 5 need one
+    of those labels in every word, and evaluate skips them."""
+    walks = []
+    walk = rpq._walk
+
+    def counted(q, g, sources, goal=None):
+        sources = list(sources)
+        if sources and goal is None:
+            walks.append(q)
+        return walk(q, g, sources, goal)
+
+    monkeypatch.setattr(rpq, "_walk", counted)
+    eg = gadget.decorate(gadget.build_grid(8), all_black_tiling(8))
+    report = gadget.check_counterexample(
+        eg.graph, two_shade_reduction.views.all_languages(),
+        two_shade_reduction.q0_nfa, eg.a, eg.b)
+    assert report == gadget.CounterexampleReport(True, ())
+    assert len(walks) == 16
 
 
 def test_guided_play_evaluates_nothing_from_scratch(black_reduction):
