@@ -410,8 +410,8 @@ class Nfa:
     delta is the automaton: per state, its row maps a symbol to the
     frozenset of target states; a state with no transition has no row.
     What is derived from the rows is cached with them: ``min_dist``,
-    ``read_labels``, ``cuts`` (label sets every accepted word meets) and
-    ``subset_dfa``.
+    ``has_word_over`` per label set (whether some accepted word reads only
+    those labels) and ``subset_dfa``.
     Automata compare by value but hash by nothing: callers that keep one
     per automaton (``constraints.requests``, ``LiveRequests``) tell them
     apart by identity.
@@ -436,83 +436,33 @@ class Nfa:
         return tuple(dist.get(q, _INF) for q in range(self.n_states))
 
     @cached_property
-    def read_labels(self) -> frozenset[Symbol]:
-        """The symbols some transition reads."""
-        return frozenset().union(*self.delta.values())
+    def _words_over(self) -> dict[frozenset[Symbol], bool]:
+        return {}
 
-    @cached_property
-    def cuts(self) -> tuple[frozenset[Symbol], ...]:
-        """Label sets such that every accepted word holds a label of each,
-        read off the rows: for each state other than the start that every
-        accepting run passes through, the labels of the transitions into
-        it, each distinct set once.  An automaton that accepts the empty
-        word has none; one that accepts no word has the empty set.
-
-        The states every accepting run passes through are the dominators
-        of a virtual sink entered from each accepting state, found as in
-        Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm"
-        (2001): idoms refined over the reverse post-order until stable.
-        """
-        start, acc, delta = self.start, self.accepting, self.delta
-        if start in acc:
-            return ()
-        sink = self.n_states
-        succ = {s: set().union(*row.values()) for s, row in delta.items()}
-        for s in acc:
-            succ.setdefault(s, set()).add(sink)
-        # Post-order of the states reachable from the start.
-        post: list[int] = []
-        seen = {start}
-        stack = [(start, iter(succ.get(start, ())))]
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(succ.get(w, ()))))
+    def has_word_over(self, labels: frozenset[Symbol]) -> bool:
+        """Whether some accepted word reads only labels in labels: a walk
+        from the start over the transitions on those labels, True at the
+        first accepting state.  Kept per label set with the rows."""
+        memo = self._words_over
+        got = memo.get(labels)
+        if got is None:
+            acc, delta = self.accepting, self.delta
+            got = False
+            seen = {self.start}
+            stack = [self.start]
+            while stack:
+                s = stack.pop()
+                if s in acc:
+                    got = True
                     break
-            else:
-                stack.pop()
-                post.append(v)
-        if sink not in seen:
-            return (frozenset(),)
-        rank = {v: i for i, v in enumerate(post)}
-        preds: dict[int, list[int]] = {}
-        for v in post:
-            for w in succ.get(v, ()):
-                preds.setdefault(w, []).append(v)
-        idom = {start: start}
-        order = post[-2::-1]
-        changed = True
-        while changed:
-            changed = False
-            for v in order:
-                new = None
-                for p in preds[v]:
-                    if p not in idom:
-                        continue
-                    if new is None:
-                        new = p
-                        continue
-                    while p != new:
-                        while rank[p] < rank[new]:
-                            p = idom[p]
-                        while rank[new] < rank[p]:
-                            new = idom[new]
-                if idom.get(v) != new:
-                    idom[v] = new
-                    changed = True
-        doms: dict[int, set[Symbol]] = {}
-        d = idom[sink]
-        while d != start:
-            doms[d] = set()
-            d = idom[d]
-        for v in post:
-            for label, targets in delta.get(v, {}).items():
-                for t in targets:
-                    if t in doms:
-                        doms[t].add(label)
-        return tuple(dict.fromkeys(map(frozenset, doms.values())))
+                for label, targets in delta.get(s, {}).items():
+                    if label in labels:
+                        for t in targets:
+                            if t not in seen:
+                                seen.add(t)
+                                stack.append(t)
+            memo[labels] = got
+        return got
 
     @cached_property
     def subset_dfa(self) -> "SubsetDfa":

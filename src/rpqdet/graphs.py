@@ -60,7 +60,9 @@ class LabeledGraph:
 
     @cached_property
     def _labels(self) -> frozenset[Symbol]:
-        return frozenset(self.sources_by_label)
+        # Read off the edges, not sources_by_label: holds asks every
+        # search node for its labels, and most nodes need no index.
+        return frozenset({s for _, s, _ in self.edges})
 
     def labels(self) -> frozenset[Symbol]:
         """The edge labels, one set kept with the graph."""

@@ -9,16 +9,15 @@ edge whose label the start state reads, so ``evaluate`` starts only from
 the vertices that the graph's ``sources_by_label`` index lists under those
 labels (the rare-label start of Koschmieder & Leser, SSDBM 2012); a query
 that accepts the empty word starts from every vertex.  The same idea
-reaches past the first letter: every accepted word holds a label of each
-of the query's cuts (``Nfa.cuts``), so when the graph lacks every label
-of one cut, ``evaluate`` returns no pair without walking.  One stack-driven
-walk, ``_walk``, covers all the start vertices; ``holds`` runs it from one
-and stops as soon as the walk reaches its goal vertex in an accepting
-state.  ``find_witness`` keeps its own layered search, because it carries
-the shortlex word and path of each product node.  ``holds`` tests no
-cuts: it walks q0, a union of alternatives with no cut, whose red copy
-each search context builds anew.  Nor does ``find_witness``, which a
-guided play asks on its model for pairs that hold there.
+reaches past the first letter: a walk spells a word over the graph's
+labels, so when the query accepts no such word (``Nfa.has_word_over``),
+``evaluate`` returns no pair and ``holds`` returns False without walking
+the graph.  One stack-driven walk, ``_walk``, covers all the start
+vertices; ``holds`` runs it from one and stops as soon as the walk
+reaches its goal vertex in an accepting state.  ``find_witness`` keeps
+its own layered search, because it carries the shortlex word and path of
+each product node; a guided play asks it on its model for pairs that hold
+there, so it tests no labels.
 
 ``LivePairs`` keeps the pairs of ``evaluate`` on a graph that only grows,
 as a play's positions do: a play's requests read its pairs from every
@@ -76,7 +75,7 @@ def _walk(q: Nfa, g: LabeledGraph, sources,
 def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
     """All vertex pairs (x, y) connected by a walk spelling a query word,
     searched from the first-label sources only, and not at all when the
-    graph lacks every label of one of the query's cuts."""
+    query accepts no word over the graph's labels."""
     if q.start in q.accepting:
         sources = g.vertices
     else:
@@ -84,22 +83,17 @@ def evaluate(q: Nfa, g: LabeledGraph) -> frozenset[tuple[str, str]]:
         sources = set()
         for s in q.delta.get(q.start, ()):
             sources.update(index.get(s, ()))
-    if sources:
-        # A cut is a set of labels the query reads, so it can miss the
-        # graph only when one of those labels does; only then are the
-        # cuts derived.
-        labels = g.labels()
-        if not q.read_labels <= labels and any(
-                cut.isdisjoint(labels) for cut in q.cuts):
-            return frozenset()
+    if sources and not q.has_word_over(g.labels()):
+        return frozenset()
     return frozenset(_walk(q, g, sources))
 
 
 def holds(q: Nfa, g: LabeledGraph, x: str, y: str) -> bool:
-    """Single-pair check."""
+    """Single-pair check; False without a walk when the query accepts no
+    word over the graph's labels."""
     g.require_vertex(x)
     g.require_vertex(y)
-    return (x, y) in _walk(q, g, (x,), y)
+    return q.has_word_over(g.labels()) and (x, y) in _walk(q, g, (x,), y)
 
 
 def find_witness(q: Nfa, g: LabeledGraph, x: str,

@@ -1,12 +1,13 @@
 import random
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (ProductDfaPerSymbol, lang_empty, lang_upto, match_regex,
-                     random_regex)
+from oracles import (ProductDfaPerSymbol, eval_algebraic, lang_empty,
+                     lang_upto, match_regex, random_regex)
 from rpqdet.automata import (
     Class,
     Concat,
@@ -33,6 +34,7 @@ from rpqdet.automata import (
     shortest_word,
     union_all,
 )
+from rpqdet.graphs import LabeledGraph
 from rpqdet.ogtp import reduction_alphabet
 from rpqdet.symbols import Alphabet, Color, SymbolError, sym
 
@@ -520,59 +522,76 @@ def test_product_builds_no_state_past_a_dead_guide():
 
 
 # --------------------------------------------------------------------------
-# Necessary-label cuts
+# Words over a label set
 
-CUT_LABELS = [sym(n) for n in ("alpha", "beta", "omega", "A-H-C-black")]
-CUT_ALPH = Alphabet(CUT_LABELS)
+WALK_LABELS = [sym(n) for n in ("alpha", "beta", "omega", "A-H-C-black")]
+WALK_ALPH = Alphabet(WALK_LABELS)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-def test_every_word_holds_a_label_of_each_cut(seed):
+def test_has_word_over_matches_a_one_vertex_graph(seed):
+    """A query accepts a word over L exactly when it holds on one vertex
+    with a self-loop per label of L, where every word over L is a walk."""
     rng = random.Random(seed)
-    n = compile_nfa(random_regex(rng, CUT_LABELS, depth=4), CUT_ALPH)
-    if accepts(n, ()):
-        assert n.cuts == ()
-    elif not n.accepting:
-        assert n.cuts == (frozenset(),)
-    for w in iter_words(n, 5):
-        for cut in n.cuts:
-            assert not cut.isdisjoint(w)
+    r = random_regex(rng, WALK_LABELS, depth=4)
+    labels = frozenset(rng.sample(WALK_LABELS,
+                                  rng.randint(0, len(WALK_LABELS))))
+    g = LabeledGraph.build({"v"}, {("v", s, "v") for s in labels})
+    got = compile_nfa(r, WALK_ALPH).has_word_over(labels)
+    assert got == bool(eval_algebraic(r, g))
 
 
-def test_cuts_of_the_empty_word_and_the_empty_language():
-    assert compile_nfa(Epsilon(), CUT_ALPH).cuts == ()
-    assert compile_nfa(parse_regex("alpha*", CUT_ALPH), CUT_ALPH).cuts == ()
-    assert compile_nfa(Empty(), CUT_ALPH).cuts == (frozenset(),)
+def _label_sets(labels):
+    return [frozenset(c) for k in range(len(labels) + 1)
+            for c in combinations(labels, k)]
 
 
-@pytest.mark.parametrize("text,want", [
-    ("alpha beta omega", [{"omega"}, {"beta"}, {"alpha"}]),
-    ("alpha (beta + omega) alpha", [{"alpha"}]),
-    ("alpha ((beta omega) + (omega beta)) alpha", [{"alpha"}]),
+def test_has_word_over_the_empty_word_and_the_empty_language():
+    eps = compile_nfa(Epsilon(), WALK_ALPH)
+    star = compile_nfa(parse_regex("alpha*", WALK_ALPH), WALK_ALPH)
+    empty = compile_nfa(Empty(), WALK_ALPH)
+    for labels in _label_sets(WALK_LABELS):
+        assert eps.has_word_over(labels)
+        assert star.has_word_over(labels)
+        assert not empty.has_word_over(labels)
+
+
+@pytest.mark.parametrize("text,needs", [
+    ("alpha beta omega", [{"alpha", "beta", "omega"}]),
+    ("alpha (beta + omega) alpha", [{"alpha", "beta"}, {"alpha", "omega"}]),
+    ("alpha ((beta omega) + (omega beta)) alpha",
+     [{"alpha", "beta", "omega"}]),
     ("(alpha + beta) omega* beta", [{"beta"}]),
-    ("(alpha beta)^+ omega", [{"omega"}, {"beta"}, {"alpha"}]),
-    ("alpha + beta", []),
+    ("(alpha beta)^+ omega", [{"alpha", "beta", "omega"}]),
+    ("alpha + beta", [{"alpha"}, {"beta"}]),
 ])
-def test_cuts_are_the_labels_into_each_dominating_state(text, want):
-    n = compile_nfa(parse_regex(text, CUT_ALPH), CUT_ALPH)
-    assert n.cuts == tuple(frozenset(map(sym, cut)) for cut in want)
+def test_has_word_over_the_label_sets_a_word_needs(text, needs):
+    """Over each set of the three specials, a word is accepted exactly when
+    the set holds one of the least label sets that some word reads."""
+    n = compile_nfa(parse_regex(text, WALK_ALPH), WALK_ALPH)
+    needs = [frozenset(map(sym, need)) for need in needs]
+    for labels in _label_sets(WALK_LABELS[:3]):
+        assert n.has_word_over(labels) == any(m <= labels for m in needs)
 
 
-def test_a_class_state_cuts_on_each_of_its_symbols():
+def test_a_class_state_reads_each_of_its_symbols():
     a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
-    n = compile_nfa(Concat(Class(frozenset({a, b})), Star(Lit(o))), CUT_ALPH)
-    assert n.cuts == (frozenset({a, b}),)
-    assert n.read_labels == {a, b, o}
+    n = compile_nfa(Concat(Class(frozenset({a, b})), Star(Lit(o))),
+                    WALK_ALPH)
+    assert n.has_word_over(frozenset({a}))
+    assert n.has_word_over(frozenset({b}))
+    assert not n.has_word_over(frozenset({o}))
 
 
-def test_cuts_read_nothing_into_a_re_entered_start():
-    """alpha (beta alpha)* omega?, re-entering the start on beta: every
-    accepted word holds alpha, but not every one holds beta."""
+def test_has_word_over_a_re_entered_start():
+    """alpha (beta alpha)* omega?, re-entering the start on beta: alpha
+    alone is a word, and no word avoids alpha."""
     a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
-    n = Nfa(CUT_ALPH, 3, {0: {a: frozenset({1})},
-                          1: {b: frozenset({0}), o: frozenset({2})}}, 0,
+    n = Nfa(WALK_ALPH, 3, {0: {a: frozenset({1})},
+                           1: {b: frozenset({0}), o: frozenset({2})}}, 0,
             frozenset({1, 2}))
-    assert n.cuts == (frozenset({a}),)
+    assert n.has_word_over(frozenset({a}))
+    assert not n.has_word_over(frozenset({b, o}))
 
 
 def _lines_run(path, thunk) -> int:
@@ -594,18 +613,20 @@ def _lines_run(path, thunk) -> int:
     return count
 
 
-def test_cuts_of_a_long_flat_word_take_linear_steps():
-    """The dominator walk is linear in the rows: a 3,000-letter word takes
-    at most twice the steps of a 1,500-letter one, and a bounded number
-    per letter.  Each letter's label is a cut."""
-    path = Nfa.cuts.func.__code__.co_filename
+def test_has_word_over_a_long_flat_word_takes_linear_steps():
+    """The label walk is linear in the rows: a 3,000-letter word takes at
+    most 2.1 times the steps of a 1,500-letter one, and a bounded number
+    per letter.  A second ask of the same label set is a memo lookup."""
+    path = Nfa.has_word_over.__code__.co_filename
     steps = {}
     for length in (1500, 3000):
-        word = [CUT_LABELS[k % 4] for k in range(length)]
-        n = compile_nfa(parse_regex(" ".join(s.name for s in word), CUT_ALPH),
-                        CUT_ALPH)
-        steps[length] = _lines_run(path, lambda: n.cuts)
-        assert set(n.cuts) == {frozenset({s}) for s in CUT_LABELS}
-        assert len(n.cuts) == len(CUT_LABELS)
+        word = [WALK_LABELS[k % 4] for k in range(length)]
+        n = compile_nfa(parse_regex(" ".join(s.name for s in word),
+                                    WALK_ALPH), WALK_ALPH)
+        labels = frozenset(WALK_LABELS)
+        steps[length] = _lines_run(path, lambda: n.has_word_over(labels))
+        assert n.has_word_over(labels)
+        assert not n.has_word_over(labels - {WALK_LABELS[3]})
+        assert _lines_run(path, lambda: n.has_word_over(labels)) <= 5
     assert steps[3000] <= 2.1 * steps[1500]
-    assert steps[3000] <= 60 * 3000
+    assert steps[3000] <= 20 * 3000

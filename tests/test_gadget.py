@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from oracles import (build_grid_per_edge, check_counterexample_per_constraint,
                      decorate_per_edge, homomorphism_exists, is_homomorphism,
                      isomorphic, random_graph)
+from rpqdet.automata import iter_words, parse_word
 from rpqdet.constraints import make_arrow_set, requests, satisfied
-from rpqdet.escape import initial_position
+from rpqdet.escape import (PlayOutcome, initial_position, run_play,
+                           strategy_guided)
 from rpqdet.gadget import (
     GadgetError,
     build_grid,
@@ -27,8 +29,8 @@ from rpqdet.graphs import (EndpointedGraph, LabeledGraph, UnknownVertexError,
                            endpointed_to_json, graph_from_json, graph_to_json,
                            strip_shades)
 from rpqdet.ogtp import (GridTiling, OgtpInstance, all_black_tiling,
-                         check_tiling, compile_reduction, h_cells, v_cells)
-from rpqdet.automata import parse_word
+                         check_tiling, compile_reduction, h_cells,
+                         solve_bruteforce, v_cells)
 from rpqdet.symbols import Color, sym
 
 
@@ -495,3 +497,51 @@ def test_start_chain_embeds_into_odd_grids_within_budget(black_reduction, m):
     assert time.perf_counter() - t0 < 2.0
     assert h is not None
     assert verify_homomorphism(d, model, h)
+
+
+def _game_instances():
+    """All 16 forbidden sets on {black}, 8 seeded sets on {black, grey},
+    and S1, whose smallest tiling is at n = 2."""
+    pairs = [((d1, "black"), (d2, "black")) for d1 in "HV" for d2 in "HV"]
+    insts = [OgtpInstance(("black",), frozenset(forbidden))
+             for k in range(len(pairs) + 1)
+             for forbidden in combinations(pairs, k)]
+    rng = random.Random(4)
+    shades = ("black", "grey")
+    pairs = [((d1, s1), (d2, s2)) for d1 in "HV" for s1 in shades
+             for d2 in "HV" for s2 in shades]
+    insts += [OgtpInstance(shades, frozenset(rng.sample(pairs,
+                                                        rng.randint(0, 6))))
+              for _ in range(8)]
+    insts.append(OgtpInstance(shades, frozenset({
+        (("H", "black"), ("V", "black")), (("V", "black"), ("H", "black")),
+        (("V", "grey"), ("H", "grey"))})))
+    return insts
+
+
+def test_guided_play_into_each_tiling_reaches_fixpoint():
+    """The game half of the reduction's claim: a tiling's decorated grid
+    guides a play to fixpoint.  The play starts from the first q0 word
+    whose chain maps into the grid; a chain with a label the grid lacks
+    maps nowhere, so those words are skipped before the search."""
+    rounds = []
+    for inst in _game_instances():
+        t = solve_bruteforce(inst, 2)
+        if t is None:
+            continue
+        red = compile_reduction(inst)
+        model = decorate(build_grid(t.n), t).graph
+        for word in iter_words(red.q0_nfa, 8):
+            init = initial_position(word)
+            if init.graph.labels() <= model.labels():
+                h0 = find_homomorphism(init.graph, model)
+                if h0 is not None:
+                    break
+        else:
+            pytest.fail(f"no q0 word maps into the grid of {inst}")
+        result, _ = run_play(red.q0_nfa, red.constraint_set(),
+                             strategy_guided(model, h0), init, 20)
+        assert result.outcome is PlayOutcome.WON_FIXPOINT, inst
+        rounds.append((t.n, result.round))
+    assert rounds.count((1, 2)) == len(rounds) - 1
+    assert rounds[-1] == (2, 3)

@@ -8,6 +8,7 @@ from oracles import (eval_algebraic, eval_walks, random_batches, random_graph,
                      random_regex)
 from rpqdet.automata import (Epsilon, Lit, Nfa, Union, accepts, compile_nfa,
                              parse_regex)
+from rpqdet import rpq
 from rpqdet.gadget import build_grid
 from rpqdet.graphs import LabeledGraph, UnknownVertexError, chain_graph
 from rpqdet.rpq import (LivePairs, edges_by_label, evaluate, find_witness,
@@ -176,13 +177,33 @@ def test_eval_matches_oracle_on_random_instances(seed):
 
 @given(st.integers(0, 2 ** 32 - 1))
 def test_eval_matches_oracle_on_graphs_missing_labels(seed):
-    """Graphs over a random part of the labels, so that a query's cuts
-    often miss the graph and evaluate skips the walk."""
+    """Graphs over a random part of the labels, so that a query often
+    accepts no word over the graph's labels and evaluate and holds skip
+    the walk."""
     rng = random.Random(seed)
     used = rng.sample(LABELS, rng.randint(1, len(LABELS)))
     g = random_graph(rng, used, max_vertices=6, max_edges=9)
     r = random_regex(rng, LABELS, depth=3)
-    assert evaluate(compile_nfa(r, ALPH), g) == eval_algebraic(r, g)
+    q, want = compile_nfa(r, ALPH), eval_algebraic(r, g)
+    assert evaluate(q, g) == want
+    assert {(x, y) for x in g.vertices for y in g.vertices
+            if holds(q, g, x, y)} == want
+
+
+def test_a_union_over_missing_labels_walks_nothing(monkeypatch):
+    """alpha beta + beta alpha has no label that every word holds, yet on
+    a graph of alpha edges alone it accepts no walk: evaluate and holds
+    answer without entering _walk."""
+    walks = []
+    monkeypatch.setattr(rpq, "_walk",
+                        lambda *args: walks.append(args) or set())
+    a = sym("alpha")
+    g = LabeledGraph.build({"x", "y", "z"}, {("x", a, "y"), ("y", a, "z"),
+                                             ("z", a, "x")})
+    q = nfa("alpha beta + beta alpha")
+    assert evaluate(q, g) == frozenset()
+    assert not holds(q, g, "x", "z")
+    assert walks == []
 
 
 def _hand_built(start_accepts: bool) -> Nfa:

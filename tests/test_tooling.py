@@ -119,6 +119,34 @@ def test_check_counterexample_skips_views_a_grid_cannot_match(
     assert len(walks) == 16
 
 
+@pytest.mark.parametrize("grey_v_cell,ok,goal_walks", [
+    (None, True, 1), ((1, 0), False, 2)])
+def test_check_counterexample_walks_red_q0_only_where_it_can_match(
+        two_shade_reduction, monkeypatch, grey_v_cell, ok, goal_walks):
+    """check_counterexample asks holds of green q0 and of red q0.  Every
+    red q0 word reads red alpha, a red Cold edge or a grey edge, and the
+    all-black 8-grid has none of them, so only the green walk runs; a
+    grey vertical cell at (1, 0), where the check fails, lets both run."""
+    walks = []
+    walk = rpq._walk
+
+    def counted(q, g, sources, goal=None):
+        if goal is not None:
+            walks.append(q)
+        return walk(q, g, sources, goal)
+
+    monkeypatch.setattr(rpq, "_walk", counted)
+    t = all_black_tiling(8)
+    if grey_v_cell is not None:
+        t.v[grey_v_cell] = "grey"
+    eg = gadget.decorate(gadget.build_grid(8), t)
+    report = gadget.check_counterexample(
+        eg.graph, two_shade_reduction.views.all_languages(),
+        two_shade_reduction.q0_nfa, eg.a, eg.b)
+    assert report.ok == ok
+    assert len(walks) == goal_walks
+
+
 def test_guided_play_evaluates_nothing_from_scratch(black_reduction):
     """run_play answers requests and the loss test from its live position:
     a play on the 4-grid makes no whole-graph evaluation and no graft that
