@@ -40,7 +40,7 @@ from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import LivePairs, edges_by_label, find_witness, holds
-from .summary import Rows, SummaryGraph, as_rows, relation
+from .summary import Rows, SummaryGraph, relation
 from .symbols import (Color, FormatError, Symbol, Word, WorkbenchError, expect,
                       expect_items, expect_key, format_word, load_json)
 
@@ -384,20 +384,21 @@ class ExploreContext:
                                                       tuple[Rows, ...]]:
         """(words, rows): the candidates of rc whose red q0 relations are
         ⊆-minimal, in candidate order, one word per distinct relation (the
-        first), and each word's relation as rows {p: (q, ...)}.
+        first), and each word's relation as rows {p: δ*(p, w)}.
 
-        A word's relation is {(p, q) : q in δ*(p, w)} on red_q0: all the
-        loss test can see of a path spelling it (see _search).
+        A word's relation on red_q0 is all the loss test can see of a path
+        spelling it (see _search).
         """
         got = self._minimal.get(rc.cid)
         if got is None:
-            firsts: dict[frozenset[tuple[int, int]], Word] = {}
+            firsts: dict[frozenset, tuple[Word, Rows]] = {}
             for w in self.candidates(rc):
-                firsts.setdefault(relation(self.red_q0, w), w)
-            kept = [(w, rel) for rel, w in firsts.items()
-                    if not any(other < rel for other in firsts)]
-            got = (tuple(w for w, _ in kept),
-                   tuple(as_rows(rel) for _, rel in kept))
+                rows = relation(self.red_q0, w)
+                firsts.setdefault(frozenset(rows.items()), (w, rows))
+            kept = [(w, r) for w, r in firsts.values() if not any(
+                o is not r and all(p in r and o[p] <= r[p] for p in o)
+                for _, o in firsts.values())]
+            got = (tuple(w for w, _ in kept), tuple(r for _, r in kept))
             self._minimal[rc.cid] = got
         return got
 

@@ -160,8 +160,10 @@ def find_homomorphism(d: LabeledGraph, m: LabeledGraph) -> dict[str, str] | None
     """A label-preserving vertex map from d into m, or None.
 
     Candidates are pruned by incident-label containment, then searched by
-    _match.
+    _match.  A label of d that m lacks rules out every map at once.
     """
+    if not d.labels() <= m.labels():
+        return None
     d_out, d_in = _label_profile(d)
     m_out, m_in = _label_profile(m)
     m_vertices = sorted(m.vertices)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
                        compile_nfa, concat_all, parse_regex, render_regex,
@@ -136,24 +138,28 @@ def check_tiling(inst: OgtpInstance, t: GridTiling) -> bool:
     return True
 
 
+# The most shades solve_bruteforce places, summed over every n it tries,
+# before it gives up.
+PLACEMENT_BUDGET = 200_000
+
+
 def solve_bruteforce(inst: OgtpInstance, max_n: int) -> GridTiling | None:
     """Smallest-n solution by exhaustive backtracking, or None up to max_n.
 
-    Refuses any n whose raw assignment space exceeds 10**7 candidates.
+    Raises SearchSpaceError once the backtracking has placed more than
+    PLACEMENT_BUDGET shades.
     """
+    placed = count(1)
     for n in range(1, max_n + 1):
-        edges = 2 * n * (n + 1)
-        if len(inst.shades) ** edges > 10 ** 7:
-            raise SearchSpaceError(
-                f"{len(inst.shades)}^{edges} candidates at n={n} "
-                f"exceeds the 10^7 enumeration guard")
-        t = _solve_at(inst, n)
+        t = _solve_at(inst, n, placed)
         if t is not None:
             return t
     return None
 
 
-def _solve_at(inst: OgtpInstance, n: int) -> GridTiling | None:
+def _solve_at(inst: OgtpInstance, n: int,
+              placed: Iterator[int]) -> GridTiling | None:
+    """The first tiling at n, or None; placed numbers each placement."""
     cells: list[tuple[str, int, int]] = []
     for j in range(n + 1):
         for i in range(n + 1):
@@ -192,6 +198,10 @@ def _solve_at(inst: OgtpInstance, n: int) -> GridTiling | None:
                 kind, i, j = cells[len(tries) - 1]
                 del stores[kind][(i, j)]
             continue
+        if next(placed) > PLACEMENT_BUDGET:
+            raise SearchSpaceError(
+                f"backtracking placed more than {PLACEMENT_BUDGET} shades "
+                f"by n={n}")
         stores[kind][(i, j)] = s
         if len(tries) == len(cells):
             return GridTiling(n, dict(t.h), dict(t.v))

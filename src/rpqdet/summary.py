@@ -3,11 +3,11 @@
 The bounded search (escape.ExploreContext._search) first asks whether
 every combination of one ⊆-minimal candidate per request loses.  A
 grafted path is crossed whole by any losing walk, and the walk sees of it
-only its word's relation on red q0, so the check needs no graft: each
-request becomes one macro edge that steps by that relation.  The walk
-starts from (a, red q0's start) over the position's out-rows and those
-macro edges, and the combinations are searched by conflict-directed
-backjumping over the choices a losing walk crosses.
+only its word's relation on red q0, the rows p -> δ*(p, w), so the check
+needs no graft: each request becomes one macro edge that steps by those
+rows.  The walk starts from (a, red q0's start) over the position's
+out-rows and those macro edges, and the combinations are searched by
+conflict-directed backjumping over the choices a losing walk crosses.
 """
 
 from __future__ import annotations
@@ -21,26 +21,20 @@ if TYPE_CHECKING:
     from .symbols import Word
 
 
-# A relation as rows: p -> the states q in δ*(p, w), in order.
-Rows = dict[int, tuple[int, ...]]
+# A word's relation on an automaton as rows: p -> δ*(p, w), with an entry
+# only for each state p that w leads somewhere.
+Rows = dict[int, frozenset[int]]
 
 
-def relation(nfa: Nfa, w: Word) -> frozenset[tuple[int, int]]:
-    """{(p, q) : q in δ*(p, w)} over the states of nfa."""
-    delta = nfa.delta
-    pairs = {(p, p) for p in range(nfa.n_states)}
-    for s in w:
-        pairs = {(p, r) for p, q in pairs
-                 for r in delta.get(q, {}).get(s, ())}
-    return frozenset(pairs)
-
-
-def as_rows(rel: frozenset[tuple[int, int]]) -> Rows:
-    """rel as Rows, for a walk to step by."""
-    rows: dict[int, list[int]] = {}
-    for p, q in sorted(rel):
-        rows.setdefault(p, []).append(q)
-    return {p: tuple(qs) for p, qs in rows.items()}
+def relation(nfa: Nfa, w: Word) -> Rows:
+    """The rows of w on nfa: a first letter's rows are nfa's own target
+    sets, and the empty word (a hand-built candidate) is the identity."""
+    if not w:
+        return {p: frozenset((p,)) for p in range(nfa.n_states)}
+    rows = {p: row[w[0]] for p, row in nfa.delta.items() if w[0] in row}
+    for s in w[1:]:
+        rows = {p: got for p, qs in rows.items() if (got := nfa.step(qs, s))}
+    return rows
 
 
 class SummaryGraph:
@@ -50,11 +44,12 @@ class SummaryGraph:
 
     Its walks are those of nfa, red q0, over (vertex, state) pairs from
     (a, start): the position's edges, and one macro edge x -> y per
-    request that steps by the relation rows of the request's pick.  A request with one minimal
-    candidate is fixed; one with more is a choice, and a pick for it is
-    the literal (request index, pick).  Choice macro edges cost 1 and
-    every other edge 0, so a 0-1 BFS finds a losing walk that crosses the
-    fewest choices; the literals it crosses are its nogood.
+    request that steps from (x, p) to (y, q) for each q in the rows of the
+    request's pick at p.  A request with one minimal candidate is fixed;
+    one with more is a choice, and a pick for it is the literal (request
+    index, pick).  Choice macro edges cost 1 and every other edge 0, so a
+    0-1 BFS finds a losing walk that crosses the fewest choices; the
+    literals it crosses are its nogood.
     """
 
     def __init__(self, nfa: Nfa, live: LivePosition, reqs: list[Request],

@@ -42,6 +42,7 @@ from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homom
 from rpqdet.graphs import (EndpointedGraph, LabeledGraph, chain_graph,
                            endpointed_to_json)
 from rpqdet.rpq import holds
+from rpqdet.summary import relation
 from rpqdet.ogtp import all_black_tiling
 from rpqdet.symbols import Alphabet, Color, FormatError, SymbolError, sym
 
@@ -630,6 +631,28 @@ def _relation_by_membership(nfa, w):
                                 w))
 
 
+def _as_rows(pairs):
+    """A relation's pairs (p, q) as rows p -> {q, ...}."""
+    rows = {}
+    for p, q in pairs:
+        rows.setdefault(p, set()).add(q)
+    return {p: frozenset(qs) for p, qs in rows.items()}
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2), max_size=4))
+def test_relation_rows_match_the_membership_oracle(seed, letters):
+    # No automaton here reads omega, so words with it test the empty rows.
+    regex = random_regex(random.Random(seed), list(SPECIALS.symbols[:2]))
+    nfa = compile_nfa(regex, SPECIALS)
+    w = tuple(SPECIALS.symbols[i] for i in letters)
+    rows = relation(nfa, w)
+    assert rows == _as_rows(_relation_by_membership(nfa, w))
+    if not w:
+        assert rows == {p: frozenset([p]) for p in range(nfa.n_states)}
+    if len(w) == 1:
+        assert all(qs is nfa.delta[p][w[0]] for p, qs in rows.items())
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 def test_minimal_keeps_the_first_word_of_each_minimal_relation(seed):
     q0, cs, caps = _random_instance(seed)
@@ -641,6 +664,7 @@ def test_minimal_keeps_the_first_word_of_each_minimal_relation(seed):
                 if rel[w] not in {rel[u] for u in cands[:i]}
                 and not any(rel[u] < rel[w] for u in cands)]
         assert list(ctx.minimal(rc)[0]) == want
+        assert list(ctx.minimal(rc)[1]) == [_as_rows(rel[w]) for w in want]
         for w in cands:
             assert any(rel[m] <= rel[w] for m in want)
 

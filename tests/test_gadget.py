@@ -11,6 +11,7 @@ from oracles import (build_grid_per_edge, check_counterexample_per_constraint,
                      isomorphic, random_graph)
 from rpqdet.automata import iter_words, parse_word
 from rpqdet.constraints import make_arrow_set, requests, satisfied
+from rpqdet import gadget
 from rpqdet.escape import (PlayOutcome, initial_position, run_play,
                            strategy_guided)
 from rpqdet.gadget import (
@@ -386,6 +387,18 @@ def test_disjoint_label_sets_have_no_homomorphism():
     assert find_homomorphism(d, m) is None
 
 
+def test_a_label_the_model_lacks_fails_before_any_label_profile(
+        monkeypatch, black_reduction):
+    # The chain reads G:A-H-W-black; the grid has that label only in red.
+    word = parse_word("alpha A-H-W-black omega", black_reduction.alphabet)
+    d = initial_position(word).graph
+    calls = []
+    monkeypatch.setattr(gadget, "_label_profile",
+                        lambda g: calls.append(g) or ({}, {}))
+    assert find_homomorphism(d, decorated(1).graph) is None
+    assert calls == []
+
+
 def test_verify_homomorphism_requires_total_coverage():
     g = decorated(1).graph
     h = find_homomorphism(g, g)
@@ -522,8 +535,7 @@ def _game_instances():
 def test_guided_play_into_each_tiling_reaches_fixpoint():
     """The game half of the reduction's claim: a tiling's decorated grid
     guides a play to fixpoint.  The play starts from the first q0 word
-    whose chain maps into the grid; a chain with a label the grid lacks
-    maps nowhere, so those words are skipped before the search."""
+    whose chain maps into the grid."""
     rounds = []
     for inst in _game_instances():
         t = solve_bruteforce(inst, 2)
@@ -533,10 +545,9 @@ def test_guided_play_into_each_tiling_reaches_fixpoint():
         model = decorate(build_grid(t.n), t).graph
         for word in iter_words(red.q0_nfa, 8):
             init = initial_position(word)
-            if init.graph.labels() <= model.labels():
-                h0 = find_homomorphism(init.graph, model)
-                if h0 is not None:
-                    break
+            h0 = find_homomorphism(init.graph, model)
+            if h0 is not None:
+                break
         else:
             pytest.fail(f"no q0 word maps into the grid of {inst}")
         result, _ = run_play(red.q0_nfa, red.constraint_set(),

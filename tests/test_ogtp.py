@@ -164,11 +164,25 @@ def test_solver_agrees_with_checking_every_tiling():
 
 
 def test_solver_guards_against_huge_search_spaces():
+    # No edge may enter an H black edge, which the top-right cell must be.
+    # The backtracker refutes n = 2 in about 2 * 10**4 placements, but
+    # needs more than 10**6 at n = 3, so the budget runs out there.
     shades = ("black", "grey", "rust")
-    everything = frozenset(((d1, s1), (d2, s2)) for d1 in "HV" for s1 in shades
-                           for d2 in "HV" for s2 in shades)
+    into_h_black = frozenset(((d, s), ("H", "black"))
+                             for d in "HV" for s in shades)
+    inst = OgtpInstance(shades, into_h_black)
+    assert solve_bruteforce(inst, 2) is None
     with pytest.raises(SearchSpaceError):
-        solve_bruteforce(OgtpInstance(shades, everything), 3)
+        solve_bruteforce(inst, 3)
+
+
+def test_solver_refutes_a_two_shade_instance_up_to_n_twelve():
+    # About 10**5 placements in all: within the budget, though the raw
+    # space at n = 12 is 2**312.
+    u = OgtpInstance(("black", "grey"), frozenset({
+        (("H", "black"), ("V", "grey")), (("H", "grey"), ("H", "grey")),
+        (("V", "black"), ("H", "black")), (("V", "grey"), ("V", "grey"))}))
+    assert solve_bruteforce(u, 12) is None
 
 
 # --------------------------------------------------------------------------
