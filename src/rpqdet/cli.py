@@ -11,6 +11,7 @@ exits 1 when no tiling exists within the bound.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain, islice
 from multiprocessing import Pool
@@ -155,11 +156,12 @@ def cmd_search(args) -> int:
     out = reduction_from_json(text)
     caps = Caps(args.max_initial_len, args.max_witness_len, args.max_rounds,
                 args.max_branches)
-    if args.jobs > 1:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
         # Workers classify the surviving start words; results come back in
         # start-word order, so the verdict and certificate match explore.
         ctx = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
-        with Pool(args.jobs, initializer=_search_init,
+        with Pool(jobs, initializer=_search_init,
                   initargs=(text, caps)) as pool:
             batches = _batches(ctx.start_words(), _SEARCH_BATCH)
             verdict = ctx.verdict(chain.from_iterable(

@@ -15,9 +15,9 @@ answers the requests, and one ``rpq.LivePairs`` of red q0 walked from a
 alone, which answers the loss test; each round extends both from its new
 edges alone.  The bounded search grafts onto a ``LivePosition`` as well
 and takes its grafts back, which those append-only indexes cannot
-follow, so each search node builds its graph once and asks ``holds``
-and ``requests`` on it.  Both graft through ``LivePosition.graft``, and
-so through ``graft_path``.
+follow, so each search node builds its graph once and asks ``requests``
+on it, and its children's loss test walks its ``SummaryGraph``.  Both
+graft through ``LivePosition.graft``, and so through ``graft_path``.
 
 A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
 witness for the open request req, the index-th (from 0) of round round_no
@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import islice, product
+from itertools import islice
 
 from .automata import (Nfa, ProductDfa, accepts, iter_words, recolor_nfa,
                        shortest_word)
@@ -39,7 +39,7 @@ from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
                           Request, fresh_names, graft_path, requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
-from .rpq import LivePairs, edges_by_label, find_witness, holds
+from .rpq import LivePairs, edges_by_label, find_witness
 from .summary import Rows, SummaryGraph, relation
 from .symbols import (Color, FormatError, Symbol, Word, WorkbenchError, expect,
                       expect_items, expect_key, format_word, load_json)
@@ -356,6 +356,7 @@ class ExploreContext:
         self.caps = caps
         self.red_q0 = recolor_nfa(q0, Color.RED)
         self._candidates: dict[int, tuple[Word, ...]] = {}
+        self._rows: dict[int, tuple[Rows, ...]] = {}
         self._minimal: dict[int, tuple[tuple[Word, ...],
                                        tuple[Rows, ...]]] = {}
 
@@ -384,7 +385,8 @@ class ExploreContext:
                                                       tuple[Rows, ...]]:
         """(words, rows): the candidates of rc whose red q0 relations are
         ⊆-minimal, in candidate order, one word per distinct relation (the
-        first), and each word's relation as rows {p: δ*(p, w)}.
+        first), and each word's relation as rows {p: δ*(p, w)}.  The rows
+        of every candidate stay in _rows, in candidate order.
 
         A word's relation on red_q0 is all the loss test can see of a path
         spelling it (see _search).
@@ -392,8 +394,9 @@ class ExploreContext:
         got = self._minimal.get(rc.cid)
         if got is None:
             firsts: dict[frozenset, tuple[Word, Rows]] = {}
-            for w in self.candidates(rc):
-                rows = relation(self.red_q0, w)
+            cands = self.candidates(rc)
+            self._rows[rc.cid] = tuple(relation(self.red_q0, w) for w in cands)
+            for w, rows in zip(cands, self._rows[rc.cid]):
                 firsts.setdefault(frozenset(rows.items()), (w, rows))
             kept = [(w, r) for w, r in firsts.values() if not any(
                 o is not r and all(p in r and o[p] <= r[p] for p in o)
@@ -449,12 +452,12 @@ class ExploreContext:
         undecided; the position is the fixpoint reached on a win, an
         EndpointedGraph, and None otherwise.
 
-        The forcing rule is not run here: start_words only prunes the
-        enumeration with it.  A word it kills opens an a-to-b request
-        whose minimal candidates are all red q0 words, so _search decides
-        it all-lost at the root, with nothing grafted.  An empty or red
-        word raises ValueError, and a symbol outside q0's alphabet
-        SymbolError.
+        The green chain never loses, and the forcing rule is not run here:
+        start_words only prunes the enumeration with it.  A word it kills
+        opens an a-to-b request whose minimal candidates are all red q0
+        words, so _search decides it all-lost at the root, with nothing
+        grafted.  An empty or red word raises ValueError, and a symbol
+        outside q0's alphabet SymbolError.
         """
         pos = initial_position(word)
         for s in word:
@@ -486,7 +489,9 @@ class ExploreContext:
     def _search(self, live: LivePosition, round_no: int):
         """Search every bounded play from the live position, reached in
         round round_no; a win carries its fixpoint as an EndpointedGraph.
-        Live is left as it was found, except after a win.
+        Live is left as it was found, except after a win.  Live never
+        loses: red q0 reads no green label, and a child that loses is not
+        grafted.
 
         A node is decided all-lost over the minimal candidates first.  A
         fresh path's inner vertices have one in-edge and one out-edge, and
@@ -507,7 +512,7 @@ class ExploreContext:
         nothing grafted, and a losing walk loses in every combination
         that agrees with the choices it crosses (its nogood; fresh names
         depend on the round and request index alone, not on the pick).
-        SummaryGraph.all_lose searches the combinations by
+        SummaryGraph.survivors searches the combinations by
         conflict-directed backjumping over these nogoods.
 
         A request with no candidate returns undecided before that check,
@@ -516,15 +521,13 @@ class ExploreContext:
         never builds one, since both arrows of a view share its language,
         so only a constraint set built by hand reaches this branch.
 
-        Nothing is claimed about wins: when some minimal combination
-        survives, every combination is searched in itertools.product
-        order, as if the check were not there.  Each is grafted whole,
-        searched, and undone in reverse, except after a win: live then
-        stays grafted, at the fixpoint it returns.
+        When some minimal combination survives, the same search over all
+        candidates yields each combination that does not lose, in
+        itertools.product order.  Each is grafted whole, searched, and
+        undone in reverse, except after a win: live then stays grafted,
+        at the fixpoint it returns.
         """
         g = live.graph()
-        if holds(self.red_q0, g, live.a, live.b):
-            return _ALL_LOST, None
         reqs = requests(self.cs, g)
         if not reqs:
             return _WIN, EndpointedGraph(g, live.a, live.b)
@@ -536,11 +539,12 @@ class ExploreContext:
         rows = [self.minimal(r.constraint)[1] for r in reqs]
         if SummaryGraph(self.red_q0, live, reqs, rows).all_lose():
             return _ALL_LOST, None
+        rows = [self._rows[r.constraint.cid] for r in reqs]
         round_no += 1
         any_undecided = False
-        for picks in product(*cand_lists):
-            records = [live.graft(r, w, round_no, i)
-                       for i, (r, w) in enumerate(zip(reqs, picks))]
+        for picks in SummaryGraph(self.red_q0, live, reqs, rows).survivors():
+            records = [live.graft(r, cand_lists[i][k], round_no, i)
+                       for i, (r, k) in enumerate(zip(reqs, picks))]
             kind, win = self._search(live, round_no)
             if kind == _WIN:
                 return kind, win

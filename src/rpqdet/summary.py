@@ -1,13 +1,14 @@
-"""The all-lost check of a search node, decided on its summary graph.
+"""The loss test of a search node's children, on its summary graph.
 
-The bounded search (escape.ExploreContext._search) first asks whether
-every combination of one ⊆-minimal candidate per request loses.  A
-grafted path is crossed whole by any losing walk, and the walk sees of it
-only its word's relation on red q0, the rows p -> δ*(p, w), so the check
-needs no graft: each request becomes one macro edge that steps by those
-rows.  The walk starts from (a, red q0's start) over the position's
-out-rows and those macro edges, and the combinations are searched by
-conflict-directed backjumping over the choices a losing walk crosses.
+The bounded search (escape.ExploreContext._search) grafts the
+combinations of one candidate per request that do not lose, and decides
+a node all-lost when no ⊆-minimal combination survives.  A grafted path
+is crossed whole by any losing walk, which sees of it only its word's
+relation on red q0, the rows p -> δ*(p, w), so the test needs no graft:
+each request becomes one macro edge that steps by those rows.  The walk
+starts from (a, red q0's start) over the position's out-rows and those
+macro edges, and the combinations are searched by conflict-directed
+backjumping over the choices a losing walk crosses.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ def relation(nfa: Nfa, w: Word) -> Rows:
 
 
 class SummaryGraph:
-    """The loss test of one search node under any pick of one minimal
-    candidate per request, without grafting (see
+    """The loss test of one search node under any pick of one candidate
+    per request, each request's from its rows, without grafting (see
     escape.ExploreContext._search).
 
     Its walks are those of nfa, red q0, over (vertex, state) pairs from
     (a, start): the position's edges, and one macro edge x -> y per
     request that steps from (x, p) to (y, q) for each q in the rows of the
-    request's pick at p.  A request with one minimal candidate is fixed;
+    request's pick at p.  A request with one candidate is fixed;
     one with more is a choice, and a pick for it is the literal (request
     index, pick).  Choice macro edges cost 1 and every other edge 0, so a
     0-1 BFS finds a losing walk that crosses the fewest choices; the
@@ -122,16 +123,23 @@ class SummaryGraph:
             layer = nxt
 
     def all_lose(self) -> bool:
-        """Whether every pick loses: conflict-directed backjumping (Prosser,
-        Computational Intelligence 1993) over the choice requests, in
-        request order, learning each leaf's nogood as in GRASP
-        (Marques-Silva and Sakallah, 1999).
+        """Whether every pick loses."""
+        return next(self.survivors(), None) is None
+
+    def survivors(self):
+        """Each pick with no losing walk, as a tuple, in itertools.product
+        order: conflict-directed backjumping (Prosser, Computational
+        Intelligence 1993) over the choice requests, in request order,
+        learning each leaf's nogood as in GRASP (Marques-Silva and
+        Sakallah, 1999).
 
         A nogood refutes every pick that agrees with it.  A choice that a
         child's nogood does not mention is jumped past with that nogood;
         once each of a choice's values is refuted, the union of their
         nogoods without the choice refutes the parent's picks.  The empty
-        nogood refutes them all.
+        nogood refutes them all.  A survivor stands for a nogood of every
+        choice, so the walk past it is chronological.  Walks read live.out
+        lazily: undo a grafted survivor before asking for the next.
         """
         choices = [i for i, r in enumerate(self.rows) if len(r) > 1]
         picks = [0] * len(self.rows)
@@ -139,14 +147,15 @@ class SummaryGraph:
         while True:
             nogood = self.nogood(picks)
             if nogood is None:
-                return False
+                yield tuple(picks)
+                nogood = {(i, picks[i]) for i in choices}
             # Up from the leaf: resolve the nogood on each choice it
             # names, and jump past each choice it does not.
             depth = len(choices)
             while True:
                 depth -= 1
                 if depth < 0:
-                    return True
+                    return
                 i = choices[depth]
                 lit = (i, picks[i])
                 if lit not in nogood:

@@ -630,31 +630,38 @@ def random_batches(rng: random.Random, g: LabeledGraph):
 
 
 # --------------------------------------------------------------------------
-# The all-lost check of a search node, by grafting: every combination of
-# one minimal candidate per request is put on the live position in turn,
+# The loss tests of a search node's summary graph, by grafting: every
+# combination of one word per request is put on the live position in turn,
 # instead of walking a summary graph with backjumping.
 
 
-def all_minimal_lose_odometer(ctx: ExploreContext, live, reqs,
-                              nogood=()) -> bool:
-    """Whether every combination of minimal candidates that agrees with
-    nogood, a set of (request index, pick) literals, loses on live.
+def survivors_by_grafting(ctx: ExploreContext, live, reqs, words,
+                          nogood=()):
+    """The picks, one index into words[i] per request i, that agree with
+    nogood, a set of (request index, pick) literals, and do not lose on
+    live, in itertools.product order.
 
     The grafts use round caps.max_rounds + 1, which no search position
     reaches, so their fresh names are free; the loss test does not see
     names.  Each combination is grafted whole and undone in reverse, and
-    live is left as it was found."""
+    live is left as it was found between picks."""
     picked = dict(nogood)
-    minimal = [ctx.minimal(r.constraint)[0] for r in reqs]
-    lists = [(m[picked[i]],) if i in picked else m
-             for i, m in enumerate(minimal)]
+    lists = [(picked[i],) if i in picked else range(len(ws))
+             for i, ws in enumerate(words)]
     round_no = ctx.caps.max_rounds + 1
     for picks in product(*lists):
-        records = [live.graft(r, w, round_no, i)
-                   for i, (r, w) in enumerate(zip(reqs, picks))]
+        records = [live.graft(r, words[i][k], round_no, i)
+                   for i, (r, k) in enumerate(zip(reqs, picks))]
         lost = holds(ctx.red_q0, live.graph(), live.a, live.b)
         for record in reversed(records):
             live.undo(record)
         if not lost:
-            return False
-    return True
+            yield picks
+
+
+def all_lose_odometer(ctx: ExploreContext, live, reqs, words,
+                      nogood=()) -> bool:
+    """Whether every combination of words that agrees with nogood loses on
+    live (see survivors_by_grafting)."""
+    return next(survivors_by_grafting(ctx, live, reqs, words, nogood),
+                None) is None

@@ -5,6 +5,7 @@ from time import monotonic
 import pytest
 
 from oracles import explore_immutable
+from rpqdet import cli
 from rpqdet.cli import _SEARCH_BATCH, main
 from rpqdet.escape import Caps, ExploreContext
 from rpqdet.gadget import build_grid, decorate
@@ -212,6 +213,46 @@ def test_search_parallel_matches_serial(files, capsys, two_shade_reduction):
     assert main(["search", str(two_shade), "--max-initial-len", "10",
                  "--jobs", "2"]) == 1
     assert capsys.readouterr().out == "ALL_PLAYS_LOSE\n"
+
+
+class _InProcessPool:
+    """A stand-in for multiprocessing.Pool that runs the workers' tasks in
+    this process and records the worker count it was asked for."""
+
+    asked: list[int] = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.asked.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus, asked", [(2, [2]), (1, []), (None, [])])
+def test_search_jobs_start_no_more_workers_than_cpus(files, capsys,
+                                                     monkeypatch, cpus,
+                                                     asked):
+    # No process is started: Pool and os.cpu_count are stand-ins.  One CPU,
+    # or none reported, searches in process.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "Pool", _InProcessPool)
+    monkeypatch.setattr(cli, "_SEARCH_CTX", None)
+    monkeypatch.setattr(_InProcessPool, "asked", [])
+    certs = []
+    for jobs in ("1", "500"):
+        certs.append(files["root"] / f"cert_cpus_{cpus}_jobs_{jobs}.json")
+        assert main(["search", str(files["instance"]), "--max-initial-len",
+                     "4", "--jobs", jobs, "--out", str(certs[-1])]) == 0
+    assert _InProcessPool.asked == asked
+    assert certs[0].read_text() == certs[1].read_text()
+    assert capsys.readouterr().out == "NONDETERMINATE\n" * 2
 
 
 def test_search_prints_the_certificate_it_would_write(files, capsys):

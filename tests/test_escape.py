@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (ProductDfaPerSymbol, all_minimal_lose_odometer,
+from oracles import (ProductDfaPerSymbol, all_lose_odometer,
                      classify_immutable, explore_immutable, explore_per_word,
                      forced_per_word, is_homomorphism, random_graph,
-                     random_regex, replay_positions, start_words_per_word)
+                     random_regex, replay_positions, start_words_per_word,
+                     survivors_by_grafting)
 from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, ProductDfa,
                              SubsetDfa, accepts, compile_nfa,
-                             iter_words, parse_regex, parse_word)
+                             iter_words, parse_regex, parse_word,
+                             recolor_nfa)
 from rpqdet import escape
 from rpqdet.constraints import (RegularConstraint, Request, graft_path,
                                 make_arrow_set, make_arrows, requests)
@@ -690,31 +692,43 @@ def test_classify_word_matches_the_immutable_search_on_random_instances(seed):
 
 
 class _Seen:
-    """What the all-lost checks saw: each node's decision, each leaf's
-    nogood (None for a surviving leaf), and the classify_word outcomes."""
+    """What the summary graphs saw: each all-lost check's decision, each
+    of its leaves' nogood (None for a surviving leaf), each fallback's
+    surviving picks, and the classify_word outcomes."""
 
     def __init__(self):
         self.nodes = []
         self.leaves = []
+        self.fallbacks = []
         self.outcomes = []
 
 
-def _classify_watched(ctx, words, on_leaf=None, odometer=False):
-    """Classify each word and return what its all-lost checks saw.
+def _classify_watched(ctx, words, on_leaf=None, odometer=False,
+                      fallback=False):
+    """Classify each word and return what its summary graphs saw.
 
-    on_leaf(summary, nogood) runs on every losing leaf while live still
-    holds the node's position; with odometer, every node asserts that the
-    backjumping check decides as grafting every minimal combination."""
+    A node's all-lost check indexes each request's minimal candidates, and
+    its fallback all of them.  on_leaf(summary, nogood) runs on every
+    losing leaf of either while live still holds the node's position; only
+    the all-lost checks' leaves are recorded.  With odometer, every node
+    asserts that the backjumping check decides as grafting every minimal
+    combination; with fallback, that the fallback's survivors are, in
+    order, the combinations of all candidates that do not lose grafted."""
     seen = _Seen()
 
     class Watched(escape.SummaryGraph):
         def __init__(self, nfa, live, reqs, rows):
             super().__init__(nfa, live, reqs, rows)
             self.reqs = reqs
+            self.minimal = all(rs is ctx.minimal(r.constraint)[1]
+                               for r, rs in zip(reqs, rows))
+            self.words = [ctx.minimal(r.constraint)[0] if self.minimal
+                          else ctx.candidates(r.constraint) for r in reqs]
 
         def nogood(self, picks):
             got = super().nogood(picks)
-            seen.leaves.append(None if got is None else frozenset(got))
+            if self.minimal:
+                seen.leaves.append(None if got is None else frozenset(got))
             if got is not None and on_leaf is not None:
                 on_leaf(self, got)
             return got
@@ -722,10 +736,19 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False):
         def all_lose(self):
             got = super().all_lose()
             if odometer:
-                assert got == all_minimal_lose_odometer(ctx, self.live,
-                                                        self.reqs)
+                assert got == all_lose_odometer(ctx, self.live, self.reqs,
+                                                self.words)
             seen.nodes.append(got)
             return got
+
+        def survivors(self):
+            if self.minimal or not fallback:
+                return super().survivors()
+            got = list(super().survivors())
+            assert got == list(survivors_by_grafting(ctx, self.live,
+                                                     self.reqs, self.words))
+            seen.fallbacks.append(got)
+            return iter(got)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(escape, "SummaryGraph", Watched)
@@ -734,25 +757,25 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False):
 
 
 def _assert_nogood_sound(ctx):
-    """on_leaf: every minimal combination that agrees with the nogood
-    loses, each grafted on the live position."""
+    """on_leaf: every combination of the summary's words that agrees with
+    the nogood loses, each grafted on the live position."""
     def check(summary, nogood):
-        assert all_minimal_lose_odometer(ctx, summary.live, summary.reqs,
-                                         nogood)
+        assert all_lose_odometer(ctx, summary.live, summary.reqs,
+                                 summary.words, nogood)
     return check
 
 
 def _assert_nogood_loses_alone(ctx):
     """on_leaf: the live position loses with only the nogood's picks and
-    the one minimal candidate of each fixed request grafted, at the
-    odometer's round.  Grafts only add edges, so every minimal
-    combination that agrees with the nogood loses too."""
+    the one word of each fixed request grafted, at the odometer's round.
+    Grafts only add edges, so every combination of the summary's words
+    that agrees with the nogood loses too."""
     def check(summary, nogood):
         picked = dict(nogood)
         live, round_no = summary.live, ctx.caps.max_rounds + 1
         records = []
         for i, r in enumerate(summary.reqs):
-            words = ctx.minimal(r.constraint)[0]
+            words = summary.words[i]
             if i in picked or len(words) == 1:
                 records.append(live.graft(r, words[picked.get(i, 0)],
                                           round_no, i))
@@ -780,6 +803,52 @@ def test_all_lost_check_matches_the_odometer_on_random_instances(seed):
         ctx = ExploreContext(q0, cs, search_caps)
         _classify_watched(ctx, ctx.start_words(), _assert_nogood_sound(ctx),
                           odometer=True)
+
+
+@pytest.mark.parametrize("name, caps, max_len", [
+    ("black", Caps(8, 3, 6, 4), 6),
+    ("two_shade", Caps(8, 3, 6, 8), 4),
+])
+def test_the_fallback_grafts_exactly_the_survivors(
+        name, caps, max_len, request):
+    # Grafting every combination is slow where the fallback branches
+    # widely: under the oracle black's 8-letter start word takes 8 s and
+    # each 6-letter two-shade word 30 s, so only shorter words are run.
+    out = request.getfixturevalue(f"{name}_reduction")
+    ctx = ExploreContext(out.q0_nfa, out.constraint_set(), caps)
+    words = [w for w in ctx.start_words() if len(w) <= max_len]
+    seen = _classify_watched(ctx, words, fallback=True)
+    assert any(len(f) > 1 for f in seen.fallbacks)
+
+
+def test_the_fallback_grafts_exactly_the_survivors_of_a_win():
+    # The instance of the non-minimal win above: the fallback keeps both
+    # candidates, and the first wins.
+    q0, cs = _single_view_instance("beta alpha", "beta + beta omega")
+    ctx = ExploreContext(q0, cs, Caps(2, 2, 3, 2))
+    seen = _classify_watched(ctx, ctx.start_words(), fallback=True)
+    assert seen.fallbacks[0] == [(0,), (1,)]
+    assert seen.outcomes[-1][0] == "win"
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_the_fallback_grafts_exactly_the_survivors_on_random_instances(seed):
+    q0, cs, caps = _random_instance(seed)
+    for search_caps in (Caps(min(caps.max_initial_len, 4), 1, 3, 2),
+                        Caps(min(caps.max_initial_len, 3), 2, 1, 2)):
+        ctx = ExploreContext(q0, cs, search_caps)
+        _classify_watched(ctx, ctx.start_words(), fallback=True)
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(SPECIALS.symbols), min_size=1, max_size=6))
+def test_no_initial_position_loses(seed, word):
+    # Red q0 reads only red labels and the chain is green, so the search
+    # asks no loss test at the root.
+    q0 = compile_nfa(random_regex(random.Random(seed), list(SPECIALS.symbols)),
+                     SPECIALS)
+    pos = initial_position(tuple(word))
+    assert not holds(recolor_nfa(q0, Color.RED), pos.graph, pos.a, pos.b)
 
 
 def test_learned_nogoods_are_sound_on_blocked(blocked_reduction):

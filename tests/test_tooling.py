@@ -64,6 +64,29 @@ def test_search_game_op_builds_no_start_automaton(monkeypatch):
     assert built == []
 
 
+def test_search_game_op_asks_no_loss_test():
+    """The bounded search decides a node's loss on its summary graph, and
+    a child it grafts never loses on entry, so no node asks holds."""
+    workload = WORKLOADS["search-game"]
+    inputs = workload.inputs(1)
+    ready = workload.setup(inputs)
+    with TRACER["Tracer"]() as t:
+        got = workload.op(ready, inputs[0])
+    assert workload.check(ready, inputs[0], got) is None
+    assert t.calls.get("rpq.holds", 0) == 0
+
+
+def test_explore_asks_no_loss_test(black_reduction):
+    """Black at these caps grafts round-one children and searches them
+    at round one and two: none asks holds."""
+    q0, cs = black_reduction.q0_nfa, black_reduction.constraint_set()
+    with TRACER["Tracer"]() as t:
+        verdict = escape.explore(q0, cs, escape.Caps(8, 3, 6, 4))
+    assert verdict.kind is escape.VerdictKind.NONDETERMINATE
+    assert t.calls["escape.classify_word"] >= 1
+    assert t.calls.get("rpq.holds", 0) == 0
+
+
 def test_tracer_charges_the_rpq_layers(black_reduction):
     """requests and check_counterexample reach evaluate and holds through
     the module names the tracer rebinds."""
