@@ -201,8 +201,8 @@ def graft_path(vertices, r: Request, w: Word, *, round_no: int,
 
     The checks come in this order: both request endpoints are vertices,
     the word is not empty, the constraint's rhs accepts it, the fresh
-    names are free.  apply_add and escape.LivePosition.graft, the one
-    graft of plays and of the bounded search, both graft through here."""
+    names are free.  apply_add, a play's escape.LivePosition.graft and
+    the children of the bounded search all graft through here."""
     require_vertex(vertices, r.x)
     require_vertex(vertices, r.y)
     if len(w) == 0:

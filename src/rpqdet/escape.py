@@ -8,16 +8,15 @@ witness paths.  The player loses as soon as a red q0 word connects a to
 b; a position with no open requests is a fixpoint, and a search's fixpoint
 is its counterexample certificate as it stands.
 
-A ``LivePosition`` is a position's out-rows, which grafts extend and
-``undo`` takes back.  A round only adds edges, so ``run_play`` keeps one
-for the whole play, and over its rows one ``LiveRequests``, which
-answers the requests, and one ``rpq.LivePairs`` of red q0 walked from a
-alone, which answers the loss test; each round extends both from its new
-edges alone.  The bounded search grafts onto a ``LivePosition`` as well
-and takes its grafts back, which those append-only indexes cannot
-follow, so each search node builds its graph once and asks ``requests``
-on it, and its children's loss test walks its ``SummaryGraph``.  Both
-graft through ``LivePosition.graft``, and so through ``graft_path``.
+A play keeps one ``LivePosition``, its position's out-rows, which each
+round's grafts extend: a round only adds edges.  Over those rows it keeps
+one ``LiveRequests``, which answers the requests, and one
+``rpq.LivePairs`` of red q0 walked from a alone, which answers the loss
+test; each round extends both from its new edges alone.  The bounded
+search keeps no mutable position: each node is one immutable graph, on
+which it asks ``requests`` and builds its ``SummaryGraph``, and each child
+is one union of that graph and the paths ``graft_path`` makes for its
+picks.  ``LivePosition.graft`` grafts through ``graft_path`` as well.
 
 A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
 witness for the open request req, the index-th (from 0) of round round_no
@@ -303,10 +302,9 @@ _WIN, _ALL_LOST, _UNDECIDED = "win", "all_lost", "undecided"
 
 
 class LivePosition:
-    """One mutable position, of a play or of a search: the endpoints of
-    an EndpointedGraph and the out-row of each of its vertices.  Each
-    graft returns a record of what it added, which ``undo`` takes back;
-    undo must come in reverse graft order."""
+    """The one mutable position of a play: the endpoints of an
+    EndpointedGraph and the out-row of each of its vertices, which each
+    graft extends."""
 
     def __init__(self, pos: EndpointedGraph):
         self.a = pos.a
@@ -316,16 +314,9 @@ class LivePosition:
         self.out: dict[str, list[tuple[Symbol, str]]] = {
             v: list(row) for v, row in pos.graph.out_adj.items()}
 
-    def graph(self) -> LabeledGraph:
-        return LabeledGraph(frozenset(self.out),
-                            frozenset((v, s, dst)
-                                      for v, row in self.out.items()
-                                      for s, dst in row))
-
     def graft(self, r: Request, w: Word, round_no: int, req_index: int):
         """Graft a fresh path from r.x to r.y spelling w, with the names
-        and checks of graft_path; returns the undo record (names,
-        added_edges).
+        and checks of graft_path; returns (names, added_edges).
 
         An edge already present is left out of added_edges; only a
         one-letter witness can repeat one."""
@@ -338,13 +329,6 @@ class LivePosition:
         for src, s, dst in added:
             out[src].append((s, dst))
         return names, added
-
-    def undo(self, record) -> None:
-        names, added = record
-        for src, _, _ in reversed(added):
-            self.out[src].pop()
-        for v in names:
-            del self.out[v]
 
 
 class ExploreContext:
@@ -462,7 +446,7 @@ class ExploreContext:
         pos = initial_position(word)
         for s in word:
             self.q0.alphabet.index(s.uncolored())
-        return self._search(LivePosition(pos), 0)
+        return self._search(pos, 0)
 
     def verdict(self, outcomes) -> Verdict:
         """Fold the classify_word outcomes of start_words, in that order,
@@ -486,12 +470,11 @@ class ExploreContext:
             return Verdict(VerdictKind.INCONCLUSIVE)
         return Verdict(VerdictKind.ALL_PLAYS_LOSE)
 
-    def _search(self, live: LivePosition, round_no: int):
-        """Search every bounded play from the live position, reached in
-        round round_no; a win carries its fixpoint as an EndpointedGraph.
-        Live is left as it was found, except after a win.  Live never
-        loses: red q0 reads no green label, and a child that loses is not
-        grafted.
+    def _search(self, pos: EndpointedGraph, round_no: int):
+        """Search every bounded play from the position pos, reached in
+        round round_no; a win returns the fixpoint it reaches, pos itself
+        at a node with no open request.  Pos never loses: red q0 reads no
+        green label, and a child that loses is not built.
 
         A node is decided all-lost over the minimal candidates first.  A
         fresh path's inner vertices have one in-edge and one out-edge, and
@@ -523,35 +506,37 @@ class ExploreContext:
 
         When some minimal combination survives, the same search over all
         candidates yields each combination that does not lose, in
-        itertools.product order.  Each is grafted whole, searched, and
-        undone in reverse, except after a win: live then stays grafted,
-        at the fixpoint it returns.
+        itertools.product order.  Each becomes one child graph, the union
+        of pos's graph and the path graft_path makes for each pick, and is
+        searched in turn; nothing is undone.
         """
-        g = live.graph()
+        g = pos.graph
         reqs = requests(self.cs, g)
         if not reqs:
-            return _WIN, EndpointedGraph(g, live.a, live.b)
+            return _WIN, pos
         if round_no >= self.caps.max_rounds:
             return _UNDECIDED, None
         cand_lists = [self.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
         rows = [self.minimal(r.constraint)[1] for r in reqs]
-        if SummaryGraph(self.red_q0, live, reqs, rows).all_lose():
+        if SummaryGraph(self.red_q0, pos, reqs, rows).all_lose():
             return _ALL_LOST, None
         rows = [self._rows[r.constraint.cid] for r in reqs]
         round_no += 1
         any_undecided = False
-        for picks in SummaryGraph(self.red_q0, live, reqs, rows).survivors():
-            records = [live.graft(r, cand_lists[i][k], round_no, i)
-                       for i, (r, k) in enumerate(zip(reqs, picks))]
-            kind, win = self._search(live, round_no)
+        for picks in SummaryGraph(self.red_q0, pos, reqs, rows).survivors():
+            grafts = [graft_path(g.vertices, r, cand_lists[i][k],
+                                 round_no=round_no, req_index=i)
+                      for i, (r, k) in enumerate(zip(reqs, picks))]
+            child = LabeledGraph(g.vertices.union(*(n for n, _ in grafts)),
+                                 g.edges.union(*(e for _, e in grafts)))
+            kind, win = self._search(EndpointedGraph(child, pos.a, pos.b),
+                                     round_no)
             if kind == _WIN:
                 return kind, win
             if kind == _UNDECIDED:
                 any_undecided = True
-            for record in reversed(records):
-                live.undo(record)
         return (_UNDECIDED if any_undecided else _ALL_LOST), None
 
 

@@ -60,8 +60,8 @@ class LabeledGraph:
 
     @cached_property
     def _labels(self) -> frozenset[Symbol]:
-        # Read off the edges, not sources_by_label: holds asks every
-        # search node for its labels, and most nodes need no index.
+        # Read off the edges, not sources_by_label: holds asks for the
+        # labels, and it walks from one vertex, so it needs no index.
         return frozenset({s for _, s, _ in self.edges})
 
     def labels(self) -> frozenset[Symbol]:

@@ -159,39 +159,42 @@ def solve_bruteforce(inst: OgtpInstance, max_n: int) -> GridTiling | None:
 
 def _solve_at(inst: OgtpInstance, n: int,
               placed: Iterator[int]) -> GridTiling | None:
-    """The first tiling at n, or None; placed numbers each placement."""
-    cells: list[tuple[str, int, int]] = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            if i < n:
-                cells.append(("h", i, j))
-            if j < n:
-                cells.append(("v", i, j))
-    t = GridTiling(n, {}, {})
+    """The first tiling at n, or None; placed numbers each placement.
+
+    The bottom-left V and top-right H edges must be black, so they are
+    placed before the search, and every other cell's shades are cut down
+    to those that fit beside them first.  A shade fits a cell when no
+    placed edge into the cell's tail or out of its head makes a forbidden
+    pair with it, so each pair is checked when its later edge is placed.
+    """
+    t = GridTiling(n, {(n - 1, n): "black"}, {(0, 0): "black"})
+    stores = {"h": t.h, "v": t.v}
     forb = inst.forbidden
 
-    def admissible(kind: str, i: int, j: int, s: str) -> bool:
-        if kind == "v":
-            if (i, j) == (0, 0) and s != "black":
-                return False
-            d = "V"
-        else:
-            if (i, j) == (n - 1, n) and s != "black":
-                return False
-            d = "H"
-        # Cells are placed row by row, left to right, so no edge out of
-        # this edge's head is placed yet: a pair of consecutive edges is
-        # checked here, when its second edge is placed.
-        return all((pin, (d, s)) not in forb for pin in _in_edges(t, i, j))
+    def fits(kind: str, i: int, j: int, s: str) -> bool:
+        d, head = ("H", (i + 1, j)) if kind == "h" else ("V", (i, j + 1))
+        return (all((pin, (d, s)) not in forb for pin in _in_edges(t, i, j))
+                and all(((d, s), pout) not in forb
+                        for pout in _out_edges(t, *head)))
+
+    # At n = 1 the two forced edges meet at u_{0,1}.
+    if not fits("h", n - 1, n, "black"):
+        return None
+    # Row by row, left to right, each vertex's H edge before its V edge.
+    cells = [(kind, i, j) for j in range(n + 1) for i in range(n + 1)
+             for kind in "hv" if (i < n if kind == "h" else j < n)
+             and (i, j) not in stores[kind]]
+    shades = {c: [s for s in inst.shades if fits(*c, s)] for c in cells}
+    if not all(shades.values()):
+        return None
 
     # One iterator over the shades of each placed cell and of the cell
-    # being placed: a step places the next admissible shade, or drops the
+    # being placed: a step places the next shade that fits, or drops the
     # iterator and takes back the cell placed before.
-    stores = {"h": t.h, "v": t.v}
-    tries = [iter(inst.shades)]
+    tries = [iter(shades[cells[0]])]
     while tries:
         kind, i, j = cells[len(tries) - 1]
-        s = next((s for s in tries[-1] if admissible(kind, i, j, s)), None)
+        s = next((s for s in tries[-1] if fits(kind, i, j, s)), None)
         if s is None:
             tries.pop()
             if tries:
@@ -205,7 +208,7 @@ def _solve_at(inst: OgtpInstance, n: int,
         stores[kind][(i, j)] = s
         if len(tries) == len(cells):
             return GridTiling(n, dict(t.h), dict(t.v))
-        tries.append(iter(inst.shades))
+        tries.append(iter(shades[cells[len(tries)]]))
     return None
 
 

@@ -30,8 +30,8 @@ Bancilhon & Ramakrishnan, 1986); a step whose edges carry no label the
 automaton reads is over at once.  It is kept apart from ``_walk``, as
 ``find_witness`` is: it keeps what the walk from each source reached,
 where ``_walk`` throws its visited sets away, so a one-shot ``evaluate``
-stays on ``_walk``.  It keeps no undo log, so the bounded search, which
-takes its grafts back, asks ``evaluate`` (through ``requests``) on each
+stays on ``_walk``.  The bounded search, whose nodes are immutable graphs
+that share no index, asks ``evaluate`` (through ``requests``) on each
 node's graph instead; its loss test walks a summary graph (``summary``).
 """
 

@@ -6,7 +6,7 @@ a node all-lost when no ⊆-minimal combination survives.  A grafted path
 is crossed whole by any losing walk, which sees of it only its word's
 relation on red q0, the rows p -> δ*(p, w), so the test needs no graft:
 each request becomes one macro edge that steps by those rows.  The walk
-starts from (a, red q0's start) over the position's out-rows and those
+starts from (a, red q0's start) over the node graph's out-rows and those
 macro edges, and the combinations are searched by conflict-directed
 backjumping over the choices a losing walk crosses.
 """
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .automata import Nfa
     from .constraints import Request
-    from .escape import LivePosition
+    from .graphs import EndpointedGraph
     from .symbols import Word
 
 
@@ -53,12 +53,12 @@ class SummaryGraph:
     literals it crosses are its nogood.
     """
 
-    def __init__(self, nfa: Nfa, live: LivePosition, reqs: list[Request],
+    def __init__(self, nfa: Nfa, pos: EndpointedGraph, reqs: list[Request],
                  rows: list[tuple[Rows, ...]]):
         self.nfa = nfa
-        self.live = live
+        self.pos = pos
         self.rows = rows
-        self.goals = [(live.b, f) for f in sorted(nfa.accepting)]
+        self.goals = [(pos.b, f) for f in sorted(nfa.accepting)]
         self.fixed: dict[str, list[tuple[str, Rows]]] = {}
         self.choice: dict[str, list[tuple[int, str]]] = {}
         for i, r in enumerate(reqs):
@@ -68,7 +68,7 @@ class SummaryGraph:
                 self.choice.setdefault(r.x, []).append((i, r.y))
         # Layer 0, the same at every leaf: what the position and the fixed
         # requests reach from (a, start).
-        start = (live.a, nfa.start)
+        start = (pos.a, nfa.start)
         self.base: dict[tuple[str, int], object] = {start: None}
         self.base_layer = [start]
         self._close(self.base_layer, self.base)
@@ -77,7 +77,7 @@ class SummaryGraph:
         """Extend layer, in place, by every pair its pairs reach over 0-cost
         edges, recording each new pair's predecessor in pred."""
         delta = self.nfa.delta
-        out = self.live.out
+        out = self.pos.graph.out_adj
         fixed = self.fixed
         k = 0
         while k < len(layer):
@@ -138,8 +138,7 @@ class SummaryGraph:
         once each of a choice's values is refuted, the union of their
         nogoods without the choice refutes the parent's picks.  The empty
         nogood refutes them all.  A survivor stands for a nogood of every
-        choice, so the walk past it is chronological.  Walks read live.out
-        lazily: undo a grafted survivor before asking for the next.
+        choice, so the walk past it is chronological.
         """
         choices = [i for i, r in enumerate(self.rows) if len(r) > 1]
         picks = [0] * len(self.rows)

@@ -333,9 +333,9 @@ def explore_per_word(q0, cs, caps) -> Verdict:
 
 
 # --------------------------------------------------------------------------
-# The bounded game search on immutable positions: every witness combination
-# is a new graph and every loss check is a fresh holds() search, instead of
-# one live position with an undo log.
+# The bounded game search with no prune: every witness combination is a
+# new graph and every loss check is a fresh holds() search, instead of a
+# summary graph's backjumping over the minimal candidates.
 
 
 def combination_graphs(g: LabeledGraph, reqs, lists, round_no: int):
@@ -631,37 +631,33 @@ def random_batches(rng: random.Random, g: LabeledGraph):
 
 # --------------------------------------------------------------------------
 # The loss tests of a search node's summary graph, by grafting: every
-# combination of one word per request is put on the live position in turn,
+# combination of one word per request is built as a graph of its own,
 # instead of walking a summary graph with backjumping.
 
 
-def survivors_by_grafting(ctx: ExploreContext, live, reqs, words,
-                          nogood=()):
+def survivors_by_grafting(ctx: ExploreContext, pos: EndpointedGraph, reqs,
+                          words, nogood=()):
     """The picks, one index into words[i] per request i, that agree with
     nogood, a set of (request index, pick) literals, and do not lose on
-    live, in itertools.product order.
+    pos, in itertools.product order.
 
-    The grafts use round caps.max_rounds + 1, which no search position
-    reaches, so their fresh names are free; the loss test does not see
-    names.  Each combination is grafted whole and undone in reverse, and
-    live is left as it was found between picks."""
+    Each combination is one graph of combination_graphs, grafted at round
+    caps.max_rounds + 1, which no search position reaches, so their fresh
+    names are free; the loss test does not see names."""
     picked = dict(nogood)
     lists = [(picked[i],) if i in picked else range(len(ws))
              for i, ws in enumerate(words)]
-    round_no = ctx.caps.max_rounds + 1
-    for picks in product(*lists):
-        records = [live.graft(r, words[i][k], round_no, i)
-                   for i, (r, k) in enumerate(zip(reqs, picks))]
-        lost = holds(ctx.red_q0, live.graph(), live.a, live.b)
-        for record in reversed(records):
-            live.undo(record)
-        if not lost:
+    graphs = combination_graphs(
+        pos.graph, reqs, [[ws[k] for k in ks] for ws, ks in zip(words, lists)],
+        ctx.caps.max_rounds + 1)
+    for picks, g in zip(product(*lists), graphs):
+        if not holds(ctx.red_q0, g, pos.a, pos.b):
             yield picks
 
 
-def all_lose_odometer(ctx: ExploreContext, live, reqs, words,
+def all_lose_odometer(ctx: ExploreContext, pos: EndpointedGraph, reqs, words,
                       nogood=()) -> bool:
     """Whether every combination of words that agrees with nogood loses on
-    live (see survivors_by_grafting)."""
-    return next(survivors_by_grafting(ctx, live, reqs, words, nogood),
+    pos (see survivors_by_grafting)."""
+    return next(survivors_by_grafting(ctx, pos, reqs, words, nogood),
                 None) is None

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (ProductDfaPerSymbol, all_lose_odometer,
-                     classify_immutable, explore_immutable, explore_per_word,
+                     classify_immutable, combination_graphs,
+                     explore_immutable, explore_per_word,
                      forced_per_word, is_homomorphism, random_graph,
                      random_regex, replay_positions, start_words_per_word,
                      survivors_by_grafting)
@@ -416,16 +417,16 @@ def test_start_automaton_steps_each_component_state_symbol_once(
 
 @contextmanager
 def _counted_grafts():
-    """The argument tuples of every LivePosition.graft call made inside."""
+    """The argument tuples of every graft_path call that escape makes
+    inside: the search's children and a play's grafts all go through it."""
     grafts = []
-    real = LivePosition.graft
 
-    def counted(self, *args):
+    def counted(*args, **kwargs):
         grafts.append(args)
-        return real(self, *args)
+        return graft_path(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(LivePosition, "graft", counted)
+        mp.setattr(escape, "graft_path", counted)
         yield grafts
 
 
@@ -709,16 +710,16 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False,
 
     A node's all-lost check indexes each request's minimal candidates, and
     its fallback all of them.  on_leaf(summary, nogood) runs on every
-    losing leaf of either while live still holds the node's position; only
-    the all-lost checks' leaves are recorded.  With odometer, every node
+    losing leaf of either; only the all-lost checks' leaves are
+    recorded.  With odometer, every node
     asserts that the backjumping check decides as grafting every minimal
     combination; with fallback, that the fallback's survivors are, in
     order, the combinations of all candidates that do not lose grafted."""
     seen = _Seen()
 
     class Watched(escape.SummaryGraph):
-        def __init__(self, nfa, live, reqs, rows):
-            super().__init__(nfa, live, reqs, rows)
+        def __init__(self, nfa, pos, reqs, rows):
+            super().__init__(nfa, pos, reqs, rows)
             self.reqs = reqs
             self.minimal = all(rs is ctx.minimal(r.constraint)[1]
                                for r, rs in zip(reqs, rows))
@@ -736,7 +737,7 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False,
         def all_lose(self):
             got = super().all_lose()
             if odometer:
-                assert got == all_lose_odometer(ctx, self.live, self.reqs,
+                assert got == all_lose_odometer(ctx, self.pos, self.reqs,
                                                 self.words)
             seen.nodes.append(got)
             return got
@@ -745,7 +746,7 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False,
             if self.minimal or not fallback:
                 return super().survivors()
             got = list(super().survivors())
-            assert got == list(survivors_by_grafting(ctx, self.live,
+            assert got == list(survivors_by_grafting(ctx, self.pos,
                                                      self.reqs, self.words))
             seen.fallbacks.append(got)
             return iter(got)
@@ -758,31 +759,28 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False,
 
 def _assert_nogood_sound(ctx):
     """on_leaf: every combination of the summary's words that agrees with
-    the nogood loses, each grafted on the live position."""
+    the nogood loses, each grafted on the node's position."""
     def check(summary, nogood):
-        assert all_lose_odometer(ctx, summary.live, summary.reqs,
+        assert all_lose_odometer(ctx, summary.pos, summary.reqs,
                                  summary.words, nogood)
     return check
 
 
 def _assert_nogood_loses_alone(ctx):
-    """on_leaf: the live position loses with only the nogood's picks and
+    """on_leaf: the node's position loses with only the nogood's picks and
     the one word of each fixed request grafted, at the odometer's round.
     Grafts only add edges, so every combination of the summary's words
     that agrees with the nogood loses too."""
     def check(summary, nogood):
-        picked = dict(nogood)
-        live, round_no = summary.live, ctx.caps.max_rounds + 1
-        records = []
-        for i, r in enumerate(summary.reqs):
-            words = summary.words[i]
-            if i in picked or len(words) == 1:
-                records.append(live.graft(r, words[picked.get(i, 0)],
-                                          round_no, i))
-        lost = holds(ctx.red_q0, live.graph(), live.a, live.b)
-        for record in reversed(records):
-            live.undo(record)
-        assert lost
+        picked, pos = dict(nogood), summary.pos
+        kept = [(r, [words[picked.get(i, 0)]])
+                for i, (r, words) in enumerate(zip(summary.reqs,
+                                                   summary.words))
+                if i in picked or len(words) == 1]
+        (g,) = combination_graphs(pos.graph, [r for r, _ in kept],
+                                  [ws for _, ws in kept],
+                                  ctx.caps.max_rounds + 1)
+        assert holds(ctx.red_q0, g, pos.a, pos.b)
     return check
 
 
@@ -902,24 +900,26 @@ def _rows(live):
     return {v: list(row) for v, row in live.out.items()}
 
 
-def test_a_graft_that_repeats_an_edge_adds_nothing_and_undo_keeps_the_edge():
+def _graph(live):
+    """The graph of a LivePosition's out-rows."""
+    return LabeledGraph.build(live.out, ((v, s, dst)
+                                         for v, row in live.out.items()
+                                         for s, dst in row))
+
+
+def test_a_graft_that_repeats_an_edge_adds_nothing():
     rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
     g = LabeledGraph.build(["a", "m", "b"], [("a", sym("G:alpha"), "m"),
                                              ("m", sym("G:omega"), "b")])
     live = LivePosition(EndpointedGraph(g, "a", "b"))
-    start = _rows(live)
     first = live.graft(Request("a", "b", rc), (sym("R:beta"),), 1, 0)
     assert first == ([], [("a", sym("R:beta"), "b")])
     grafted = _rows(live)
     repeat = live.graft(Request("a", "m", rc), (sym("G:alpha"),), 1, 1)
     assert repeat == ([], [])
     assert _rows(live) == grafted
-    live.undo(repeat)
-    assert _rows(live) == grafted
-    assert (sym("G:alpha"), "m") in live.out["a"]
-    live.undo(first)
-    assert _rows(live) == start
-    assert live.graph() == g
+    assert _graph(live) == LabeledGraph(
+        g.vertices, g.edges | {("a", sym("R:beta"), "b")})
 
 
 def test_run_play_lists_a_repeated_witness_but_adds_its_edge_once():
@@ -993,7 +993,7 @@ def test_live_graft_refuses_what_graft_path_refuses_with_its_message(
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-def test_live_position_graph_round_trips_through_grafts_and_undos(seed):
+def test_live_position_rows_follow_its_grafts(seed):
     rng = random.Random(seed)
     labels = list(SPECIALS.colored().symbols)
     g = random_graph(rng, labels, max_vertices=5, max_edges=8)
@@ -1001,25 +1001,15 @@ def test_live_position_graph_round_trips_through_grafts_and_undos(seed):
     # Grafts check their words against the rhs, so it accepts them all.
     rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
     live = LivePosition(EndpointedGraph(g, a, b))
-    stack = []
+    assert _graph(live) == g
     for step_no in range(1, 13):
-        if stack and rng.random() < 0.4:
-            record, before = stack.pop()
-            live.undo(record)
-            assert live.graph() == before
-        else:
-            vs = sorted(live.out)
-            r = Request(rng.choice(vs), rng.choice(vs), rc)
-            w = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
-            before = live.graph()
-            stack.append((live.graft(r, w, step_no, 0), before))
-            names = [f"n{step_no}_0_{k}" for k in range(1, len(w))]
-            stops = [r.x, *names, r.y]
-            assert live.graph() == LabeledGraph(
-                before.vertices | set(names),
-                before.edges | set(zip(stops, w, stops[1:])))
-    while stack:
-        record, before = stack.pop()
-        live.undo(record)
-        assert live.graph() == before
-    assert live.graph() == g
+        vs = sorted(live.out)
+        r = Request(rng.choice(vs), rng.choice(vs), rc)
+        w = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+        before = _graph(live)
+        live.graft(r, w, step_no, 0)
+        names = [f"n{step_no}_0_{k}" for k in range(1, len(w))]
+        stops = [r.x, *names, r.y]
+        assert _graph(live) == LabeledGraph(
+            before.vertices | set(names),
+            before.edges | set(zip(stops, w, stops[1:])))

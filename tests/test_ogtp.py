@@ -1,16 +1,18 @@
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 
 from oracles import lang_upto, scan_tiling
 from rpqdet.automata import accepts, compile_nfa, iter_words, parse_regex, parse_word, render_regex
 from rpqdet.ogtp import (
+    PLACEMENT_BUDGET,
     GridTiling,
     OgtpError,
     OgtpInstance,
     SearchSpaceError,
     TilingError,
+    _solve_at,
     all_black_tiling,
     check_tiling,
     compile_reduction,
@@ -163,26 +165,71 @@ def test_solver_agrees_with_checking_every_tiling():
             assert t.n == want and check_tiling(inst, t)
 
 
+# No tiling at any n up to 12: about 10**5 placements in all, though the raw
+# space at n = 12 is 2**312.
+U = OgtpInstance(("black", "grey"), frozenset({
+    (("H", "black"), ("V", "grey")), (("H", "grey"), ("H", "grey")),
+    (("V", "black"), ("H", "black")), (("V", "grey"), ("V", "grey"))}))
+
+
 def test_solver_guards_against_huge_search_spaces():
-    # No edge may enter an H black edge, which the top-right cell must be.
-    # The backtracker refutes n = 2 in about 2 * 10**4 placements, but
-    # needs more than 10**6 at n = 3, so the budget runs out there.
+    # n = 13 needs more placements than the budget has left after n = 12.
+    with pytest.raises(SearchSpaceError,
+                       match=f"more than {PLACEMENT_BUDGET} shades by n=13"):
+        solve_bruteforce(U, 13)
+
+
+def test_solver_refutes_a_two_shade_instance_up_to_n_twelve():
+    assert solve_bruteforce(U, 12) is None
+
+
+def test_solver_refutes_a_forced_cell_without_search():
+    # No edge may enter an H black edge, which the top-right edge must be:
+    # its in-edges have no shade left, so n is refuted before any shade is
+    # placed.  Checked only when that edge was placed, last, this took
+    # 20,604 placements at n = 2 and overran the budget at n = 3.
     shades = ("black", "grey", "rust")
     into_h_black = frozenset(((d, s), ("H", "black"))
                              for d in "HV" for s in shades)
     inst = OgtpInstance(shades, into_h_black)
-    assert solve_bruteforce(inst, 2) is None
-    with pytest.raises(SearchSpaceError):
-        solve_bruteforce(inst, 3)
+    for n in (1, 2, 3):
+        placed = count()
+        assert _solve_at(inst, n, placed) is None
+        assert next(placed) <= 5
 
 
-def test_solver_refutes_a_two_shade_instance_up_to_n_twelve():
-    # About 10**5 placements in all: within the budget, though the raw
-    # space at n = 12 is 2**312.
-    u = OgtpInstance(("black", "grey"), frozenset({
-        (("H", "black"), ("V", "grey")), (("H", "grey"), ("H", "grey")),
-        (("V", "black"), ("H", "black")), (("V", "grey"), ("V", "grey"))}))
-    assert solve_bruteforce(u, 12) is None
+def _first_tiling_in_cell_order(inst, max_n):
+    """The smallest n's first tiling in the solver's order: cells row by
+    row, left to right, each vertex's H edge before its V edge, and each
+    cell's shades in instance order; every shading is checked."""
+    for n in range(1, max_n + 1):
+        cells = [(kind, i, j) for j in range(n + 1) for i in range(n + 1)
+                 for kind in "hv" if (i < n if kind == "h" else j < n)]
+        for pick in product(inst.shades, repeat=len(cells)):
+            t = GridTiling(n, {}, {})
+            for (kind, i, j), s in zip(cells, pick):
+                (t.h if kind == "h" else t.v)[(i, j)] = s
+            if check_tiling(inst, t):
+                return t
+    return None
+
+
+def test_solver_returns_the_first_tiling_in_its_cell_order():
+    black_pairs = [(("H" if k & 1 else "V", "black"),
+                    ("H" if k & 2 else "V", "black")) for k in range(4)]
+    insts = [OgtpInstance(("black",), frozenset(
+        p for b, p in enumerate(black_pairs) if mask >> b & 1))
+        for mask in range(16)]
+    rng = random.Random(29)
+    two = [((d1, s1), (d2, s2)) for d1 in "HV" for s1 in ("black", "grey")
+           for d2 in "HV" for s2 in ("black", "grey")]
+    for k in range(16):
+        shades = ("grey", "black") if k % 2 else ("black", "grey")
+        insts.append(OgtpInstance(shades, frozenset(
+            rng.sample(two, rng.randint(0, 6)))))
+    got = [solve_bruteforce(inst, 2) for inst in insts]
+    assert got == [_first_tiling_in_cell_order(inst, 2) for inst in insts]
+    assert {t.n for t in got if t is not None} == {1, 2}
 
 
 # --------------------------------------------------------------------------

@@ -288,3 +288,26 @@ def test_only_load_json_parses_json():
     for path in sorted(SRC.glob("*.py")):
         found += _json_parses(ast.parse(path.read_text()), path.stem)
     assert found == ["symbols.load_json"]
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Every module path component and imported name of every import in
+    tree, at any depth, TYPE_CHECKING blocks included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(p for a in node.names for p in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_summary_imports_nothing_from_escape():
+    """The summary graph reads a search node's graph and nothing of the
+    search itself, so summary.py imports escape nowhere."""
+    for text in ("from .escape import X", "if T:\n    from . import escape",
+                 "import rpqdet.escape"):
+        assert "escape" in _imported_names(ast.parse(text))
+    tree = ast.parse((SRC / "summary.py").read_text())
+    assert "escape" not in _imported_names(tree)
