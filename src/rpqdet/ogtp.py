@@ -1,6 +1,8 @@
 """Grid tiling instances, their checker and brute-force solver, and the
 compiler that turns an instance into a path-query determinacy workbench
 input: an alphabet, the view languages, and the start-and-traps language q0.
+The compiler writes each language in the class-literal regex syntax that
+the reduction file stores and parses it with ``automata.parse_regex``.
 
 Grid convention: vertex u_{0,0} sits bottom-left; horizontal edges point
 right (increasing i) and vertical edges point up (increasing j).  The
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 
-from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
-                       compile_nfa, concat_all, parse_regex, render_regex,
+from .automata import (Nfa, Regex, compile_nfa, parse_regex, render_regex,
                        union_all)
 from .constraints import ConstraintSet, make_arrow_set
 from .symbols import (Alphabet, FormatError, Symbol, WorkbenchError, expect,
@@ -257,56 +258,38 @@ def reduction_alphabet(shades) -> Alphabet:
 
 
 def compile_reduction(inst: OgtpInstance) -> ReductionOutput:
+    """Each language is written in the class-literal syntax the reduction
+    file stores and parsed against the reduction's alphabet."""
     base = reduction_alphabet(inst.shades)
 
-    def cls(tag=None, d=None, k=None, s=None) -> Class:
-        members = [x for x in base.sigma0()
-                   if (tag is None or x.tag == tag)
-                   and (d is None or x.direction == d)
-                   and (k is None or x.temperature == k)
-                   and (s is None or x.shade == s)]
-        return Class(frozenset(members))
+    def nonblack(fields: str) -> str:
+        """The non-black shades of one tag, direction and temperature as a
+        group, EMPTY when black is the only shade."""
+        return "(" + (" + ".join(f"[{fields},{s}]" for s in inst.shades
+                                 if s != "black") or "EMPTY") + ")"
 
-    def sig_star() -> Star:
-        return Star(cls())
-
-    alpha_, beta_, omega_ = Lit(sym("alpha")), Lit(sym("beta")), Lit(sym("omega"))
-
-    good = (
-        omega_,
-        Union(alpha_, beta_),
-        Union(Concat(cls("B", "H", "W"), cls("A", "V", "W")),
-              Concat(cls("B", "V", "C"), cls("A", "H", "C"))),
-        Union(Concat(cls("A", "H", "C"), cls("B", "V", "C")),
-              Concat(cls("A", "V", "W"), cls("B", "H", "W"))),
-        Union(cls("B", "V", "C"), cls("B", "V", "W")),
-        Union(cls("B", "H", "W"), cls("B", "H", "C")),
-        Union(cls("A", "V", "W"), cls("A", "V", "C")),
-        Union(cls("A", "H", "C"), cls("A", "H", "W")),
-    )
-
-    def nonblack_union(tag: str, d: str, k: str) -> Regex:
-        return union_all([Class(frozenset({sym(f"{tag}-{d}-{k}-{s}")}))
-                          for s in inst.shades if s != "black"])
-
-    bad = [
-        concat_all([beta_, nonblack_union("A", "V", "W"), sig_star(), omega_]),
-        concat_all([beta_, sig_star(), nonblack_union("B", "H", "W"), omega_]),
-    ]
-    for (d1, s1), (d2, s2) in sorted(inst.forbidden):
-        bad.append(concat_all([beta_, sig_star(), cls(None, d1, "W", s1),
-                               cls(None, d2, "W", s2), sig_star(), omega_]))
-
-    ugly = (
-        concat_all([alpha_, sig_star(), cls(k="W"), sig_star(), omega_]),
-        concat_all([beta_, sig_star(), cls(k="C"), sig_star(), omega_]),
-    )
-
-    q_start = concat_all(
-        [alpha_, Plus(Concat(cls("A", "H", "C"), cls("B", "V", "C"))), omega_])
+    good = tuple(parse_regex(text, base) for text in (
+        "omega",
+        "alpha + beta",
+        "[B,H,W,*] [A,V,W,*] + [B,V,C,*] [A,H,C,*]",
+        "[A,H,C,*] [B,V,C,*] + [A,V,W,*] [B,H,W,*]",
+        "[B,V,C,*] + [B,V,W,*]",
+        "[B,H,W,*] + [B,H,C,*]",
+        "[A,V,W,*] + [A,V,C,*]",
+        "[A,H,C,*] + [A,H,W,*]",
+    ))
+    bad = tuple(parse_regex(text, base) for text in (
+        f"beta {nonblack('A,V,W')} S0* omega",
+        f"beta S0* {nonblack('B,H,W')} omega",
+        *(f"beta S0* [*,{d1},W,{s1}] [*,{d2},W,{s2}] S0* omega"
+          for (d1, s1), (d2, s2) in sorted(inst.forbidden)),
+    ))
+    ugly = (parse_regex("alpha S0* [*,*,W,*] S0* omega", base),
+            parse_regex("beta S0* [*,*,C,*] S0* omega", base))
+    q_start = parse_regex("alpha ([A,H,C,*] [B,V,C,*])^+ omega", base)
     q0 = union_all([q_start, *ugly, *bad])
 
-    return ReductionOutput(base, Views(good, tuple(bad), ugly), q_start, q0)
+    return ReductionOutput(base, Views(good, bad, ugly), q_start, q0)
 
 
 # --------------------------------------------------------------------------

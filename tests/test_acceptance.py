@@ -305,26 +305,22 @@ def test_criterion_06_every_bad_or_ugly_start_loses_by_round_two(
     for w in words5:
         assert _all_plays_lose(red_q0, cs, w), w
 
-    witness_ok = {}
+    def witnesses_all_q0(rc):
+        wits = [u for u in iter_words(rc.rhs_nfa, 3) if u]
+        if not wits:
+            w = shortest_word(rc.rhs_nfa)
+            wits = [w] if w is not None else []
+        return bool(wits) and all(
+            accepts(q0, tuple(s.uncolored() for s in u)) for u in wits)
+
+    forcing = [rc for rc in cs if witnesses_all_q0(rc)]
 
     def first_round_forces_loss(word):
+        # An a-to-b request of rc: its lhs holds from a to b, its rhs not.
         pos = initial_position(word)
-        for r in requests(cs, pos.graph):
-            if (r.x, r.y) != (pos.a, pos.b):
-                continue
-            got = witness_ok.get(r.cid)
-            if got is None:
-                wits = [u for u in iter_words(r.constraint.rhs_nfa, 3) if u]
-                if not wits:
-                    w = shortest_word(r.constraint.rhs_nfa)
-                    wits = [w] if w is not None else []
-                got = bool(wits) and all(
-                    accepts(q0, tuple(s.uncolored() for s in u))
-                    for u in wits)
-                witness_ok[r.cid] = got
-            if got:
-                return True
-        return False
+        g, a, b = pos.graph, pos.a, pos.b
+        return any(holds(rc.lhs_nfa, g, a, b)
+                   and not holds(rc.rhs_nfa, g, a, b) for rc in forcing)
 
     words6 = sorted({w for n in nfas for w in iter_words(n, 6) if w}, key=key)
     for w in words6:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import count, product
 
@@ -312,6 +313,119 @@ def test_compile_is_deterministic(two_shade_instance):
     a = reduction_to_json(compile_reduction(two_shade_instance))
     b = reduction_to_json(compile_reduction(two_shade_instance))
     assert a == b
+
+
+TWO_SHADE_REDUCTION = """\
+{
+  "alphabet": [
+    "alpha",
+    "beta",
+    "omega",
+    "A-H-W-black",
+    "A-H-W-grey",
+    "A-H-C-black",
+    "A-H-C-grey",
+    "A-V-W-black",
+    "A-V-W-grey",
+    "A-V-C-black",
+    "A-V-C-grey",
+    "B-H-W-black",
+    "B-H-W-grey",
+    "B-H-C-black",
+    "B-H-C-grey",
+    "B-V-W-black",
+    "B-V-W-grey",
+    "B-V-C-black",
+    "B-V-C-grey"
+  ],
+  "q_start": "alpha ([A,H,C,*] [B,V,C,*])^+ omega",
+  "q0": "alpha ([A,H,C,*] [B,V,C,*])^+ omega + alpha S0* [*,*,W,*] S0* omega + beta S0* [*,*,C,*] S0* omega + beta [A,V,W,grey] S0* omega + beta S0* [B,H,W,grey] omega + beta S0* [*,H,W,black] [*,V,W,grey] S0* omega",
+  "views": {
+    "good": [
+      "omega",
+      "alpha + beta",
+      "[B,H,W,*] [A,V,W,*] + [B,V,C,*] [A,H,C,*]",
+      "[A,H,C,*] [B,V,C,*] + [A,V,W,*] [B,H,W,*]",
+      "[B,V,C,*] + [B,V,W,*]",
+      "[B,H,W,*] + [B,H,C,*]",
+      "[A,V,W,*] + [A,V,C,*]",
+      "[A,H,C,*] + [A,H,W,*]"
+    ],
+    "bad": [
+      "beta [A,V,W,grey] S0* omega",
+      "beta S0* [B,H,W,grey] omega",
+      "beta S0* [*,H,W,black] [*,V,W,grey] S0* omega"
+    ],
+    "ugly": [
+      "alpha S0* [*,*,W,*] S0* omega",
+      "beta S0* [*,*,C,*] S0* omega"
+    ]
+  }
+}
+"""
+
+FOUR_BLACK_PAIRS = [((d1, "black"), (d2, "black"))
+                    for d1 in "HV" for d2 in "HV"]
+
+# sha256 of reduction_to_json for each subset of FOUR_BLACK_PAIRS, the subset
+# given by a bit mask over that list.
+BLACK_REDUCTION_SHA256 = [
+    "b2ae78ab79fa9656a4b5f0cdc79b137d6a106c1bf5d9408f733bd2cdcd0eeab1",
+    "39aecf6095260da5d7921ad595e23d538b79f3a906cba844ad913f4d98cc06bc",
+    "5beaa59387c7d31c2840d39a0b636e9c47cbbbcc44925732d223e408c850a2fe",
+    "bafc8707e51c2948aaeb57c06dfdc8f9c9bd01fea7ee57d700bd84386285d646",
+    "ae3b8fb47bcfcb3a2a6245315b9317a9e2175357e8ba8c027fbf3c9c71817fe3",
+    "9d7f679d11eed1146cdfdfe8c15c9ec902552056d2cc0b98b20ebf4a8f9402a1",
+    "568997fe4285b3ea2206dcd17df87b8fa8a00f9f01945537313f5b4bf6d929d4",
+    "c72ec67168b8a9e3f7e6b2d93eaf784a62d680056b44fd2328f805c03c1d334b",
+    "7989a30f23e6ea2f2db6bfa3334170a68dd7edbb171856957506743c7dcdf625",
+    "bd6e9a3386fabb11899b7755143d6c831f545720708690d68a942f6acdb4151d",
+    "f1646df81db899bb8c77fc43a98498e5743a668ba5298426802e7f22511922df",
+    "2d921a331fbbfe52107ba81b588b459ff84a00969526857951d4e4d1931b060a",
+    "b17738fffa545ce511a3ff3b76b767319cec288eff9a1c6f557bc48d628f798d",
+    "1278ef6bf68ec3a00a8d9e8660cb7be0d7054f8cead2e652c49600b72f4ec726",
+    "fd45d0a462e978e62053c955e9db7de7e0b273262e261f318030d8a483b32eb2",
+    "2ac28a4f72df9d3e190c3781aa25d4d58c9d7462e6c836c8b12f765101e88193",
+]
+
+S1 = OgtpInstance(("black", "grey"), frozenset({
+    (("H", "black"), ("V", "black")), (("V", "black"), ("H", "black")),
+    (("V", "grey"), ("H", "grey"))}))
+
+# Two non-black shades, so the generic bad views read a two-member union.
+THREE_SHADE = OgtpInstance(("black", "grey", "rust"), frozenset({
+    (("H", "black"), ("V", "grey")), (("V", "rust"), ("H", "grey")),
+    (("H", "rust"), ("H", "rust")), (("V", "grey"), ("V", "black"))}))
+
+PINNED_REDUCTIONS = [
+    *(pytest.param(OgtpInstance(("black",), frozenset(
+        p for i, p in enumerate(FOUR_BLACK_PAIRS) if mask >> i & 1)),
+        digest, id=f"black-{mask:02d}")
+      for mask, digest in enumerate(BLACK_REDUCTION_SHA256)),
+    pytest.param(OgtpInstance(("black", "grey"), frozenset({
+        (("H", "black"), ("V", "grey"))})), TWO_SHADE_REDUCTION,
+        id="two-shade"),
+    pytest.param(
+        S1, "566d4bb0e00cbf1b74dae0c5637fa296dd7fd45ae48e43f704aed1e4b1ceea9d",
+        id="S1"),
+    pytest.param(
+        U, "21c143895d682431de69c4dcc7224d0f9691a498758a957a44b1952c34e249be",
+        id="U"),
+    pytest.param(
+        THREE_SHADE,
+        "f2f7d36fa60fb51f59cb2e61547b38e0e6cbbdb7ca6bffa785ca9df2e7769e2d",
+        id="three-shade"),
+]
+
+
+@pytest.mark.parametrize("inst, pinned", PINNED_REDUCTIONS)
+def test_reduction_bytes_are_pinned(inst, pinned):
+    """reduction_to_json's exact output, as text for two-shade and as a
+    sha256 digest for the rest."""
+    text = reduction_to_json(compile_reduction(inst))
+    if "\n" not in pinned:
+        text = hashlib.sha256(text.encode()).hexdigest()
+    assert text == pinned
 
 
 # --------------------------------------------------------------------------

@@ -250,6 +250,21 @@ def test_only_automata_builds_an_nfa():
     assert builders == {"automata"}
 
 
+SYNTAX_NODES = {"Lit", "Class", "Concat", "Union", "Star", "Plus", "Empty",
+                "Epsilon"}
+
+
+def test_ogtp_builds_no_syntax_tree_by_hand():
+    """compile_reduction writes each language in the class-literal syntax
+    the reduction file stores and parses it, so ogtp.py calls no syntax-tree
+    constructor."""
+    called = set()
+    for node in ast.walk(ast.parse((SRC / "ogtp.py").read_text())):
+        f = getattr(node, "func", None)
+        called |= {getattr(f, "id", None), getattr(f, "attr", None)}
+    assert called & SYNTAX_NODES == set()
+
+
 def _json_parses(tree: ast.Module, module: str):
     """The qualified name of the innermost function or class around each
     use of json.load or json.loads, and of each import of them from json;
