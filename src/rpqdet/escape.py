@@ -8,15 +8,15 @@ witness paths.  The player loses as soon as a red q0 word connects a to
 b; a position with no open requests is a fixpoint, and a search's fixpoint
 is its counterexample certificate as it stands.
 
-A play keeps one ``LivePosition``, its position's out-rows, which each
-round's grafts extend: a round only adds edges.  Over those rows it keeps
-one ``LiveRequests``, which answers the requests, and one
-``rpq.LivePairs`` of red q0 walked from a alone, which answers the loss
-test; each round extends both from its new edges alone.  The bounded
-search keeps no mutable position: each node is one immutable graph, on
-which it asks ``requests`` and builds its ``SummaryGraph``, and each child
-is one union of that graph and the paths ``graft_path`` makes for its
-picks.  ``LivePosition.graft`` grafts through ``graft_path`` as well.
+A play keeps its position as one dict of out-rows, vertex ->
+[(label, dst)], which each round's grafts extend: a round only adds
+edges.  Over those rows it keeps one ``LiveRequests``, which answers the
+requests, and one ``rpq.LivePairs`` of red q0 walked from a alone, which
+answers the loss test; each round extends both from its new edges alone.
+The bounded search keeps no mutable position: each node is one immutable
+graph, on which it asks ``requests`` and builds its ``SummaryGraph``, and
+each child is one union of that graph and the paths ``graft_path`` makes
+for its picks.  A play grafts through ``graft_path`` as well.
 
 A strategy is a callable ``strategy(round_no, index, req) -> Word``: the
 witness for the open request req, the index-th (from 0) of round round_no
@@ -238,22 +238,25 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: EndpointedGraph,
     q0 ranges over the base alphabet; the loss test checks its red copy
     between the endpoints after every position, the initial one included.
     Each round asks the strategy for every open request's witness in
-    order and grafts it at once through LivePosition.graft.
+    order and grafts it at once through graft_path.
 
-    The play runs on one LivePosition, and over its out-rows on one
-    LiveRequests, which answers the requests, and one LivePairs of red
-    q0 that walks from a alone, which answers the loss test; both are
-    extended from each round's new edges only, as a round never takes an
-    edge away.
+    The play keeps its position as out-rows, vertex -> [(label, dst)], and
+    over them one LiveRequests, which answers the requests, and one
+    LivePairs of red q0 that walks from a alone, which answers the loss
+    test; both are extended from each round's new edges only, as a round
+    never takes an edge away.  A graft appends only the edges not already
+    in their row; only a one-letter witness can repeat one.
     """
-    live = LivePosition(init)
-    tracker = LiveRequests(cs, live.out)
-    loss = LivePairs(recolor_nfa(q0, Color.RED), live.out, live.a)
+    # One out-row per vertex, isolated ones too: its keys are the vertex
+    # set.
+    out = {v: list(row) for v, row in init.graph.out_adj.items()}
+    tracker = LiveRequests(cs, out)
+    loss = LivePairs(recolor_nfa(q0, Color.RED), out, init.a)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
     round_no = 0
     while True:
-        if (live.a, live.b) in loss.pairs:
+        if (init.a, init.b) in loss.pairs:
             outcome = PlayOutcome.LOST
             break
         reqs = tracker.requests()
@@ -270,7 +273,12 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: EndpointedGraph,
         for i, r in enumerate(reqs):
             w = strategy(round_no, i, r)
             choices.append(w)
-            fresh, new = live.graft(r, w, round_no, i)
+            fresh, path = graft_path(out, r, w, round_no=round_no, req_index=i)
+            for v in fresh:
+                out[v] = []
+            new = [e for e in path if e[1:] not in out[e[0]]]
+            for src, s, dst in new:
+                out[src].append((s, dst))
             names += fresh
             added += new
         by_label = edges_by_label(added)
@@ -299,36 +307,6 @@ class Verdict:
 
 
 _WIN, _ALL_LOST, _UNDECIDED = "win", "all_lost", "undecided"
-
-
-class LivePosition:
-    """The one mutable position of a play: the endpoints of an
-    EndpointedGraph and the out-row of each of its vertices, which each
-    graft extends."""
-
-    def __init__(self, pos: EndpointedGraph):
-        self.a = pos.a
-        self.b = pos.b
-        # One out-row per vertex, isolated ones too: its keys are the
-        # vertex set.
-        self.out: dict[str, list[tuple[Symbol, str]]] = {
-            v: list(row) for v, row in pos.graph.out_adj.items()}
-
-    def graft(self, r: Request, w: Word, round_no: int, req_index: int):
-        """Graft a fresh path from r.x to r.y spelling w, with the names
-        and checks of graft_path; returns (names, added_edges).
-
-        An edge already present is left out of added_edges; only a
-        one-letter witness can repeat one."""
-        names, path = graft_path(self.out, r, w, round_no=round_no,
-                                 req_index=req_index)
-        out = self.out
-        for v in names:
-            out[v] = []
-        added = [e for e in path if e[1:] not in out[e[0]]]
-        for src, s, dst in added:
-            out[src].append((s, dst))
-        return names, added
 
 
 class ExploreContext:
@@ -365,12 +343,20 @@ class ExploreContext:
             self._candidates[rc.cid] = got
         return got
 
+    def rows(self, rc: RegularConstraint) -> tuple[Rows, ...]:
+        """Each candidate's relation on red_q0, in candidate order, as rows
+        {p: δ*(p, w)}."""
+        got = self._rows.get(rc.cid)
+        if got is None:
+            got = tuple(relation(self.red_q0, w) for w in self.candidates(rc))
+            self._rows[rc.cid] = got
+        return got
+
     def minimal(self, rc: RegularConstraint) -> tuple[tuple[Word, ...],
                                                       tuple[Rows, ...]]:
         """(words, rows): the candidates of rc whose red q0 relations are
         ⊆-minimal, in candidate order, one word per distinct relation (the
-        first), and each word's relation as rows {p: δ*(p, w)}.  The rows
-        of every candidate stay in _rows, in candidate order.
+        first), and each word's rows.
 
         A word's relation on red_q0 is all the loss test can see of a path
         spelling it (see _search).
@@ -378,9 +364,7 @@ class ExploreContext:
         got = self._minimal.get(rc.cid)
         if got is None:
             firsts: dict[frozenset, tuple[Word, Rows]] = {}
-            cands = self.candidates(rc)
-            self._rows[rc.cid] = tuple(relation(self.red_q0, w) for w in cands)
-            for w, rows in zip(cands, self._rows[rc.cid]):
+            for w, rows in zip(self.candidates(rc), self.rows(rc)):
                 firsts.setdefault(frozenset(rows.items()), (w, rows))
             kept = [(w, r) for w, r in firsts.values() if not any(
                 o is not r and all(p in r and o[p] <= r[p] for p in o)
@@ -390,22 +374,13 @@ class ExploreContext:
         return got
 
     @cached_property
-    def _forcing(self) -> frozenset[int]:
-        return frozenset(rc.cid for rc in self.cs
-                         if (cands := self.candidates(rc))
-                         and all(accepts(self.red_q0, u) for u in cands))
-
-    def forces_loss_alone(self, rc: RegularConstraint) -> bool:
-        """True when rc has a candidate witness and every one is itself a
-        red q0 word, so an a-to-b request for rc loses on any allowed
-        choice.  Decided for every constraint at once, on the first ask."""
-        return rc.cid in self._forcing
-
-    @cached_property
     def start_automaton(self) -> ProductDfa:
         """q0 minus the green lhs of every forcing constraint whose rhs
         has no green transition (its kills), run over base words; it
-        accepts the q0 words that survive the round-one forcing rule.
+        accepts the q0 words that survive the round-one forcing rule.  A
+        constraint forces when it has a candidate and every candidate is
+        itself a red q0 word; it is tested once, when the automaton is
+        first built.
 
         An all-green chain keeps exactly one a-to-b walk, so an a-to-b
         request exists iff the lhs accepts the chain word and the rhs does
@@ -416,7 +391,9 @@ class ExploreContext:
         constraint whose rhs has one; it is no kill, which only weakens
         the prune, and classify_word decides the words it would cut.
         """
-        kills = [rc.lhs_nfa for rc in self.cs if self.forces_loss_alone(rc)
+        kills = [rc.lhs_nfa for rc in self.cs
+                 if (cands := self.candidates(rc))
+                 and all(accepts(self.red_q0, u) for u in cands)
                  and all(s.color is not Color.GREEN
                          for row in rc.rhs_nfa.delta.values() for s in row)]
         return ProductDfa(self.q0, kills, _green_symbol)
@@ -522,7 +499,7 @@ class ExploreContext:
         rows = [self.minimal(r.constraint)[1] for r in reqs]
         if SummaryGraph(self.red_q0, pos, reqs, rows).all_lose():
             return _ALL_LOST, None
-        rows = [self._rows[r.constraint.cid] for r in reqs]
+        rows = [self.rows(r.constraint) for r in reqs]
         round_no += 1
         any_undecided = False
         for picks in SummaryGraph(self.red_q0, pos, reqs, rows).survivors():

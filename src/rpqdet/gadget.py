@@ -79,11 +79,6 @@ def _grid_cells(g: LabeledGraph) -> tuple[dict[str, tuple[int, int]], int]:
     return cells, max(map(max, cells.values()))
 
 
-def grid_size(g: LabeledGraph) -> int:
-    """The m of a grid-shaped vertex set; raises when no grid vertex fits."""
-    return _grid_cells(g)[1]
-
-
 def decorate(g: EndpointedGraph, t: GridTiling) -> EndpointedGraph:
     """Copy the tiling's shades onto the grid's four-field edges.
 

@@ -140,7 +140,7 @@ class LivePairs:
     with a source, only those from the source.
 
     ``out`` is the caller's out-row dict, vertex -> [(label, dst)], the
-    form of ``LivePosition.out``.  The rows are walked as they stand at
+    form in which ``escape.run_play`` keeps its position.  The rows are walked as they stand at
     construction; the caller then hands ``extend`` each batch of vertices
     and edges once it is in the rows.
 

@@ -298,10 +298,12 @@ class ProductDfaPerSymbol(ProductDfa):
 
 
 def forced_per_word(ctx: ExploreContext, word: Word) -> bool:
-    """The forcing rule on one word: some forcing constraint's lhs accepts
-    its green chain word and the rhs does not."""
+    """The forcing rule on one word: some constraint has candidates, each
+    a red q0 word, and its lhs accepts the word's green chain word while
+    its rhs does not."""
     green = tuple(s.colored(Color.GREEN) for s in word)
-    return any(ctx.forces_loss_alone(rc)
+    return any((cands := ctx.candidates(rc))
+               and all(accepts(ctx.red_q0, u) for u in cands)
                and accepts(rc.lhs_nfa, green)
                and not accepts(rc.rhs_nfa, green)
                for rc in ctx.cs)

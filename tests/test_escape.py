@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import (ProductDfaPerSymbol, all_lose_odometer,
                      classify_immutable, combination_graphs,
                      explore_immutable, explore_per_word,
-                     forced_per_word, is_homomorphism, random_graph,
+                     forced_per_word, is_homomorphism,
                      random_regex, replay_positions, start_words_per_word,
                      survivors_by_grafting)
 from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, ProductDfa,
@@ -20,13 +20,13 @@ from rpqdet.automata import (Class, Concat, Empty, Lit, Plus, ProductDfa,
                              iter_words, parse_regex, parse_word,
                              recolor_nfa)
 from rpqdet import escape
-from rpqdet.constraints import (RegularConstraint, Request, graft_path,
+from rpqdet.constraints import (RegularConstraint, Request,
+                                WitnessRejectedError, graft_path,
                                 make_arrow_set, make_arrows, requests)
 from rpqdet.escape import (
     Caps,
     ExploreContext,
     GuidanceError,
-    LivePosition,
     PlayOutcome,
     ScriptExhaustedError,
     VerdictKind,
@@ -42,8 +42,8 @@ from rpqdet.escape import (
     trace_to_jsonl,
 )
 from rpqdet.gadget import build_grid, check_counterexample, decorate, find_homomorphism, iso_shadeless, verify_homomorphism
-from rpqdet.graphs import (EndpointedGraph, LabeledGraph, chain_graph,
-                           endpointed_to_json)
+from rpqdet.graphs import (EndpointedGraph, LabeledGraph, UnknownVertexError,
+                           chain_graph, endpointed_to_json)
 from rpqdet.rpq import holds
 from rpqdet.summary import relation
 from rpqdet.ogtp import all_black_tiling
@@ -896,32 +896,6 @@ def _colored_constraint(cid, lhs, rhs):
                              compile_nfa(rhs, colored))
 
 
-def _rows(live):
-    return {v: list(row) for v, row in live.out.items()}
-
-
-def _graph(live):
-    """The graph of a LivePosition's out-rows."""
-    return LabeledGraph.build(live.out, ((v, s, dst)
-                                         for v, row in live.out.items()
-                                         for s, dst in row))
-
-
-def test_a_graft_that_repeats_an_edge_adds_nothing():
-    rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
-    g = LabeledGraph.build(["a", "m", "b"], [("a", sym("G:alpha"), "m"),
-                                             ("m", sym("G:omega"), "b")])
-    live = LivePosition(EndpointedGraph(g, "a", "b"))
-    first = live.graft(Request("a", "b", rc), (sym("R:beta"),), 1, 0)
-    assert first == ([], [("a", sym("R:beta"), "b")])
-    grafted = _rows(live)
-    repeat = live.graft(Request("a", "m", rc), (sym("G:alpha"),), 1, 1)
-    assert repeat == ([], [])
-    assert _rows(live) == grafted
-    assert _graph(live) == LabeledGraph(
-        g.vertices, g.edges | {("a", sym("R:beta"), "b")})
-
-
 def test_run_play_lists_a_repeated_witness_but_adds_its_edge_once():
     # Two constraints open a request on the same pair; the first graft
     # makes the edge that the second one's witness repeats.
@@ -962,7 +936,9 @@ def test_a_forcing_constraint_with_a_green_rhs_is_no_kill():
                                  SPECIALS), SPECIALS)
     caps = Caps(4, 3, 2, 4)
     ctx = ExploreContext(q0, cs, caps)
-    assert all(ctx.forces_loss_alone(rc) for rc in cs)
+    for rc in cs:
+        cands = ctx.candidates(rc)
+        assert cands and all(accepts(ctx.red_q0, u) for u in cands)
     assert list(ctx.start_words()) == [
         parse_word("alpha alpha alpha omega", SPECIALS)]
     got = explore(q0, cs, caps)
@@ -972,44 +948,20 @@ def test_a_forcing_constraint_with_a_green_rhs_is_no_kill():
             == endpointed_to_json(want.certificate))
 
 
-@pytest.mark.parametrize("x, y, rhs, word", [
-    ("a", "nowhere", _EVERY_LABEL_PLUS, "R:alpha"),
-    ("a", "b", _EVERY_LABEL_PLUS, ""),
-    ("a", "b", "R:alpha", "G:alpha"),
-    ("a", "b", _EVERY_LABEL_PLUS, "R:alpha R:beta"),
+@pytest.mark.parametrize("x, y, rhs, word, error, message", [
+    ("a", "nowhere", _EVERY_LABEL_PLUS, "R:alpha", UnknownVertexError,
+     "no vertex named 'nowhere'"),
+    ("a", "b", _EVERY_LABEL_PLUS, "", WitnessRejectedError,
+     "witness word is empty"),
+    ("a", "b", "R:alpha", "G:alpha", WitnessRejectedError,
+     "witness 'G:alpha' not in the rhs language of constraint 0"),
+    ("a", "b", _EVERY_LABEL_PLUS, "R:alpha R:beta", ValueError,
+     "fresh vertex names already taken: ['n1_0_1']"),
 ], ids=["unknown-endpoint", "empty-word", "not-in-rhs", "fresh-name-clash"])
-def test_live_graft_refuses_what_graft_path_refuses_with_its_message(
-        x, y, rhs, word):
+def test_graft_path_refuses_with_its_message(x, y, rhs, word, error,
+                                             message):
     rc = _colored_constraint(0, "G:alpha", rhs)
     g = LabeledGraph.build(["a", "b", "n1_0_1"], [("a", sym("G:alpha"), "b")])
-    live = LivePosition(EndpointedGraph(g, "a", "b"))
     r, w = Request(x, y, rc), tuple(sym(tok) for tok in word.split())
-    with pytest.raises(Exception) as want:
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         graft_path(g.vertices, r, w, round_no=1, req_index=0)
-    before = _rows(live)
-    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
-        live.graft(r, w, 1, 0)
-    assert _rows(live) == before
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-def test_live_position_rows_follow_its_grafts(seed):
-    rng = random.Random(seed)
-    labels = list(SPECIALS.colored().symbols)
-    g = random_graph(rng, labels, max_vertices=5, max_edges=8)
-    a, b = rng.choice(sorted(g.vertices)), rng.choice(sorted(g.vertices))
-    # Grafts check their words against the rhs, so it accepts them all.
-    rc = _colored_constraint(0, "G:alpha", _EVERY_LABEL_PLUS)
-    live = LivePosition(EndpointedGraph(g, a, b))
-    assert _graph(live) == g
-    for step_no in range(1, 13):
-        vs = sorted(live.out)
-        r = Request(rng.choice(vs), rng.choice(vs), rc)
-        w = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
-        before = _graph(live)
-        live.graft(r, w, step_no, 0)
-        names = [f"n{step_no}_0_{k}" for k in range(1, len(w))]
-        stops = [r.x, *names, r.y]
-        assert _graph(live) == LabeledGraph(
-            before.vertices | set(names),
-            before.edges | set(zip(stops, w, stops[1:])))

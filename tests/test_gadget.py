@@ -20,7 +20,6 @@ from rpqdet.gadget import (
     check_counterexample,
     decorate,
     find_homomorphism,
-    grid_size,
     grid_vertex,
     iso_shadeless,
     verify_homomorphism,
@@ -84,7 +83,6 @@ def test_grid_tags_follow_source_parity():
 
 def test_grid_vertex_helpers():
     assert grid_vertex(1, 2) == "v_1_2"
-    assert grid_size(build_grid(2).graph) == 2
     with pytest.raises(ValueError):
         build_grid(0)
 
@@ -147,7 +145,6 @@ def test_grid_names_are_only_those_grid_vertex_writes():
     for name in ("v_01_0", "v_\u0661_0"):
         g = LabeledGraph(eg.graph.vertices | {name}, eg.graph.edges | {
             (name, sym("G:A-H-C"), grid_vertex(1, 1))})
-        assert grid_size(g) == 1
         with pytest.raises(GadgetError,
                            match=f"four-field edge leaves non-grid vertex "
                                  f"{name!r}"):
@@ -155,8 +152,6 @@ def test_grid_names_are_only_those_grid_vertex_writes():
     lookalikes = LabeledGraph.build(
         ["a", "b", "v_01_0", "v_\u0661_0", "v_0_00"],
         [("a", sym("G:alpha"), "v_01_0")])
-    with pytest.raises(GadgetError, match="graph has no grid vertices"):
-        grid_size(lookalikes)
     with pytest.raises(GadgetError, match="graph has no grid vertices"):
         decorate(EndpointedGraph(lookalikes, "a", "b"), all_black_tiling(1))
 

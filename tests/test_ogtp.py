@@ -309,12 +309,6 @@ def test_reduction_regexes_survive_render_reparse(two_shade_reduction):
         assert parse_regex(render_regex(r, alph), alph) == r
 
 
-def test_compile_is_deterministic(two_shade_instance):
-    a = reduction_to_json(compile_reduction(two_shade_instance))
-    b = reduction_to_json(compile_reduction(two_shade_instance))
-    assert a == b
-
-
 TWO_SHADE_REDUCTION = """\
 {
   "alphabet": [

@@ -173,6 +173,14 @@ def test_mid_round_failures_match_the_immutable_play(black_reduction):
     for needle, make_strategy in failing.items():
         got, _ = _same_play(q0, cs, make_strategy, init, 20)
         assert needle in got[1]
+    # The start graph already holds the name that round 1's first witness,
+    # two letters long, gives its inner vertex.
+    taken = EndpointedGraph(LabeledGraph.build(
+        ["a", "b", "n1_0_1"], [("a", sym("G:alpha"), "b")]), "a", "b")
+    got, _ = _same_play(compile_nfa(parse_regex("beta", SPECIALS), SPECIALS),
+                        (_colored_constraint(0, "G:alpha", "R:alpha R:beta"),),
+                        strategy_shortest, taken, 20)
+    assert got == (ValueError, "fresh vertex names already taken: ['n1_0_1']")
 
 
 def _colored_constraint(cid, lhs, rhs):
