@@ -413,8 +413,7 @@ class Nfa:
     ``has_word_over`` per label set (whether some accepted word reads only
     those labels) and ``subset_dfa``.
     Automata compare by value but hash by nothing: callers that keep one
-    per automaton (``constraints.requests``, ``LiveRequests``) tell them
-    apart by identity.
+    per automaton (``constraints.sides``) tell them apart by identity.
     """
 
     alphabet: Alphabet

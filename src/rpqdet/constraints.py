@@ -5,8 +5,9 @@ vertices, rhs holds there too.  Lifting a base language L to the colored
 signature produces the pair G(L) -> R(L) and R(L) -> G(L); a graph
 satisfying both carries a red twin of every green L-connection and vice
 versa.  The pair shares its two automata, recolorings of the one compiled
-for L, so ``requests`` evaluates each of them once per graph, and
-``LiveRequests`` keeps one pair set for each while a play's graph grows.
+for L, so ``sides`` asks for the pairs of each of them once: ``requests``
+evaluates them on a graph, and ``escape.run_play`` keeps them in
+``rpq.LivePairs`` while a play's graph grows.
 
 An instance's constraint set is the tuple of these pairs, one pair per
 view language in declaration order, and a constraint's id is its index
@@ -21,8 +22,8 @@ from .automata import (Class, Concat, Lit, Nfa, Plus, Regex, Star, Union,
                        accepts, compile_nfa, literals_used, post_order,
                        recolor_nfa, render_regex)
 from .graphs import Edge, LabeledGraph, require_vertex
-from .rpq import LivePairs, evaluate
-from .symbols import Alphabet, Color, Symbol, Word, WorkbenchError
+from .rpq import evaluate
+from .symbols import Alphabet, Color, Word, WorkbenchError
 
 
 class ConstraintError(WorkbenchError):
@@ -130,7 +131,26 @@ class Request:
         return self.constraint.cid
 
 
-def _sorted_requests(sides) -> tuple[Request, ...]:
+def sides(cs: ConstraintSet, pairs_of) -> list[tuple]:
+    """(constraint, lhs pairs, rhs pairs) for each constraint of cs, in
+    order, where pairs_of(q) gives an automaton's pairs.
+
+    pairs_of is called once per distinct automaton.  Automata are told
+    apart by identity, not by value: hashing and comparing them costs a
+    large part of a whole ``requests`` call.
+    """
+    memo: dict[int, object] = {}
+
+    def pairs(q: Nfa):
+        got = memo.get(id(q))
+        if got is None:
+            got = memo[id(q)] = pairs_of(q)
+        return got
+
+    return [(rc, pairs(rc.lhs_nfa), pairs(rc.rhs_nfa)) for rc in cs]
+
+
+def sorted_requests(sides) -> tuple[Request, ...]:
     """The requests of (constraint, lhs pairs, rhs pairs) triples: each
     constraint's lhs pairs less its rhs pairs, ordered by (x, y,
     constraint id)."""
@@ -140,53 +160,9 @@ def _sorted_requests(sides) -> tuple[Request, ...]:
 
 
 def requests(cs: ConstraintSet, g: LabeledGraph) -> tuple[Request, ...]:
-    """All open requests, ordered by (x, y, constraint id).
-
-    Each distinct automaton is evaluated once.  Automata are told apart by
-    identity, not by value: hashing and comparing them costs a large part
-    of a whole call.
-    """
-    memo: dict[int, frozenset[tuple[str, str]]] = {}
-
-    def pairs(q: Nfa) -> frozenset[tuple[str, str]]:
-        got = memo.get(id(q))
-        if got is None:
-            got = memo[id(q)] = evaluate(q, g)
-        return got
-
-    return _sorted_requests((rc, pairs(rc.lhs_nfa), pairs(rc.rhs_nfa))
-                            for rc in cs)
-
-
-class LiveRequests:
-    """requests(cs, g), kept current while g only grows.
-
-    Each distinct automaton of cs, told apart by identity as in
-    ``requests``, keeps its pairs in one ``LivePairs`` over the caller's
-    out-rows, which walks the rows as they stand at construction.  The
-    requests are read off those pair sets when they are asked for.
-    """
-
-    def __init__(self, cs: ConstraintSet,
-                 out: dict[str, list[tuple[Symbol, str]]]):
-        live: dict[int, LivePairs] = {}
-        for rc in cs:
-            for q in (rc.lhs_nfa, rc.rhs_nfa):
-                if id(q) not in live:
-                    live[id(q)] = LivePairs(q, out)
-        self._live = list(live.values())
-        self._sides = [(rc, live[id(rc.lhs_nfa)].pairs,
-                        live[id(rc.rhs_nfa)].pairs) for rc in cs]
-
-    def extend(self, vertices, by_label) -> None:
-        """Take in the vertices and edges just added to the out-rows, the
-        edges grouped by edges_by_label, as LivePairs.extend takes them."""
-        for pairs in self._live:
-            pairs.extend(vertices, by_label)
-
-    def requests(self) -> tuple[Request, ...]:
-        """All open requests, ordered by (x, y, constraint id)."""
-        return _sorted_requests(self._sides)
+    """All open requests, ordered by (x, y, constraint id); each distinct
+    automaton is evaluated once (see sides)."""
+    return sorted_requests(sides(cs, lambda q: evaluate(q, g)))
 
 
 def fresh_names(round_no: int, req_index: int, count: int) -> list[str]:

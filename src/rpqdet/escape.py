@@ -10,9 +10,10 @@ is its counterexample certificate as it stands.
 
 A play keeps its position as one dict of out-rows, vertex ->
 [(label, dst)], which each round's grafts extend: a round only adds
-edges.  Over those rows it keeps one ``LiveRequests``, which answers the
-requests, and one ``rpq.LivePairs`` of red q0 walked from a alone, which
-answers the loss test; each round extends both from its new edges alone.
+edges.  Over those rows it keeps one list of ``rpq.LivePairs``: one per
+distinct constraint automaton, from which ``constraints.sorted_requests``
+reads the requests, and one of red q0 walked from a alone, which answers
+the loss test; each round extends every one from its new edges alone.
 The bounded search keeps no mutable position: each node is one immutable
 graph, on which it asks ``requests`` and builds its ``SummaryGraph``, and
 each child is one union of that graph and the paths ``graft_path`` makes
@@ -34,8 +35,9 @@ from itertools import islice
 
 from .automata import (Nfa, ProductDfa, accepts, iter_words, recolor_nfa,
                        shortest_word)
-from .constraints import (ConstraintSet, LiveRequests, RegularConstraint,
-                          Request, fresh_names, graft_path, requests)
+from .constraints import (ConstraintSet, RegularConstraint, Request,
+                          fresh_names, graft_path, requests, sides,
+                          sorted_requests)
 from .graphs import (Edge, EndpointedGraph, LabeledGraph, chain_graph,
                      chain_word)
 from .rpq import LivePairs, edges_by_label, find_witness
@@ -241,25 +243,32 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: EndpointedGraph,
     order and grafts it at once through graft_path.
 
     The play keeps its position as out-rows, vertex -> [(label, dst)], and
-    over them one LiveRequests, which answers the requests, and one
-    LivePairs of red q0 that walks from a alone, which answers the loss
-    test; both are extended from each round's new edges only, as a round
-    never takes an edge away.  A graft appends only the edges not already
-    in their row; only a one-letter witness can repeat one.
+    over them one LivePairs per distinct constraint automaton, whose sides
+    give the requests, and one of red q0 that walks from a alone, whose
+    pairs give the loss test.  Each is extended from each round's new
+    edges only, as a round never takes an edge away.  A graft appends
+    only the edges not already in their row; only a one-letter witness
+    can repeat one.
     """
     # One out-row per vertex, isolated ones too: its keys are the vertex
     # set.
     out = {v: list(row) for v, row in init.graph.out_adj.items()}
-    tracker = LiveRequests(cs, out)
-    loss = LivePairs(recolor_nfa(q0, Color.RED), out, init.a)
+    live: list[LivePairs] = []
+
+    def index(q: Nfa, source: str | None = None) -> set[tuple[str, str]]:
+        live.append(LivePairs(q, out, source))
+        return live[-1].pairs
+
+    req_sides = sides(cs, index)
+    loss = index(recolor_nfa(q0, Color.RED), init.a)
     records: list[RoundRecord] = []
     init_word = chain_word(init.graph, init.a, init.b)
     round_no = 0
     while True:
-        if (init.a, init.b) in loss.pairs:
+        if (init.a, init.b) in loss:
             outcome = PlayOutcome.LOST
             break
-        reqs = tracker.requests()
+        reqs = sorted_requests(req_sides)
         if not reqs:
             outcome = PlayOutcome.WON_FIXPOINT
             break
@@ -282,8 +291,8 @@ def run_play(q0: Nfa, cs: ConstraintSet, strategy, init: EndpointedGraph,
             names += fresh
             added += new
         by_label = edges_by_label(added)
-        tracker.extend(names, by_label)
-        loss.extend(names, by_label)
+        for pairs in live:
+            pairs.extend(names, by_label)
         records.append(RoundRecord(round_no,
                                    tuple((r.x, r.y, r.cid) for r in reqs),
                                    tuple(choices), tuple(sorted(added))))
@@ -319,13 +328,13 @@ class ExploreContext:
         self.red_q0 = recolor_nfa(q0, Color.RED)
         self._candidates: dict[int, tuple[Word, ...]] = {}
         self._rows: dict[int, tuple[Rows, ...]] = {}
-        self._minimal: dict[int, tuple[tuple[Word, ...],
-                                       tuple[Rows, ...]]] = {}
+        self._minimal: dict[int, tuple[Rows, ...]] = {}
 
     def candidates(self, rc: RegularConstraint) -> tuple[Word, ...]:
         """Witness words for one request: the first max_branches words of
         the rhs language within max_witness_len, shortlex; when none fit,
-        the single shortest rhs word, so bounded play never gets stuck."""
+        the single shortest rhs word, so bounded play never gets stuck,
+        unless that is the empty word, which no graft can spell."""
         got = self._candidates.get(rc.cid)
         if got is None:
             out = []
@@ -337,7 +346,7 @@ class ExploreContext:
                     break
             if not out:
                 w = shortest_word(rc.rhs_nfa)
-                if w is not None:
+                if w:
                     out.append(w)
             got = tuple(out)
             self._candidates[rc.cid] = got
@@ -352,24 +361,22 @@ class ExploreContext:
             self._rows[rc.cid] = got
         return got
 
-    def minimal(self, rc: RegularConstraint) -> tuple[tuple[Word, ...],
-                                                      tuple[Rows, ...]]:
-        """(words, rows): the candidates of rc whose red q0 relations are
-        ⊆-minimal, in candidate order, one word per distinct relation (the
-        first), and each word's rows.
+    def minimal(self, rc: RegularConstraint) -> tuple[Rows, ...]:
+        """The rows of the candidates of rc whose red q0 relations are
+        ⊆-minimal, in candidate order, one per distinct relation: those of
+        its first word.
 
         A word's relation on red_q0 is all the loss test can see of a path
         spelling it (see _search).
         """
         got = self._minimal.get(rc.cid)
         if got is None:
-            firsts: dict[frozenset, tuple[Word, Rows]] = {}
-            for w, rows in zip(self.candidates(rc), self.rows(rc)):
-                firsts.setdefault(frozenset(rows.items()), (w, rows))
-            kept = [(w, r) for w, r in firsts.values() if not any(
+            firsts: dict[frozenset, Rows] = {}
+            for rows in self.rows(rc):
+                firsts.setdefault(frozenset(rows.items()), rows)
+            got = tuple(r for r in firsts.values() if not any(
                 o is not r and all(p in r and o[p] <= r[p] for p in o)
-                for _, o in firsts.values())]
-            got = (tuple(w for w, _ in kept), tuple(r for _, r in kept))
+                for o in firsts.values()))
             self._minimal[rc.cid] = got
         return got
 
@@ -476,10 +483,13 @@ class ExploreContext:
         conflict-directed backjumping over these nogoods.
 
         A request with no candidate returns undecided before that check,
-        even where another request alone would lose.  Only a constraint
-        with a nonempty lhs and an empty rhs has no candidate.  make_arrows
-        never builds one, since both arrows of a view share its language,
-        so only a constraint set built by hand reaches this branch.
+        even where another request alone would lose.  A constraint with a
+        nonempty lhs has none when its rhs is empty, or when its rhs has
+        no nonempty word within max_witness_len and its shortest word is
+        the empty one, which no graft can spell.  make_arrows never builds
+        either, since both arrows of a view share its epsilon-free
+        language, so only a constraint set built by hand reaches this
+        branch.
 
         When some minimal combination survives, the same search over all
         candidates yields each combination that does not lose, in
@@ -496,7 +506,7 @@ class ExploreContext:
         cand_lists = [self.candidates(r.constraint) for r in reqs]
         if any(not c for c in cand_lists):
             return _UNDECIDED, None
-        rows = [self.minimal(r.constraint)[1] for r in reqs]
+        rows = [self.minimal(r.constraint) for r in reqs]
         if SummaryGraph(self.red_q0, pos, reqs, rows).all_lose():
             return _ALL_LOST, None
         rows = [self.rows(r.constraint) for r in reqs]

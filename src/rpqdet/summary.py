@@ -28,10 +28,8 @@ Rows = dict[int, frozenset[int]]
 
 
 def relation(nfa: Nfa, w: Word) -> Rows:
-    """The rows of w on nfa: a first letter's rows are nfa's own target
-    sets, and the empty word (a hand-built candidate) is the identity."""
-    if not w:
-        return {p: frozenset((p,)) for p in range(nfa.n_states)}
+    """The rows of a nonempty word w on nfa: a first letter's rows are
+    nfa's own target sets."""
     rows = {p: row[w[0]] for p, row in nfa.delta.items() if w[0] in row}
     for s in w[1:]:
         rows = {p: got for p, qs in rows.items() if (got := nfa.step(qs, s))}

@@ -88,6 +88,13 @@ def test_parse_colored_class_and_literal():
         s for s in doubled.sigma0() if s.name.startswith("R:"))
 
 
+def test_parse_colored_class_literal_round_trips():
+    doubled = BLACK.colored()
+    r = parse_regex("G:[A,H,C,*]", doubled)
+    assert r == Class(frozenset({sym("G:A-H-C-black")}))
+    assert parse_regex(render_regex(r, doubled), doubled) == r
+
+
 def test_parse_postfix_binds_tighter_than_concat():
     r = parse_regex("alpha beta*", SPECIALS)
     assert r == Concat(Lit(sym("alpha")), Star(Lit(sym("beta"))))
@@ -130,6 +137,10 @@ def test_parse_word_checks_alphabet():
     ("alpha ^ beta", "expected '+' after '^'"),
     ("alpha [A,H,C,*", "unclosed class literal"),
     ("alpha )", "trailing input"),
+    ("alpha %", "unexpected character '%'"),
+    ("alpha [A,X,C,*]", "bad class field 'X'"),
+    ("alpha A-X-C", "unknown symbol 'A-X-C'"),
+    ("alpha G:[A,H,C,*", "unclosed class literal"),
 ])
 def test_malformed_regex_names_its_fault_and_position(text, message):
     with pytest.raises(RegexSyntaxError) as err:

@@ -9,7 +9,8 @@ from rpqdet import cli
 from rpqdet.cli import _SEARCH_BATCH, main
 from rpqdet.escape import Caps, ExploreContext
 from rpqdet.gadget import build_grid, decorate
-from rpqdet.graphs import endpointed_to_json, graph_from_json
+from rpqdet.graphs import (EndpointedGraph, chain_graph, endpointed_to_json,
+                           graph_from_json)
 from rpqdet.ogtp import (
     all_black_tiling,
     instance_to_json,
@@ -17,6 +18,7 @@ from rpqdet.ogtp import (
     reduction_to_json,
     tiling_to_json,
 )
+from rpqdet.symbols import sym
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,7 @@ def files(tmp_path_factory, black_instance, black_reduction, blocked_instance):
         "instance": root / "instance.json",
         "grid2": root / "grid2.json",
         "model2": root / "model2.json",
+        "no_alpha": root / "no_alpha.json",
     }
     paths["ogtp"].write_text(instance_to_json(black_instance))
     paths["blocked"].write_text(instance_to_json(blocked_instance))
@@ -35,6 +38,9 @@ def files(tmp_path_factory, black_instance, black_reduction, blocked_instance):
     paths["grid2"].write_text(endpointed_to_json(build_grid(2)))
     paths["model2"].write_text(endpointed_to_json(
         decorate(build_grid(2), all_black_tiling(2))))
+    # A model with no G:alpha edge, so no initial position maps into it.
+    paths["no_alpha"].write_text(endpointed_to_json(EndpointedGraph(
+        chain_graph((sym("G:omega"),), "a", "b"), "a", "b")))
     paths["root"] = root
     return paths
 
@@ -623,11 +629,15 @@ WORD = "alpha A-H-C-black B-V-C-black omega"
      "--strategy guided needs --model"),
     (["--initial-word", WORD, "--strategy", "interactive"],
      "interactive input closed"),
+    (["--initial-word", WORD, "--strategy", "guided", "--model",
+      "{no_alpha}"],
+     "initial position has no homomorphism into the model"),
 ])
 def test_play_without_what_its_strategy_reads_exits_2(files, capsys,
                                                       monkeypatch, args,
                                                       message):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    args = [a.format(**files) for a in args]
     assert main(["play", str(files["instance"]), *args]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"

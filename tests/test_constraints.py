@@ -10,7 +10,6 @@ from oracles import (random_batches, random_graph, random_regex,
 from rpqdet.automata import Empty, Epsilon, Lit, Star, accepts, compile_nfa, concat_all, iter_words, literals_used, parse_regex, parse_word
 from rpqdet.constraints import (
     ConstraintError,
-    LiveRequests,
     Request,
     WitnessRejectedError,
     apply_add,
@@ -21,11 +20,13 @@ from rpqdet.constraints import (
     recolor_regex,
     requests,
     satisfied,
+    sides,
+    sorted_requests,
 )
 from rpqdet.escape import initial_position
 from rpqdet.graphs import LabeledGraph, chain_graph
 from rpqdet.ogtp import reduction_alphabet
-from rpqdet.rpq import edges_by_label, holds
+from rpqdet.rpq import LivePairs, edges_by_label, holds
 from rpqdet.symbols import Alphabet, Color, sym
 
 SPECIALS = Alphabet(["alpha", "beta", "omega"])
@@ -226,22 +227,30 @@ def test_live_requests_match_requests_after_every_batch(name, seed,
     g = random_graph(rng, list(colored.symbols), max_vertices=6,
                      max_edges=20)
     batches = random_batches(rng, g)
-    # The tracker walks the rows it is given at once, then each batch.
+    # Each LivePairs walks the rows it is given at once, then each batch,
+    # as run_play keeps them.
     out: dict = {}
     edges: list = []
-    tracker = None
+    live: list = []
+
+    def index(q):
+        live.append(LivePairs(q, out))
+        return live[-1].pairs
+
+    live_sides = None
     for new_vertices, new_edges in batches:
         for v in new_vertices:
             out[v] = []
         for src, s, dst in new_edges:
             out[src].append((s, dst))
         edges += new_edges
-        if tracker is None:
-            tracker = LiveRequests(cs, out)
+        if live_sides is None:
+            live_sides = sides(cs, index)
         else:
-            tracker.extend(new_vertices, edges_by_label(new_edges))
-        assert tracker.requests() == requests(cs, LabeledGraph.build(out,
-                                                                     edges))
+            for pairs in live:
+                pairs.extend(new_vertices, edges_by_label(new_edges))
+        assert sorted_requests(live_sides) == requests(
+            cs, LabeledGraph.build(out, edges))
 
 
 def test_request_invariant_holds_at_creation(black_reduction):

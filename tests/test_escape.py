@@ -598,7 +598,7 @@ def test_a_win_through_a_non_minimal_candidate_is_found_by_the_fallback():
     rc = cs[0]
     r_beta, r_beta_omega = (sym("R:beta"),), (sym("R:beta"), sym("R:omega"))
     assert ctx.candidates(rc) == (r_beta, r_beta_omega)
-    assert ctx.minimal(rc)[0] == (r_beta_omega,)
+    assert _minimal_words(ctx, rc) == (r_beta_omega,)
     word = (sym("beta"), sym("alpha"))
     kind, pos = ctx.classify_word(word)
     assert kind == "win"
@@ -626,6 +626,32 @@ def test_candidates_skip_the_empty_word():
     assert ctx.candidates(rc) == ((r_beta,), (r_beta, r_beta))
 
 
+def test_an_empty_shortest_word_is_no_candidate():
+    # A hand-built rhs whose shortest word is the empty one and whose
+    # other words are too long for max_witness_len: no graft can spell the
+    # fallback word, so the request has no candidate and the word is
+    # undecided, where grafting it would raise.
+    colored = SPECIALS.colored()
+    lhs, rhs = (parse_regex(x, colored)
+                for x in ("G:beta", "EPS + R:beta R:beta R:beta"))
+    rc = RegularConstraint(lhs, rhs, 0, colored, compile_nfa(lhs, colored),
+                           compile_nfa(rhs, colored))
+    q0 = compile_nfa(parse_regex("beta", SPECIALS), SPECIALS)
+    caps = Caps(1, 2, 2, 2)
+    ctx = ExploreContext(q0, (rc,), caps)
+    assert ctx.candidates(rc) == ()
+    assert ctx.classify_word((sym("beta"),)) == ("undecided", None)
+    assert explore(q0, (rc,), caps).kind is VerdictKind.INCONCLUSIVE
+
+
+def _minimal_words(ctx, rc):
+    """The candidates of rc whose rows ctx.minimal keeps, told apart by
+    identity, in candidate order."""
+    kept = ctx.minimal(rc)
+    return tuple(w for w, rows in zip(ctx.candidates(rc), ctx.rows(rc))
+                 if any(rows is m for m in kept))
+
+
 def _relation_by_membership(nfa, w):
     """The pairs (p, q) for which nfa, started in p, ends in q on w."""
     return frozenset((p, q) for p in range(nfa.n_states)
@@ -642,7 +668,8 @@ def _as_rows(pairs):
     return {p: frozenset(qs) for p, qs in rows.items()}
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2), max_size=4))
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 2), min_size=1, max_size=4))
 def test_relation_rows_match_the_membership_oracle(seed, letters):
     # No automaton here reads omega, so words with it test the empty rows.
     regex = random_regex(random.Random(seed), list(SPECIALS.symbols[:2]))
@@ -650,8 +677,6 @@ def test_relation_rows_match_the_membership_oracle(seed, letters):
     w = tuple(SPECIALS.symbols[i] for i in letters)
     rows = relation(nfa, w)
     assert rows == _as_rows(_relation_by_membership(nfa, w))
-    if not w:
-        assert rows == {p: frozenset([p]) for p in range(nfa.n_states)}
     if len(w) == 1:
         assert all(qs is nfa.delta[p][w[0]] for p, qs in rows.items())
 
@@ -666,8 +691,8 @@ def test_minimal_keeps_the_first_word_of_each_minimal_relation(seed):
         want = [w for i, w in enumerate(cands)
                 if rel[w] not in {rel[u] for u in cands[:i]}
                 and not any(rel[u] < rel[w] for u in cands)]
-        assert list(ctx.minimal(rc)[0]) == want
-        assert list(ctx.minimal(rc)[1]) == [_as_rows(rel[w]) for w in want]
+        assert list(_minimal_words(ctx, rc)) == want
+        assert list(ctx.minimal(rc)) == [_as_rows(rel[w]) for w in want]
         for w in cands:
             assert any(rel[m] <= rel[w] for m in want)
 
@@ -721,9 +746,9 @@ def _classify_watched(ctx, words, on_leaf=None, odometer=False,
         def __init__(self, nfa, pos, reqs, rows):
             super().__init__(nfa, pos, reqs, rows)
             self.reqs = reqs
-            self.minimal = all(rs is ctx.minimal(r.constraint)[1]
+            self.minimal = all(rs is ctx.minimal(r.constraint)
                                for r, rs in zip(reqs, rows))
-            self.words = [ctx.minimal(r.constraint)[0] if self.minimal
+            self.words = [_minimal_words(ctx, r.constraint) if self.minimal
                           else ctx.candidates(r.constraint) for r in reqs]
 
         def nogood(self, picks):

@@ -51,6 +51,8 @@ def test_instance_requires_black():
 def test_instance_rejects_duplicate_shades_and_bad_pairs():
     with pytest.raises(OgtpError):
         OgtpInstance(("black", "black"), frozenset())
+    with pytest.raises(OgtpError, match="^bad shade name 'Grey'$"):
+        OgtpInstance(("black", "Grey"), frozenset())
     with pytest.raises(OgtpError):
         OgtpInstance(("black",), frozenset({(("X", "black"), ("V", "black"))}))
     with pytest.raises(OgtpError):

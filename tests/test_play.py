@@ -266,6 +266,6 @@ def test_the_loss_index_of_a_play_walks_from_a_alone(monkeypatch):
     init = initial_position(parse_word("alpha alpha alpha omega", SPECIALS))
     result, _ = run_play(q0, cs, _guided(model, init)(), init, 5)
     assert (result.outcome, result.round) == (PlayOutcome.LOST, 1)
-    [loss] = made
+    [loss] = [p for p in made if p.source is not None]
     assert (init.a, init.b) in loss.pairs
     assert {x for x, _ in loss.pairs} == {init.a}
