@@ -13,11 +13,12 @@ reaches past the first letter: a walk spells a word over the graph's
 labels, so when the query accepts no such word (``Nfa.has_word_over``),
 ``evaluate`` returns no pair and ``holds`` returns False without walking
 the graph.  One stack-driven walk, ``_walk``, covers all the start
-vertices; ``holds`` runs it from one and stops as soon as the walk
-reaches its goal vertex in an accepting state.  ``find_witness`` keeps
-its own layered search, because it carries the shortlex word and path of
-each product node; a guided play asks it on its model for pairs that hold
-there, so it tests no labels.
+vertices; its stack carries automaton rows, and it records a pair when
+it enters an accepting state.  ``holds`` runs it from one vertex and
+stops as soon as the walk enters its goal vertex in an accepting state.
+``find_witness`` keeps its own layered search, because it carries the
+shortlex word and path of each product node; a guided play asks it on
+its model for pairs that hold there, so it tests no labels.
 
 ``LivePairs`` keeps the pairs of ``evaluate`` on a graph that only grows,
 as a play's positions do: a play's requests read its pairs from every
@@ -46,29 +47,39 @@ def _walk(q: Nfa, g: LabeledGraph, sources,
           goal: str | None = None) -> set[tuple[str, str]]:
     """The pairs (x, y), x among the sources, such that some walk from x
     reaches y in an accepting state: a depth-first search of the product
-    of graph and automaton from each (x, start), all in one loop.  With a
-    goal, it returns as soon as it finds a pair (x, goal), so the pairs
+    of graph and automaton from each (x, start), all in one loop.  The
+    stack holds (vertex, row); a pair is recorded on entering an accepting
+    state, and a state with no row is never stacked or marked seen.  With
+    a goal, it returns as soon as it finds a pair (x, goal), so the pairs
     are then complete only if no such pair exists."""
     delta, acc, out_adj, start = q.delta, q.accepting, g.out_adj, q.start
+    start_row = delta.get(start, {})
     pairs: set[tuple[str, str]] = set()
     for x in sources:
+        if start in acc:
+            pairs.add((x, x))
+            if x == goal:
+                return pairs
         seen = {(x, start)}
-        stack = [(x, start)]
+        stack = [(x, start_row)]
         while stack:
-            v, s = stack.pop()
-            if s in acc:
-                pairs.add((x, v))
-                if v == goal:
-                    return pairs
-            row = delta.get(s)
-            if not row:
-                continue
+            v, row = stack.pop()
             for label, dst in out_adj[v]:
-                for t in row.get(label, ()):
-                    node = (dst, t)
-                    if node not in seen:
+                targets = row.get(label)
+                if not targets:
+                    continue
+                for t in targets:
+                    t_row = delta.get(t)
+                    if t_row:
+                        node = (dst, t)
+                        if node in seen:
+                            continue
                         seen.add(node)
-                        stack.append(node)
+                        stack.append((dst, t_row))
+                    if t in acc:
+                        pairs.add((x, dst))
+                        if dst == goal:
+                            return pairs
     return pairs
 
 

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (build_grid_per_edge, check_counterexample_per_constraint,
-                     decorate_per_edge, homomorphism_exists, is_homomorphism,
-                     isomorphic, random_graph)
+                     decorate_per_edge, eval_algebraic, homomorphism_exists,
+                     is_homomorphism, isomorphic, random_graph)
 from rpqdet.automata import iter_words, parse_word
 from rpqdet.constraints import make_arrow_set, requests, satisfied
 from rpqdet import gadget
@@ -31,6 +31,7 @@ from rpqdet.graphs import (EndpointedGraph, LabeledGraph, UnknownVertexError,
 from rpqdet.ogtp import (GridTiling, OgtpInstance, all_black_tiling,
                          check_tiling, compile_reduction, h_cells,
                          solve_bruteforce, v_cells)
+from rpqdet.rpq import evaluate
 from rpqdet.symbols import Color, sym
 
 
@@ -295,6 +296,24 @@ def test_counterexample_failures_match_the_per_constraint_loop(
                     eg.graph, views, q0, eg.a, eg.b)
                 failed += not got.ok
     assert failed
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_view_pairs_on_a_two_shade_grid_match_the_relation_algebra(
+        two_shade_reduction, m):
+    """evaluate on the doubled grid with one grey H cell and one grey V
+    cell, against an oracle that does not call it: the per-constraint
+    check above reads its failures through evaluate too."""
+    rng = random.Random(m)
+    t = all_black_tiling(m)
+    t.h[rng.choice(h_cells(m))] = "grey"
+    t.v[rng.choice(v_cells(m))] = "grey"
+    g = decorate(build_grid(m), t).graph
+    cs = make_arrow_set(two_shade_reduction.views.all_languages(),
+                        two_shade_reduction.q0_nfa.alphabet)
+    for rc in cs:
+        assert evaluate(rc.lhs_nfa, g) == eval_algebraic(rc.lhs, g), rc.cid
+        assert evaluate(rc.rhs_nfa, g) == eval_algebraic(rc.rhs, g), rc.cid
 
 
 def _agreements(inst, tilings):

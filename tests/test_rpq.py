@@ -119,11 +119,15 @@ def test_eval_holds_find_path_agree():
 @given(st.integers(0, 2 ** 32 - 1))
 def test_holds_agrees_with_evaluate_on_random_instances(seed):
     """holds stops once it reaches its goal; every pair, x == y included,
-    and a query that accepts the empty word must still agree."""
+    and a query that accepts the empty word must still agree.  The walk
+    records a pair where it enters a state with no row and marks only the
+    states with one, so the hand-built automata, which mix the two in
+    ways compile_nfa never does, must agree too."""
     rng = random.Random(seed)
     g = random_graph(rng, LABELS, max_vertices=6, max_edges=10)
     r = random_regex(rng, LABELS, depth=3)
-    for q in (compile_nfa(r, ALPH), compile_nfa(Union(Epsilon(), r), ALPH)):
+    for q in (compile_nfa(r, ALPH), compile_nfa(Union(Epsilon(), r), ALPH),
+              _hand_built(True), _hand_built(False), _hand_built_dead_end()):
         pairs = evaluate(q, g)
         for x in sorted(g.vertices):
             for y in sorted(g.vertices):
@@ -216,11 +220,24 @@ def _hand_built(start_accepts: bool) -> Nfa:
                frozenset({0, 1, 2} if start_accepts else {1, 2}))
 
 
+def _hand_built_dead_end() -> Nfa:
+    """alpha (beta + omega alpha)*, where state 1 accepts and has a row,
+    and beta from state 0 and omega from state 3 lead into state 2, which
+    neither accepts nor has a row: a dead state, which compile_nfa never
+    builds."""
+    a, b, o = (sym(n) for n in ("alpha", "beta", "omega"))
+    return Nfa(ALPH, 4, {0: {a: frozenset({1}), b: frozenset({2})},
+                         1: {b: frozenset({1}), o: frozenset({3})},
+                         3: {a: frozenset({1}), o: frozenset({2})}}, 0,
+               frozenset({1}))
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 def test_live_pairs_match_evaluate_after_every_batch(seed):
     rng = random.Random(seed)
     queries = [compile_nfa(random_regex(rng, LABELS, depth=3), ALPH),
-               nfa("alpha*"), _hand_built(True), _hand_built(False)]
+               nfa("alpha*"), _hand_built(True), _hand_built(False),
+               _hand_built_dead_end()]
     g = random_graph(rng, LABELS, max_vertices=7, max_edges=16)
     out: dict = {}
     live = [LivePairs(q, out) for q in queries]
@@ -242,7 +259,8 @@ def test_live_pairs_match_evaluate_after_every_batch(seed):
 def test_live_pairs_from_one_source_match_evaluate_after_every_batch(seed):
     rng = random.Random(seed)
     queries = [compile_nfa(random_regex(rng, LABELS, depth=3), ALPH),
-               nfa("alpha*"), _hand_built(True), _hand_built(False)]
+               nfa("alpha*"), _hand_built(True), _hand_built(False),
+               _hand_built_dead_end()]
     g = random_graph(rng, LABELS, max_vertices=7, max_edges=16)
     source = rng.choice(sorted(g.vertices))
     # The indexes are built on the rows of the first batch, which walk
