@@ -34,6 +34,6 @@ from .ogtp import (GridTiling, OgtpError, OgtpInstance, ReductionOutput,
                    solve_bruteforce, tiling_from_json, tiling_to_json)
 from .gadget import (CounterexampleReport, GadgetError, build_grid,
                      check_counterexample, decorate, find_homomorphism,
-                     iso_shadeless, verify_homomorphism)
+                     iso_shadeless)
 
 __version__ = "0.1.0"

@@ -316,13 +316,9 @@ def _class_token(symbols: frozenset[Symbol], alphabet: Alphabet) -> str:
     if symbols == frozenset(fragment):
         return f"{prefix}S0"
     fields = []
-    for attr, full in (("tag", {"A", "B"}), ("direction", {"H", "V"}),
-                       ("temperature", {"W", "C"}), ("shade", None)):
+    for attr in ("tag", "direction", "temperature", "shade"):
         values = {getattr(s, attr) for s in symbols}
-        admitted = {getattr(s, attr) for s in fragment}
-        if full is not None:
-            admitted &= full
-        if values == admitted:
+        if values == {getattr(s, attr) for s in fragment}:
             fields.append("*")
         elif len(values) == 1:
             v = values.pop()
@@ -439,28 +435,17 @@ class Nfa:
         return {}
 
     def has_word_over(self, labels: frozenset[Symbol]) -> bool:
-        """Whether some accepted word reads only labels in labels: a walk
-        from the start over the transitions on those labels, True at the
-        first accepting state.  Kept per label set with the rows."""
+        """Whether some accepted word reads only labels in labels: whether
+        the BFS from the start over the transitions on those labels reaches
+        an accepting state.  Kept per label set with the rows."""
         memo = self._words_over
         got = memo.get(labels)
         if got is None:
-            acc, delta = self.accepting, self.delta
-            got = False
-            seen = {self.start}
-            stack = [self.start]
-            while stack:
-                s = stack.pop()
-                if s in acc:
-                    got = True
-                    break
-                for label, targets in delta.get(s, {}).items():
-                    if label in labels:
-                        for t in targets:
-                            if t not in seen:
-                                seen.add(t)
-                                stack.append(t)
-            memo[labels] = got
+            adj = {s: [t for label, ts in row.items() if label in labels
+                       for t in ts]
+                   for s, row in self.delta.items()}
+            reached = _distances_from([self.start], adj)
+            got = memo[labels] = not self.accepting.isdisjoint(reached)
         return got
 
     @cached_property

@@ -60,13 +60,13 @@ class RegularConstraint:
     lhs: Regex
     rhs: Regex
     cid: int
-    alphabet: Alphabet
     lhs_nfa: Nfa = field(compare=False, repr=False)
     rhs_nfa: Nfa = field(compare=False, repr=False)
 
     def describe(self) -> str:
-        return (f"{render_regex(self.lhs, self.alphabet)} -> "
-                f"{render_regex(self.rhs, self.alphabet)}")
+        alphabet = self.lhs_nfa.alphabet
+        return (f"{render_regex(self.lhs, alphabet)} -> "
+                f"{render_regex(self.rhs, alphabet)}")
 
 
 # Constraints in id order, so that cs[rc.cid] is rc.
@@ -100,9 +100,8 @@ def make_arrows(l: Regex, base_alphabet: Alphabet,
     red = recolor_regex(l, Color.RED)
     g_nfa = recolor_nfa(n, Color.GREEN)
     r_nfa = recolor_nfa(n, Color.RED)
-    colored = g_nfa.alphabet
-    return (RegularConstraint(green, red, first_id, colored, g_nfa, r_nfa),
-            RegularConstraint(red, green, first_id + 1, colored, r_nfa, g_nfa))
+    return (RegularConstraint(green, red, first_id, g_nfa, r_nfa),
+            RegularConstraint(red, green, first_id + 1, r_nfa, g_nfa))
 
 
 def make_arrow_set(languages, base_alphabet: Alphabet) -> ConstraintSet:

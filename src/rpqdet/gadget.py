@@ -169,36 +169,17 @@ def find_homomorphism(d: LabeledGraph, m: LabeledGraph) -> dict[str, str] | None
     return _match(d, m.edges, candidates, injective=False)
 
 
-def verify_homomorphism(d: LabeledGraph, m: LabeledGraph,
-                        mapping: dict[str, str]) -> bool:
-    """Edge-by-edge check that mapping sends d into m, totally."""
-    if not d.vertices <= set(mapping):
-        return False
-    if not all(mapping[v] in m.vertices for v in d.vertices):
-        return False
-    return all((mapping[src], s, mapping[dst]) in m.edges
-               for src, s, dst in d.edges)
-
-
-def _signature(g: LabeledGraph, v: str):
-    """v's out-labels and in-labels, each sorted: adjacency rows are
-    sorted by label first."""
-    return (tuple(s for s, _ in g.out_adj[v]),
-            tuple(s for s, _ in g.in_adj[v]))
-
-
 def iso_shadeless(d: LabeledGraph, e: LabeledGraph) -> bool:
     """True when the shade-stripped graphs are isomorphic."""
     d2, e2 = strip_shades(d), strip_shades(e)
     if len(d2.vertices) != len(e2.vertices) or len(d2.edges) != len(e2.edges):
         return False
-    d_sigs = sorted(_signature(d2, v) for v in d2.vertices)
-    e_sigs = sorted(_signature(e2, v) for v in e2.vertices)
-    if d_sigs != e_sigs:
-        return False
+    d_out, d_in = _label_profile(d2)
+    e_out, e_in = _label_profile(e2)
+    e_vertices = sorted(e2.vertices)
     candidates = {
-        v: [u for u in sorted(e2.vertices)
-            if _signature(e2, u) == _signature(d2, v)]
+        v: [u for u in e_vertices
+            if e_out[u] == d_out[v] and e_in[u] == d_in[v]]
         for v in d2.vertices}
     # A bijective homomorphism with equal edge counts maps the edge sets
     # onto each other, so no reverse check is needed.

@@ -141,12 +141,23 @@ def test_parse_word_checks_alphabet():
     ("alpha [A,X,C,*]", "bad class field 'X'"),
     ("alpha A-X-C", "unknown symbol 'A-X-C'"),
     ("alpha G:[A,H,C,*", "unclosed class literal"),
+    ("alpha [A,H,C]", "class literal needs exactly four fields"),
 ])
 def test_malformed_regex_names_its_fault_and_position(text, message):
     with pytest.raises(RegexSyntaxError) as err:
         parse_regex(text, BLACK)
     assert str(err.value) == f"{message} (at position 6)"
     assert err.value.position == 6
+
+
+def test_an_empty_class_is_refused():
+    with pytest.raises(ValueError, match="empty symbol class"):
+        Class(frozenset())
+
+
+def test_compile_refuses_a_literal_outside_the_alphabet():
+    with pytest.raises(SymbolError, match="literal 'omega' not in alphabet"):
+        compile_nfa(Lit(sym("omega")), Alphabet(["alpha"]))
 
 
 def test_s0_needs_four_field_symbols():
@@ -186,6 +197,28 @@ def test_render_irregular_class_is_language_equal():
     odd = Class(frozenset({sym("A-H-C-black"), sym("B-V-W-grey")}))
     back = parse_regex(render_regex(odd, TWO), TWO)
     assert lang_upto(back, 2) == lang_upto(odd, 2)
+
+
+@pytest.mark.parametrize("names, alphabet, message", [
+    (("G:alpha", "R:alpha"), SPECIALS.colored(),
+     "class mixes colors; not serializable"),
+    (("A-H-W",), Alphabet(["alpha", "A-H-W", "A-H-W-black"]),
+     "class of shade-stripped symbols is not expressible; use explicit "
+     "symbols"),
+])
+def test_render_refuses_an_inexpressible_class(names, alphabet, message):
+    cls = Class(frozenset(sym(n) for n in names))
+    with pytest.raises(ValueError) as err:
+        render_regex(cls, alphabet)
+    assert str(err.value) == message
+
+
+def test_render_spells_out_a_class_that_no_literal_matches():
+    three = reduction_alphabet(("black", "grey", "rust"))
+    cls = Class(frozenset({sym("A-H-W-black"), sym("A-H-W-grey")}))
+    text = render_regex(cls, three)
+    assert text == "([A,H,W,black] + [A,H,W,grey])"
+    assert lang_upto(parse_regex(text, three), 2) == lang_upto(cls, 2)
 
 
 def test_render_random_trees_round_trip():

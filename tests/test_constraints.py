@@ -90,8 +90,8 @@ def test_recolored_automaton_is_the_automaton_of_the_recolored_regex(seed):
     if not accepts(n, ()):
         fwd, back = make_arrows(r, BLACK)
         assert back.lhs_nfa is fwd.rhs_nfa and back.rhs_nfa is fwd.lhs_nfa
-        assert fwd.lhs_nfa == compile_nfa(fwd.lhs, fwd.alphabet)
-        assert fwd.rhs_nfa == compile_nfa(fwd.rhs, fwd.alphabet)
+        assert fwd.lhs_nfa == compile_nfa(fwd.lhs, BLACK.colored())
+        assert fwd.rhs_nfa == compile_nfa(fwd.rhs, BLACK.colored())
 
 
 def test_reduction_arrows_share_their_automata(black_reduction,

@@ -186,7 +186,7 @@ def test_mid_round_failures_match_the_immutable_play(black_reduction):
 def _colored_constraint(cid, lhs, rhs):
     colored = SPECIALS.colored()
     lhs, rhs = (parse_regex(x, colored) for x in (lhs, rhs))
-    return RegularConstraint(lhs, rhs, cid, colored, compile_nfa(lhs, colored),
+    return RegularConstraint(lhs, rhs, cid, compile_nfa(lhs, colored),
                              compile_nfa(rhs, colored))
 
 
